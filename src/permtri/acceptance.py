@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import time
-from random import Random
 
 import numpy as np
 
@@ -26,15 +25,13 @@ from .conds import check_char2, check_char3, check_prima_bis
 from .engine import ScanEngine
 from .ff import frobenius, is_prime_power, lift, make_field
 from .perm import TrinomialParams, is_pp_direct, is_pp_mu
-from .scan import exhaustive_scan, to_csv_text
+from .scan import exhaustive_scan, pair_chunks, pair_grid, sample_pairs, to_csv_text
 
 __all__ = ["run_all", "CRITERIA", "DEFAULT_MAX_Q"]
 
 # Covers every mandated q (the characteristic-3 exhaustive check reaches 27);
 # raising it to 43 extends the closed-form reproduction to the full range.
 DEFAULT_MAX_Q = 27
-
-_CHUNK_CELLS = 1 << 21
 
 
 @functools.lru_cache(maxsize=None)
@@ -45,23 +42,6 @@ def _tower(p: int, h: int):
 @functools.lru_cache(maxsize=None)
 def _engine(p: int, h: int) -> ScanEngine:
     return ScanEngine(_tower(p, h))
-
-
-def _pair_chunks(n: int, cells_per_row: int):
-    """Yield (a, b) index arrays covering all of GF(q^2)* x GF(q^2)*."""
-    n1 = n - 1
-    a_block = max(1, _CHUNK_CELLS // max(cells_per_row, 1) // n1)
-    b_all = np.arange(1, n, dtype=np.int64)
-    for lo in range(1, n, a_block):
-        hi = min(n, lo + a_block)
-        yield np.repeat(np.arange(lo, hi, dtype=np.int64), n1), np.tile(b_all, hi - lo)
-
-
-def _sample_pairs(n: int, count: int, seed: int):
-    rng = Random(seed)
-    a = np.fromiter((rng.randrange(1, n) for _ in range(count)), dtype=np.int64)
-    b = np.fromiter((rng.randrange(1, n) for _ in range(count)), dtype=np.int64)
-    return a, b
 
 
 def _params(tower, a_idx: int, b_idx: int) -> TrinomialParams:
@@ -107,15 +87,14 @@ def _criterion_grid_equality(kernel_name: str, towers, max_q: int, spot_check):
         eng = _engine(p, h)
         tower = eng.tower
         mismatches = 0
-        for a, b in _pair_chunks(eng.n, eng.n):
+        for a, b in pair_chunks(*pair_grid(eng.n), eng.n):
             direct = eng.pp_direct(a, b)
             cond = getattr(eng, kernel_name)(a, b)
             mismatches += int((direct != cond).sum())
         ok &= mismatches == 0
         # tie the grids to the per-pair module path on a seeded sample
-        rng = Random(p * 1000 + h)
-        for _ in range(25):
-            prm = _params(tower, rng.randrange(1, eng.n), rng.randrange(1, eng.n))
+        for a_idx, b_idx in zip(*sample_pairs(eng.n, 25, seed=p * 1000 + h)):
+            prm = _params(tower, a_idx, b_idx)
             if spot_check(prm) != is_pp_direct(prm).is_pp:
                 ok = False
                 mismatches += 1
@@ -143,7 +122,7 @@ def crit_agw_equivalence(max_q: int):
             continue
         eng = _engine(p, h)
         mism = 0
-        for a, b in _pair_chunks(eng.n, eng.n):
+        for a, b in pair_chunks(*pair_grid(eng.n), eng.n):
             mism += int((eng.pp_direct(a, b) != eng.pp_mu(a, b)).sum())
         ok &= mism == 0
         details.append(f"q={eng.q} exhaustive: {mism} mismatches")
@@ -151,11 +130,12 @@ def crit_agw_equivalence(max_q: int):
         if p**h > max_q:
             continue
         eng = _engine(p, h)
-        a, b = _sample_pairs(eng.n, 10_000, seed=eng.q)
-        mism = int((eng.pp_direct(a, b) != eng.pp_mu(a, b)).sum())
-        rng = Random(eng.q + 1)
-        for _ in range(50):
-            prm = _params(eng.tower, rng.randrange(1, eng.n), rng.randrange(1, eng.n))
+        mism = sum(
+            int((eng.pp_direct(a, b) != eng.pp_mu(a, b)).sum())
+            for a, b in pair_chunks(*sample_pairs(eng.n, 10_000, seed=eng.q), eng.n)
+        )
+        for a_idx, b_idx in zip(*sample_pairs(eng.n, 50, seed=eng.q + 1)):
+            prm = _params(eng.tower, a_idx, b_idx)
             mism += is_pp_direct(prm).is_pp != is_pp_mu(prm).is_pp
         ok &= mism == 0
         details.append(f"q={eng.q} sampled: {mism} mismatches")
@@ -192,7 +172,7 @@ def crit_gcd_structure(max_q: int):
         gcd_vals = set()
         bad_bis = 0
         bad_impl = {"prima_bis": 0, "seconda_bis": 0, "seconda_tris": 0}
-        for a, b in _pair_chunks(eng.n, eng.q + 1):
+        for a, b in pair_chunks(*pair_grid(eng.n), eng.q + 1):
             cols = eng.classify_bulk(a, b)
             pp = cols["is_pp"]
             gcd_vals.update(np.unique(cols["gcd_deg"][pp]).tolist())
@@ -233,11 +213,8 @@ def crit_curve_identities(max_q: int):
             continue
         tower = _tower(p, h)
         n = tower.fq2.order
-        if count is None:
-            pairs = [(a, b) for a in range(1, n) for b in range(1, n)]
-        else:
-            a_arr, b_arr = _sample_pairs(n, count, seed=tower.q * 3)
-            pairs = list(zip(a_arr.tolist(), b_arr.tolist()))
+        a_arr, b_arr = pair_grid(n) if count is None else sample_pairs(n, count, seed=tower.q * 3)
+        pairs = list(zip(a_arr.tolist(), b_arr.tolist()))
         bad = 0
         for a_idx, b_idx in pairs:
             prm = _params(tower, a_idx, b_idx)
@@ -265,7 +242,7 @@ def crit_no_rational_points(max_q: int):
         eng = _engine(p, h)
         worst = 0
         checked = 0
-        for a, b in _pair_chunks(eng.n, eng.q + 1):
+        for a, b in pair_chunks(*pair_grid(eng.n), eng.q + 1):
             pp = eng.pp_mu(a, b)
             for ai, bi in zip(a[pp].tolist(), b[pp].tolist()):
                 cp = build_curves(_params(eng.tower, ai, bi))
@@ -285,12 +262,10 @@ def crit_resultant_relation(max_q: int):
     ok = True
     if 5 <= max_q:
         tower = _tower(5, 1)
-        n = tower.fq2.order
         bad = sum(
             (resultant_vs_closed_form(_params(tower, a, b)).lhs.i == 0)
             != (gcd_degree(_params(tower, a, b)) > 0)
-            for a in range(1, n)
-            for b in range(1, n)
+            for a, b in zip(*pair_grid(tower.fq2.order))
         )
         ok &= bad == 0
         details.append(f"q=5 vanishing<->gcd exceptions: {bad}")
@@ -299,7 +274,7 @@ def crit_resultant_relation(max_q: int):
             continue
         tower = _tower(p, h)
         n = tower.fq2.order
-        a_arr, b_arr = _sample_pairs(n, 1000, seed=tower.q * 7)
+        a_arr, b_arr = sample_pairs(n, 1000, seed=tower.q * 7)
         bad = 0
         for ai, bi in zip(a_arr.tolist(), b_arr.tolist()):
             cmp = resultant_vs_closed_form(_params(tower, ai, bi))

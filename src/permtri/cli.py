@@ -1,6 +1,7 @@
 """Command-line front end: scan, check, selftest.
 
-Exit codes: 0 ok, 1 verification violation / failed selftest, 2 usage error.
+Exit codes: 0 ok, 1 verification violation / failed selftest, 2 usage or
+I/O error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import sys
 
 from .perm import TrinomialParams
 from .scan import (
-    BudgetExceededError,
     classify_pair,
     emit_report,
     exhaustive_scan,
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         if args.cmd == "check":
             return _cmd_check(args)
         return _cmd_selftest(args)
-    except (BudgetExceededError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # BudgetExceededError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -489,9 +489,6 @@ class FieldCtx:
         out = self.np_exp2[self.np_log[x] + self.np_log[y]]
         return np.where((x == 0) | (y == 0), 0, out)
 
-    def vinv(self, x):
-        return self.np_inv[x]
-
     def vpow(self, x, k: int):
         x = np.asarray(x)
         lg = self.np_log[x].astype(np.int64)

@@ -6,10 +6,15 @@ the vectorised engine, and aggregates a ScanReport.  Any disagreement
 between the verdict and the closed-form criterion is collected as an
 equivalence violation, never silently dropped.
 
-Parallelism contract: the a-axis is split into contiguous index ranges,
-workers own disjoint ranges and produce sorted partial results, and the
-merge happens in range order.  Output is therefore byte-identical for any
-thread count.
+Both sweeps run one pipeline: a pair source (pair_grid or sample_pairs)
+yields the pairs sorted by (a_idx, b_idx), pair_chunks slices them for the
+kernels, and a _Tally accumulates each slice.
+
+Parallelism contract: the sorted pair list is split into contiguous index
+ranges, one per thread (a split may fall inside an a-row).  Each worker
+tallies its own range, and the tallies merge in range order.  Output is
+therefore byte-identical for any thread count.  A sweep with a single range
+runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 
@@ -27,7 +33,7 @@ import numpy as np
 from .bipoly import conic_witnesses, count_points_off_diag, build_curves, four_line_witness, gcd_degree
 from .conds import ConditionReport, condition_report
 from .engine import ScanEngine
-from .ff import FieldTower, make_field
+from .ff import make_field
 from .perm import TrinomialParams, Verdict, is_pp_mu
 
 __all__ = [
@@ -44,6 +50,9 @@ __all__ = [
     "to_csv_text",
     "to_json_text",
     "report_from_json",
+    "pair_grid",
+    "sample_pairs",
+    "pair_chunks",
 ]
 
 CSV_COLUMNS = (
@@ -66,7 +75,7 @@ DEFAULT_BUDGET_Q = 31
 BUDGET_ENV_VAR = "TRINOMIAL_BUDGET_Q"
 
 _ROW_FIELDS = CSV_COLUMNS[1:]  # rows store everything but the constant q
-_CHUNK_CELLS = 1 << 20
+_CHUNK_CELLS = 1 << 20  # kernel grid cells per pair_chunks slice
 
 
 class BudgetExceededError(ValueError):
@@ -109,12 +118,7 @@ def classify_pair(params: TrinomialParams, diagnostics: bool = False) -> PairRec
     """One classification row; with diagnostics, permutation instances also
     get the curve point count and the factorisation-pattern witnesses."""
     verdict = is_pp_mu(params)
-    points = four_line = conic = None
-    if diagnostics and verdict.is_pp:
-        if params.tower.p != 2:
-            points = count_points_off_diag(build_curves(params))
-        four_line = four_line_witness(params).to_json()
-        conic = conic_witnesses(params).to_json()
+    diag = _diagnose(params) if diagnostics and verdict.is_pp else {}
     return PairRecord(
         q=params.q,
         a_idx=params.a.i,
@@ -122,9 +126,7 @@ def classify_pair(params: TrinomialParams, diagnostics: bool = False) -> PairRec
         verdict=verdict,
         conditions=condition_report(params),
         gcd_deg=gcd_degree(params),
-        points_off_diag=points,
-        four_line=four_line,
-        conic=conic,
+        **diag,
     )
 
 
@@ -198,151 +200,151 @@ def _effective_budget(max_q: int | None) -> int:
     if max_q is not None:
         return max_q
     env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET_Q
+    if not env:
+        return DEFAULT_BUDGET_Q
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _classify_range(engine: ScanEngine, pairs_a: np.ndarray, pairs_b: np.ndarray, keep_rows: bool) -> dict:
-    """Classify a pre-sorted block of pairs; returns partial aggregates."""
-    p = engine.p
-    chunk = max(1, _CHUNK_CELLS // (engine.q + 1))
-    out = {
-        "pp_count": 0,
-        "attribution": {},
-        "gcd_histogram": {},
-        "violations": [],
-        "pp_pairs": [],
-        "eq_mismatch": {"prima": False, "seconda": False},
-        "rows": [] if keep_rows else None,
-    }
-    for lo in range(0, len(pairs_a), chunk):
-        a = pairs_a[lo : lo + chunk]
-        b = pairs_b[lo : lo + chunk]
-        cols = engine.classify_bulk(a, b)
-        pp = cols["is_pp"]
-        main = cols["main"]
-        gcd = cols["gcd_deg"]
-        out["pp_count"] += int(pp.sum())
-        bad = pp != main
-        if bad.any():
-            for i in np.flatnonzero(bad):
-                out["violations"].append((int(a[i]), int(b[i]), bool(pp[i]), bool(main[i])))
-        for (ai, bi) in zip(a[pp].tolist(), b[pp].tolist()):
-            out["pp_pairs"].append((ai, bi))
-        vals, counts = np.unique(gcd[pp], return_counts=True)
-        for v, c in zip(vals.tolist(), counts.tolist()):
-            out["gcd_histogram"][int(v)] = out["gcd_histogram"].get(int(v), 0) + int(c)
-        if p > 3:
+def pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of GF(q^2)* x GF(q^2)* (n = q^2), in (a_idx, b_idx) order."""
+    nonzero = np.arange(1, n, dtype=np.int64)
+    return np.repeat(nonzero, n - 1), np.tile(nonzero, n - 1)
+
+
+def sample_pairs(n: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """`count` seeded pairs drawn with replacement from GF(q^2)* x GF(q^2)*,
+    a then b for each pair, returned sorted by (a_idx, b_idx)."""
+    rng = Random(seed)
+    pairs = sorted((rng.randrange(1, n), rng.randrange(1, n)) for _ in range(count))
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+    return a, b
+
+
+def pair_chunks(a: np.ndarray, b: np.ndarray, cells_per_pair: int):
+    """Yield consecutive slices of the pairs (a, b), each small enough that
+    a kernel allocating `cells_per_pair` cells per pair stays near
+    _CHUNK_CELLS cells."""
+    step = max(1, _CHUNK_CELLS // cells_per_pair)
+    for lo in range(0, len(a), step):
+        yield a[lo : lo + step], b[lo : lo + step]
+
+
+@dataclass
+class _Tally:
+    """Aggregates of a run of sorted pairs; tallies of consecutive runs
+    merge in order into the tally of their concatenation."""
+
+    p: int
+    keep_rows: bool
+    pp_count: int = 0
+    attribution: Counter = field(default_factory=Counter)
+    gcd_histogram: Counter = field(default_factory=Counter)
+    violations: list = field(default_factory=list)
+    pp_pairs: list = field(default_factory=list)
+    prima_mismatch: bool = False
+    seconda_mismatch: bool = False
+    rows: list = field(default_factory=list)
+
+    def add(self, a: np.ndarray, b: np.ndarray, cols: dict[str, np.ndarray]) -> None:
+        """Fold in one classify_bulk result for the pairs (a, b)."""
+        pp, main = cols["is_pp"], cols["main"]
+        self.pp_count += int(pp.sum())
+        for i in np.flatnonzero(pp != main).tolist():
+            self.violations.append((int(a[i]), int(b[i]), bool(pp[i]), bool(main[i])))
+        self.pp_pairs.extend(zip(a[pp].tolist(), b[pp].tolist()))
+        vals, counts = np.unique(cols["gcd_deg"][pp], return_counts=True)
+        self.gcd_histogram.update(dict(zip(vals.tolist(), counts.tolist())))
+        if self.p > 3:
             pr, se = cols["prima"], cols["seconda"]
-            for key, arr in (
-                ("prima_only", pp & pr & ~se),
-                ("seconda_only", pp & se & ~pr),
-                ("both", pp & pr & se),
-            ):
-                out["attribution"][key] = out["attribution"].get(key, 0) + int(arr.sum())
-            if (pr != cols["prima_bis"]).any():
-                out["eq_mismatch"]["prima"] = True
-            if (se != cols["seconda_bis"]).any():
-                out["eq_mismatch"]["seconda"] = True
-        else:
-            key = "char2" if p == 2 else "char3"
-            out["attribution"][key] = out["attribution"].get(key, 0) + int(pp.sum())
-        if keep_rows:
-            na = np.full(len(a), -1, dtype=np.int32)
-            block = np.column_stack(
-                [
-                    a.astype(np.int32),
-                    b.astype(np.int32),
-                    pp.astype(np.int32),
-                    cols["prima"].astype(np.int32) if p > 3 else na,
-                    cols["seconda"].astype(np.int32) if p > 3 else na,
-                    cols["prima_bis"].astype(np.int32) if p > 3 else na,
-                    cols["seconda_bis"].astype(np.int32) if p > 3 else na,
-                    cols["seconda_tris"].astype(np.int32) if p > 3 else na,
-                    gcd.astype(np.int32),
-                    main.astype(np.int32),
-                ]
+            self.attribution.update(
+                {
+                    "prima_only": int((pp & pr & ~se).sum()),
+                    "seconda_only": int((pp & se & ~pr).sum()),
+                    "both": int((pp & pr & se).sum()),
+                }
             )
-            out["rows"].append(block)
+            self.prima_mismatch |= bool((pr != cols["prima_bis"]).any())
+            self.seconda_mismatch |= bool((se != cols["seconda_bis"]).any())
+        else:
+            self.attribution.update({"char2" if self.p == 2 else "char3": int(pp.sum())})
+        if self.keep_rows:
+            named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": main}
+            absent = np.full(len(a), -1, dtype=np.int32)
+            self.rows.append(np.column_stack([named.get(f, absent).astype(np.int32) for f in _ROW_FIELDS]))
+
+    def merge(self, other: _Tally) -> None:
+        """Append the tally of the run that follows this one."""
+        self.pp_count += other.pp_count
+        self.attribution.update(other.attribution)
+        self.gcd_histogram.update(other.gcd_histogram)
+        self.violations.extend(other.violations)
+        self.pp_pairs.extend(other.pp_pairs)
+        self.prima_mismatch |= other.prima_mismatch
+        self.seconda_mismatch |= other.seconda_mismatch
+        self.rows.extend(other.rows)
+
+
+def _diagnose(params: TrinomialParams) -> dict:
+    """Curve point count (odd characteristic) and factorisation-pattern
+    witnesses of a permutation instance."""
+    out = {}
+    if params.tower.p != 2:
+        out["points_off_diag"] = count_points_off_diag(build_curves(params))
+    out["four_line"] = four_line_witness(params).to_json()
+    out["conic"] = conic_witnesses(params).to_json()
     return out
 
 
-def _merge_parts(parts: list[dict], keep_rows: bool) -> dict:
-    merged = {
-        "pp_count": 0,
-        "attribution": {},
-        "gcd_histogram": {},
-        "violations": [],
-        "pp_pairs": [],
-        "eq_mismatch": {"prima": False, "seconda": False},
-        "rows": [] if keep_rows else None,
-    }
-    for part in parts:  # parts arrive in range order
-        merged["pp_count"] += part["pp_count"]
-        merged["violations"].extend(part["violations"])
-        merged["pp_pairs"].extend(part["pp_pairs"])
-        for k, v in part["attribution"].items():
-            merged["attribution"][k] = merged["attribution"].get(k, 0) + v
-        for k, v in part["gcd_histogram"].items():
-            merged["gcd_histogram"][k] = merged["gcd_histogram"].get(k, 0) + v
-        for k in ("prima", "seconda"):
-            merged["eq_mismatch"][k] |= part["eq_mismatch"][k]
-        if keep_rows:
-            merged["rows"].extend(part["rows"])
-    return merged
-
-
-def _run_pairs(
-    tower: FieldTower,
-    pair_blocks: list[tuple[np.ndarray, np.ndarray]],
-    threads: int,
-    keep_rows: bool,
-) -> dict:
+def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
+    """Classify the sorted pairs (a, b) and aggregate them into a report."""
     engine = ScanEngine(tower)
-    if threads <= 1:
-        parts = [_classify_range(engine, a, b, keep_rows) for a, b in pair_blocks]
+    keep_rows = not summary_only
+
+    def tally(lo: int, hi: int) -> _Tally:
+        part = _Tally(tower.p, keep_rows)
+        for ca, cb in pair_chunks(a[lo:hi], b[lo:hi], tower.q + 1):
+            part.add(ca, cb, engine.classify_bulk(ca, cb))
+        return part
+
+    bounds = np.linspace(0, len(a), max(1, threads) + 1).astype(int).tolist()
+    spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    if len(spans) <= 1:  # inline: a worker thread would bring its own malloc arena
+        parts = [tally(lo, hi) for lo, hi in spans]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_classify_range, engine, a, b, keep_rows) for a, b in pair_blocks]
-            parts = [f.result() for f in futures]
-    return _merge_parts(parts, keep_rows)
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+            parts = list(pool.map(lambda span: tally(*span), spans))
+    total = _Tally(tower.p, keep_rows)
+    for part in parts:  # range order
+        total.merge(part)
 
-
-def _finish_report(tower, mode, merged, pair_count, keep_rows, t0, *, samples=None, seed=None, diagnostics=False):
-    p = tower.p
-    set_eq = None
-    if p > 3:
-        set_eq = {
-            "prima_eq_prima_bis": not merged["eq_mismatch"]["prima"],
-            "seconda_eq_seconda_bis": not merged["eq_mismatch"]["seconda"],
-        }
     rows = None
     if keep_rows:
-        rows = (
-            np.concatenate(merged["rows"])
-            if merged["rows"]
-            else np.empty((0, len(_ROW_FIELDS)), dtype=np.int32)
-        )
+        rows = np.concatenate(total.rows) if total.rows else np.empty((0, len(_ROW_FIELDS)), dtype=np.int32)
     diag = None
     if diagnostics:
-        diag = []
-        for a_idx, b_idx in merged["pp_pairs"]:
-            params = TrinomialParams.from_indices(tower, a_idx, b_idx)
-            entry = {"a_idx": a_idx, "b_idx": b_idx}
-            if p != 2:
-                entry["points_off_diag"] = count_points_off_diag(build_curves(params))
-            entry["four_line"] = four_line_witness(params).to_json()
-            entry["conic"] = conic_witnesses(params).to_json()
-            diag.append(entry)
+        diag = [
+            {"a_idx": ai, "b_idx": bi, **_diagnose(TrinomialParams.from_indices(tower, ai, bi))}
+            for ai, bi in total.pp_pairs
+        ]
+    set_eq = None
+    if tower.p > 3:
+        set_eq = {
+            "prima_eq_prima_bis": not total.prima_mismatch,
+            "seconda_eq_seconda_bis": not total.seconda_mismatch,
+        }
     return ScanReport(
         q=tower.q,
-        p=p,
+        p=tower.p,
         h=tower.h,
         mode=mode,
-        pair_count=pair_count,
-        pp_count=merged["pp_count"],
-        attribution=merged["attribution"],
-        gcd_histogram=merged["gcd_histogram"],
-        equivalence_violations=merged["violations"],
+        pair_count=len(a),
+        pp_count=total.pp_count,
+        attribution=dict(total.attribution),
+        gcd_histogram=dict(total.gcd_histogram),
+        equivalence_violations=total.violations,
         set_equalities=set_eq,
         wall_time=time.perf_counter() - t0,
         samples=samples,
@@ -365,32 +367,18 @@ def exhaustive_scan(
 
     Refuses to run when q exceeds the exhaustion budget (argument, else the
     TRINOMIAL_BUDGET_Q environment variable, else 31); use sampled_scan
-    beyond that.
+    beyond that.  The budget is checked before the field is built.
     """
     t0 = time.perf_counter()
-    tower = make_field(p, h)
     budget = _effective_budget(max_q)
-    if tower.q > budget:
+    if p**h > budget:
         raise BudgetExceededError(
-            f"q = {tower.q} exceeds the exhaustion budget {budget}; "
+            f"q = {p**h} exceeds the exhaustion budget {budget}; "
             "use sampled_scan (or raise the budget)"
         )
-    n = tower.fq2.order
-    threads = max(1, threads)
-    bounds = np.linspace(1, n, threads + 1).astype(int)
-    blocks = []
-    for t in range(threads):
-        lo, hi = bounds[t], bounds[t + 1]
-        if lo >= hi:
-            continue
-        a_vals = np.arange(lo, hi, dtype=np.int64)
-        blocks.append(
-            (np.repeat(a_vals, n - 1), np.tile(np.arange(1, n, dtype=np.int64), hi - lo))
-        )
-    merged = _run_pairs(tower, blocks, threads, keep_rows=not summary_only)
-    return _finish_report(
-        tower, "exhaustive", merged, (n - 1) ** 2, not summary_only, t0, diagnostics=diagnostics
-    )
+    tower = make_field(p, h)
+    a, b = pair_grid(tower.fq2.order)
+    return _sweep(tower, "exhaustive", a, b, t0, threads, summary_only, diagnostics)
 
 
 def sampled_scan(
@@ -409,31 +397,11 @@ def sampled_scan(
     seed reproduces the report byte for byte.
     """
     t0 = time.perf_counter()
+    if samples < 0:
+        raise ValueError(f"sample count must be non-negative, got {samples}")
     tower = make_field(p, h)
-    n = tower.fq2.order
-    rng = Random(seed)
-    pairs = sorted((rng.randrange(1, n), rng.randrange(1, n)) for _ in range(samples))
-    a_all = np.array([x for x, _ in pairs], dtype=np.int64)
-    b_all = np.array([y for _, y in pairs], dtype=np.int64)
-    threads = max(1, threads)
-    bounds = np.linspace(0, samples, threads + 1).astype(int)
-    blocks = [
-        (a_all[bounds[t] : bounds[t + 1]], b_all[bounds[t] : bounds[t + 1]])
-        for t in range(threads)
-        if bounds[t] < bounds[t + 1]
-    ]
-    merged = _run_pairs(tower, blocks, threads, keep_rows=not summary_only)
-    return _finish_report(
-        tower,
-        "sampled",
-        merged,
-        samples,
-        not summary_only,
-        t0,
-        samples=samples,
-        seed=seed,
-        diagnostics=diagnostics,
-    )
+    a, b = sample_pairs(tower.fq2.order, samples, seed)
+    return _sweep(tower, "sampled", a, b, t0, threads, summary_only, diagnostics, samples=samples, seed=seed)
 
 
 def to_csv_text(report: ScanReport) -> str:

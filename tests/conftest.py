@@ -1,13 +1,6 @@
-import functools
-
 import pytest
 
-from permtri import make_field
-
-
-@functools.lru_cache(maxsize=None)
-def _tower(p, h):
-    return make_field(p, h)
+from permtri.acceptance import _tower
 
 
 @pytest.fixture(scope="session")

@@ -38,13 +38,23 @@ class TestScanCommand:
         assert main(["scan", "--p", "7", "--h", "1", "--threads", "4", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_non_prime_is_usage_error(self, capsys):
-        assert main(["scan", "--p", "6", "--h", "1"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_budget_exceeded_is_usage_error(self, capsys):
-        assert main(["scan", "--p", "37", "--h", "1"]) == 2
-        assert "sampled" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, budget_env, message",
+        [
+            pytest.param(["--p", "6", "--h", "1"], None, "prime", id="non-prime"),
+            pytest.param(["--p", "37", "--h", "1"], None, "sampled", id="budget-exceeded"),
+            pytest.param(["--p", "7", "--h", "1", "--sample", "-5"], None, "non-negative", id="negative-sample"),
+            pytest.param(["--p", "5", "--h", "1"], "abc", "TRINOMIAL_BUDGET_Q", id="bad-budget-env"),
+            pytest.param(["--p", "5", "--h", "1", "--out", "missing/x.csv"], None, "missing/x.csv", id="unwritable-out"),
+        ],
+    )
+    def test_usage_error(self, argv, budget_env, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if budget_env is not None:
+            monkeypatch.setenv("TRINOMIAL_BUDGET_Q", budget_env)
+        assert main(["scan", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestCheckCommand:

@@ -22,8 +22,7 @@ from permtri import (
     project,
 )
 from permtri.engine import ScanEngine
-
-import numpy as np
+from permtri.scan import pair_grid
 
 
 def params(t, a, b):
@@ -31,8 +30,8 @@ def params(t, a, b):
 
 
 def all_pairs(t):
-    n = t.fq2.order
-    return ((a, b) for a in range(1, n) for b in range(1, n))
+    a, b = pair_grid(t.fq2.order)
+    return zip(a.tolist(), b.tolist())
 
 
 def dual_path_prima(p):
@@ -127,9 +126,7 @@ class TestPrimaBis:
     def test_implies_prima_and_sets_agree(self, tower, p_, h):
         t = tower(p_, h)
         eng = ScanEngine(t)
-        n = t.fq2.order
-        a = np.repeat(np.arange(1, n, dtype=np.int64), n - 1)
-        b = np.tile(np.arange(1, n, dtype=np.int64), n - 1)
+        a, b = pair_grid(t.fq2.order)
         bis = eng.prima_bis(a, b)
         base = eng.prima(a, b)
         assert not (bis & ~base).any()  # implication
@@ -141,9 +138,7 @@ class TestSecondaBis:
     def test_implies_seconda_and_sets_agree(self, tower, p_, h):
         t = tower(p_, h)
         eng = ScanEngine(t)
-        n = t.fq2.order
-        a = np.repeat(np.arange(1, n, dtype=np.int64), n - 1)
-        b = np.tile(np.arange(1, n, dtype=np.int64), n - 1)
+        a, b = pair_grid(t.fq2.order)
         bis = eng.seconda_bis(a, b)
         base = eng.seconda(a, b)
         assert not (bis & ~base).any()
@@ -217,9 +212,7 @@ class TestChar2:
     def test_exhaustive_q8_against_engine_direct(self, tower):
         t = tower(2, 3)
         eng = ScanEngine(t)
-        n = t.fq2.order
-        a = np.repeat(np.arange(1, n, dtype=np.int64), n - 1)
-        b = np.tile(np.arange(1, n, dtype=np.int64), n - 1)
+        a, b = pair_grid(t.fq2.order)
         direct = eng.pp_direct(a, b)
         for i in range(0, len(a), 17):  # per-pair path on a stride
             p = params(t, int(a[i]), int(b[i]))
@@ -252,9 +245,7 @@ class TestChar3:
     def test_exhaustive_q9_against_engine_direct(self, tower):
         t = tower(3, 2)
         eng = ScanEngine(t)
-        n = t.fq2.order
-        a = np.repeat(np.arange(1, n, dtype=np.int64), n - 1)
-        b = np.tile(np.arange(1, n, dtype=np.int64), n - 1)
+        a, b = pair_grid(t.fq2.order)
         direct = eng.pp_direct(a, b)
         assert (eng.char3(a, b) == direct).all()
         for i in range(0, len(a), 41):

@@ -1,7 +1,5 @@
 """The vectorised kernels must agree with the per-pair module path."""
 
-import random
-
 import numpy as np
 import pytest
 
@@ -13,26 +11,14 @@ from permtri import (
     is_pp_mu,
 )
 from permtri.engine import ScanEngine
-
-
-def full_grid(n):
-    a = np.repeat(np.arange(1, n, dtype=np.int64), n - 1)
-    b = np.tile(np.arange(1, n, dtype=np.int64), n - 1)
-    return a, b
-
-
-def sample_grid(n, count, seed):
-    rng = random.Random(seed)
-    a = np.array([rng.randrange(1, n) for _ in range(count)], dtype=np.int64)
-    b = np.array([rng.randrange(1, n) for _ in range(count)], dtype=np.int64)
-    return a, b
+from permtri.scan import pair_grid, sample_pairs
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (7, 1)])
 def test_exhaustive_agreement_odd_characteristic(tower, p, h):
     t = tower(p, h)
     eng = ScanEngine(t)
-    a, b = full_grid(t.fq2.order)
+    a, b = pair_grid(t.fq2.order)
     cols = eng.classify_bulk(a, b)
     direct = eng.pp_direct(a, b)
     for i in range(len(a)):
@@ -52,7 +38,7 @@ def test_exhaustive_agreement_odd_characteristic(tower, p, h):
 def test_exhaustive_agreement_char2(tower):
     t = tower(2, 2)
     eng = ScanEngine(t)
-    a, b = full_grid(t.fq2.order)
+    a, b = pair_grid(t.fq2.order)
     cols = eng.classify_bulk(a, b)
     for i in range(len(a)):
         prm = TrinomialParams.from_indices(t, int(a[i]), int(b[i]))
@@ -65,7 +51,7 @@ def test_exhaustive_agreement_char2(tower):
 def test_exhaustive_agreement_char3(tower):
     t = tower(3, 1)
     eng = ScanEngine(t)
-    a, b = full_grid(t.fq2.order)
+    a, b = pair_grid(t.fq2.order)
     cols = eng.classify_bulk(a, b)
     for i in range(len(a)):
         prm = TrinomialParams.from_indices(t, int(a[i]), int(b[i]))
@@ -78,7 +64,7 @@ def test_exhaustive_agreement_char3(tower):
 def test_sampled_agreement_larger_fields(tower, p, h, count):
     t = tower(p, h)
     eng = ScanEngine(t)
-    a, b = sample_grid(t.fq2.order, count, seed=t.q)
+    a, b = sample_pairs(t.fq2.order, count, seed=t.q)
     cols = eng.classify_bulk(a, b)
     direct = eng.pp_direct(a, b)
     for i in range(len(a)):
@@ -93,7 +79,7 @@ def test_direct_and_mu_grids_agree(tower):
     for p, h in ((5, 1), (7, 1), (2, 3), (3, 2)):
         t = tower(p, h)
         eng = ScanEngine(t)
-        a, b = full_grid(t.fq2.order)
+        a, b = pair_grid(t.fq2.order)
         assert (eng.pp_direct(a, b) == eng.pp_mu(a, b)).all()
 
 

@@ -14,6 +14,7 @@ from permtri import (
     main_predicate,
     sampled_scan,
 )
+from permtri import scan
 from permtri.scan import (
     CSV_COLUMNS,
     report_from_json,
@@ -88,8 +89,14 @@ class TestExhaustive:
         assert rep.attribution == {"char3": rep.pp_count}
 
     def test_budget_refusal_and_overrides(self, tower, monkeypatch):
-        with pytest.raises(BudgetExceededError, match="sampled_scan"):
-            exhaustive_scan(37, 1)
+        def no_field(p, h):
+            raise AssertionError("field built before the budget was checked")
+
+        with monkeypatch.context() as m:
+            m.setattr(scan, "make_field", no_field)
+            for p, h in ((37, 1), (2003, 1), (2, 10)):
+                with pytest.raises(BudgetExceededError, match="sampled_scan"):
+                    exhaustive_scan(p, h)
         monkeypatch.setenv("TRINOMIAL_BUDGET_Q", "11")
         with pytest.raises(BudgetExceededError):
             exhaustive_scan(13, 1)
@@ -170,8 +177,17 @@ class TestEmission:
 
 class TestDeterminism:
     def test_thread_counts_identical_bytes(self, tower):
-        texts = {to_csv_text(exhaustive_scan(7, 1, threads=t)) for t in (1, 2, 8)}
-        assert len(texts) == 1
+        # 5 threads split the 2304 pairs at q = 7 inside an a-row
+        sweeps = (
+            lambda t: exhaustive_scan(7, 1, threads=t, diagnostics=True),
+            lambda t: exhaustive_scan(3, 2, threads=t),
+            lambda t: sampled_scan(7, 1, 500, seed=5, threads=t, diagnostics=True),
+        )
+        for sweep in sweeps:
+            reports = [sweep(t) for t in (1, 2, 5, 8)]
+            assert len({to_csv_text(r) for r in reports}) == 1
+            payloads = {json.dumps({**r.to_json(), "wall_time": None}, sort_keys=True) for r in reports}
+            assert len(payloads) == 1
 
     def test_classify_pair_deterministic(self, tower):
         t = tower(5, 1)
