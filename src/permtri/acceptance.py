@@ -4,6 +4,12 @@ Each criterion is a callable returning (passed, detail); run_all prints one
 PASS/FAIL line per criterion.  The same functions back `permtri selftest`
 and tests/test_acceptance.py.  Criteria are exact: no tolerances anywhere,
 every comparison is field arithmetic or integer arithmetic.
+
+Runner contract: every field-bounded criterion lists its jobs (p, h, ...)
+and hands them to _per_field with a check(*job) -> (passed, detail).  Jobs
+with p**h above max_q are skipped; the rest all run (a failure does not
+stop later fields), the criterion passes iff every job passed, and the
+details are joined with "; ", or read "skipped (bound)" when no job ran.
 """
 
 from __future__ import annotations
@@ -48,58 +54,62 @@ def _params(tower, a_idx: int, b_idx: int) -> TrinomialParams:
     return TrinomialParams.from_indices(tower, int(a_idx), int(b_idx))
 
 
+def _per_field(max_q: int, jobs, check):
+    """Run check(*job) -> (ok, detail) on every job (p, h, ...) with
+    p**h <= max_q; pass iff every job passes, details joined in job order."""
+    results = [check(*job) for job in jobs if job[0] ** job[1] <= max_q]
+    return all(ok for ok, _ in results), "; ".join(d for _, d in results) or "skipped (bound)"
+
+
+def _pairs(n: int, count: int | None, seed: int):
+    """Every pair when count is None, else `count` seeded pairs."""
+    return pair_grid(n) if count is None else sample_pairs(n, count, seed)
+
+
+def _mismatches(eng: ScanEngine, kernel, a, b, spot: int, seed: int, reference) -> int:
+    """Pairs of (a, b) where kernel disagrees with eng.pp_direct, plus `spot`
+    seeded pairs where reference(params) disagrees with is_pp_direct."""
+    bad = sum(int((eng.pp_direct(ca, cb) != kernel(ca, cb)).sum()) for ca, cb in pair_chunks(a, b, eng.n))
+    for a_idx, b_idx in zip(*sample_pairs(eng.n, spot, seed)):
+        prm = _params(eng.tower, a_idx, b_idx)
+        bad += reference(prm) != is_pp_direct(prm).is_pp
+    return bad
+
+
 # --------------------------------------------------------------- criteria
 
 
 def crit_closed_form_core(max_q: int):
     """Exhaustive verdict-vs-criterion agreement at q in {5, 7, 11, 13}."""
-    details = []
-    ok = True
-    for p, h in ((5, 1), (7, 1), (11, 1), (13, 1)):
-        if p**h > max_q:
-            continue
+
+    def check(p, h):
         rep = exhaustive_scan(p, h, summary_only=True, max_q=max_q)
-        ok &= not rep.equivalence_violations
-        details.append(f"q={rep.q}: {len(rep.equivalence_violations)} violations, {rep.pp_count} instances")
-    return ok, "; ".join(details) or "skipped (bound)"
+        bad = len(rep.equivalence_violations)
+        return bad == 0, f"q={rep.q}: {bad} violations, {rep.pp_count} instances"
+
+    return _per_field(max_q, ((5, 1), (7, 1), (11, 1), (13, 1)), check)
 
 
 def crit_closed_form_extended(max_q: int):
     """Same at q in {17, 19, 23, 25}, plus 29..43 when the bound allows."""
-    details = []
-    ok = True
-    pairs = [(17, 1), (19, 1), (23, 1), (5, 2), (29, 1), (31, 1), (37, 1), (41, 1), (43, 1)]
-    for p, h in pairs:
-        if p**h > max_q or p**h < 17:
-            continue
+
+    def check(p, h):
         rep = exhaustive_scan(p, h, summary_only=True, max_q=max_q)
-        ok &= not rep.equivalence_violations
-        details.append(f"q={rep.q}: {len(rep.equivalence_violations)} violations")
-    return ok, "; ".join(details) or "skipped (bound)"
+        bad = len(rep.equivalence_violations)
+        return bad == 0, f"q={rep.q}: {bad} violations"
+
+    jobs = ((17, 1), (19, 1), (23, 1), (5, 2), (29, 1), (31, 1), (37, 1), (41, 1), (43, 1))
+    return _per_field(max_q, jobs, check)
 
 
 def _criterion_grid_equality(kernel_name: str, towers, max_q: int, spot_check):
-    details = []
-    ok = True
-    for p, h in towers:
-        if p**h > max_q:
-            continue
+    def check(p, h):
         eng = _engine(p, h)
-        tower = eng.tower
-        mismatches = 0
-        for a, b in pair_chunks(*pair_grid(eng.n), eng.n):
-            direct = eng.pp_direct(a, b)
-            cond = getattr(eng, kernel_name)(a, b)
-            mismatches += int((direct != cond).sum())
-        ok &= mismatches == 0
-        # tie the grids to the per-pair module path on a seeded sample
-        for a_idx, b_idx in zip(*sample_pairs(eng.n, 25, seed=p * 1000 + h)):
-            prm = _params(tower, a_idx, b_idx)
-            if spot_check(prm) != is_pp_direct(prm).is_pp:
-                ok = False
-                mismatches += 1
-        details.append(f"q={tower.q}: {mismatches} mismatches")
-    return ok, "; ".join(details) or "skipped (bound)"
+        # the per-pair module path is tied in on 25 seeded pairs
+        bad = _mismatches(eng, getattr(eng, kernel_name), *pair_grid(eng.n), 25, p * 1000 + h, spot_check)
+        return bad == 0, f"q={eng.q}: {bad} mismatches"
+
+    return _per_field(max_q, towers, check)
 
 
 def crit_char2(max_q: int):
@@ -115,31 +125,16 @@ def crit_char3(max_q: int):
 def crit_agw_equivalence(max_q: int):
     """Direct and root-of-unity verdicts agree: exhaustively at q in {5, 7},
     on 10^4 seeded pairs at q in {9, 11, 13, 25}."""
-    details = []
-    ok = True
-    for p, h in ((5, 1), (7, 1)):
-        if p**h > max_q:
-            continue
+
+    def check(p, h, count):
         eng = _engine(p, h)
-        mism = 0
-        for a, b in pair_chunks(*pair_grid(eng.n), eng.n):
-            mism += int((eng.pp_direct(a, b) != eng.pp_mu(a, b)).sum())
-        ok &= mism == 0
-        details.append(f"q={eng.q} exhaustive: {mism} mismatches")
-    for p, h in ((3, 2), (11, 1), (13, 1), (5, 2)):
-        if p**h > max_q:
-            continue
-        eng = _engine(p, h)
-        mism = sum(
-            int((eng.pp_direct(a, b) != eng.pp_mu(a, b)).sum())
-            for a, b in pair_chunks(*sample_pairs(eng.n, 10_000, seed=eng.q), eng.n)
-        )
-        for a_idx, b_idx in zip(*sample_pairs(eng.n, 50, seed=eng.q + 1)):
-            prm = _params(eng.tower, a_idx, b_idx)
-            mism += is_pp_direct(prm).is_pp != is_pp_mu(prm).is_pp
-        ok &= mism == 0
-        details.append(f"q={eng.q} sampled: {mism} mismatches")
-    return ok, "; ".join(details) or "skipped (bound)"
+        spot = 0 if count is None else 50
+        a, b = _pairs(eng.n, count, seed=eng.q)
+        bad = _mismatches(eng, eng.pp_mu, a, b, spot, eng.q + 1, lambda prm: is_pp_mu(prm).is_pp)
+        return bad == 0, f"q={eng.q} {'exhaustive' if count is None else 'sampled'}: {bad} mismatches"
+
+    jobs = [(5, 1, None), (7, 1, None)] + [(p, h, 10_000) for p, h in ((3, 2), (11, 1), (13, 1), (5, 2))]
+    return _per_field(max_q, jobs, check)
 
 
 def crit_hasse_weil_threshold(max_q: int):
@@ -163,11 +158,8 @@ def crit_gcd_structure(max_q: int):
     nonsquare, and on every permutation instance regardless.  The criterion
     is evaluated as stated and therefore fails at those q.
     """
-    details = []
-    ok = True
-    for p, h in ((5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)):
-        if p**h > max_q:
-            continue
+
+    def check(p, h):
         eng = _engine(p, h)
         gcd_vals = set()
         bad_bis = 0
@@ -186,34 +178,28 @@ def crit_gcd_structure(max_q: int):
                 for ai, bi in zip(a[deg2].tolist(), b[deg2].tolist()):
                     holds, _v = check_prima_bis(_params(eng.tower, ai, bi))
                     bad_bis += not holds
-        ok &= gcd_vals <= {0, 2} and bad_bis == 0 and not any(bad_impl.values())
+        ok = gcd_vals <= {0, 2} and bad_bis == 0 and not any(bad_impl.values())
         impl_txt = ", ".join(f"{k}: {v}" for k, v in bad_impl.items() if v)
-        details.append(
+        return ok, (
             f"q={eng.q}: gcd degrees {sorted(gcd_vals)}, deg-2 without prima_bis {bad_bis}"
             + (f", implication failures ({impl_txt})" if impl_txt else "")
         )
+
+    ok, detail = _per_field(max_q, ((5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)), check)
     if not ok:
-        details.append(
-            "seconda_tris -> seconda is a documented false claim at q = 1 mod 3; see README"
-        )
-    return ok, "; ".join(details) or "skipped (bound)"
+        detail += "; seconda_tris -> seconda is a documented false claim at q = 1 mod 3; see README"
+    return ok, detail
 
 
 def crit_curve_identities(max_q: int):
     """Curve construction invariants: exact division, GF(q) coefficients,
     the closed-form corner coefficient, and the transform identity at 50
     random points; every pair at q=5, 1000 seeded pairs per larger odd q."""
-    details = []
-    ok = True
-    jobs = [(5, 1, None)] + [
-        (p, h, 1000) for p, h in ((7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (5, 2))
-    ]
-    for p, h, count in jobs:
-        if p**h > max_q:
-            continue
+
+    def check(p, h, count):
         tower = _tower(p, h)
         n = tower.fq2.order
-        a_arr, b_arr = pair_grid(n) if count is None else sample_pairs(n, count, seed=tower.q * 3)
+        a_arr, b_arr = _pairs(n, count, seed=tower.q * 3)
         pairs = list(zip(a_arr.tolist(), b_arr.tolist()))
         bad = 0
         for a_idx, b_idx in pairs:
@@ -226,19 +212,19 @@ def crit_curve_identities(max_q: int):
                 bad += 1
             elif not verify_iso_identity(cp, trials=50, seed=a_idx * n + b_idx):
                 bad += 1
-        ok &= bad == 0
-        details.append(f"q={tower.q}: {len(pairs)} pairs, {bad} failures")
-    return ok, "; ".join(details) or "skipped (bound)"
+        return bad == 0, f"q={tower.q}: {len(pairs)} pairs, {bad} failures"
+
+    jobs = [(5, 1, None)] + [
+        (p, h, 1000) for p, h in ((7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (5, 2))
+    ]
+    return _per_field(max_q, jobs, check)
 
 
 def crit_no_rational_points(max_q: int):
     """Every permutation instance yields a curve without off-diagonal
     GF(q)-rational points, q in {5, 7, 9, 11, 13}."""
-    details = []
-    ok = True
-    for p, h in ((5, 1), (7, 1), (3, 2), (11, 1), (13, 1)):
-        if p**h > max_q:
-            continue
+
+    def check(p, h):
         eng = _engine(p, h)
         worst = 0
         checked = 0
@@ -248,9 +234,9 @@ def crit_no_rational_points(max_q: int):
                 cp = build_curves(_params(eng.tower, ai, bi))
                 worst = max(worst, count_points_off_diag(cp))
                 checked += 1
-        ok &= worst == 0
-        details.append(f"q={eng.q}: {checked} instances, max off-diagonal points {worst}")
-    return ok, "; ".join(details) or "skipped (bound)"
+        return worst == 0, f"q={eng.q}: {checked} instances, max off-diagonal points {worst}"
+
+    return _per_field(max_q, ((5, 1), (7, 1), (3, 2), (11, 1), (13, 1)), check)
 
 
 def crit_resultant_relation(max_q: int):
@@ -258,40 +244,29 @@ def crit_resultant_relation(max_q: int):
     q=5), and on seeded samples at q in {5, 7, 11} the resultant equals the
     inner factor of the closed form, whose square times b^(2q+10) is the
     closed form."""
-    details = []
-    ok = True
-    if 5 <= max_q:
-        tower = _tower(5, 1)
-        bad = sum(
-            (resultant_vs_closed_form(_params(tower, a, b)).lhs.i == 0)
-            != (gcd_degree(_params(tower, a, b)) > 0)
-            for a, b in zip(*pair_grid(tower.fq2.order))
-        )
-        ok &= bad == 0
-        details.append(f"q=5 vanishing<->gcd exceptions: {bad}")
-    for p, h in ((5, 1), (7, 1), (11, 1)):
-        if p**h > max_q:
-            continue
+
+    def check(p, h, count):
         tower = _tower(p, h)
-        n = tower.fq2.order
-        a_arr, b_arr = sample_pairs(n, 1000, seed=tower.q * 7)
-        bad = 0
-        for ai, bi in zip(a_arr.tolist(), b_arr.tolist()):
-            cmp = resultant_vs_closed_form(_params(tower, ai, bi))
-            if not (cmp.lhs_equals_inner and cmp.rhs_is_prefactor_times_lhs_squared):
-                bad += 1
-        ok &= bad == 0
-        details.append(f"q={tower.q}: {bad}/1000 relation failures")
-    return ok, "; ".join(details) or "skipped (bound)"
+        pairs = [_params(tower, a, b) for a, b in zip(*_pairs(tower.fq2.order, count, seed=tower.q * 7))]
+        if count is None:
+            bad = sum((resultant_vs_closed_form(prm).lhs.i == 0) != (gcd_degree(prm) > 0) for prm in pairs)
+            return bad == 0, f"q={tower.q} vanishing<->gcd exceptions: {bad}"
+        cmps = map(resultant_vs_closed_form, pairs)
+        bad = sum(not (cmp.lhs_equals_inner and cmp.rhs_is_prefactor_times_lhs_squared) for cmp in cmps)
+        return bad == 0, f"q={tower.q}: {bad}/{count} relation failures"
+
+    return _per_field(max_q, ((5, 1, None), (5, 1, 1000), (7, 1, 1000), (11, 1, 1000)), check)
 
 
 def crit_scan_determinism(max_q: int):
     """Thread count never changes scan bytes: 1, 2, 8 threads at q=7."""
-    if 7 > max_q:
-        return True, "skipped (bound)"
-    texts = [to_csv_text(exhaustive_scan(7, 1, threads=t)) for t in (1, 2, 8)]
-    same = texts[0] == texts[1] == texts[2]
-    return same, f"CSV bytes identical across 1/2/8 threads: {same}"
+
+    def check(p, h):
+        texts = [to_csv_text(exhaustive_scan(p, h, threads=t)) for t in (1, 2, 8)]
+        same = texts[0] == texts[1] == texts[2]
+        return same, f"CSV bytes identical across 1/2/8 threads: {same}"
+
+    return _per_field(max_q, ((7, 1),), check)
 
 
 CRITERIA = (

@@ -179,13 +179,6 @@ class ScanEngine:
         val = ctx.vsub(self._k(1), ctx.vmul(self.NORM[b], self.INV[self.NORM[a]]))
         return eq & self._sq_ok(val)
 
-    def main(self, a, b):
-        if self.p == 2:
-            return self.char2(a, b)
-        if self.p == 3:
-            return self.char3(a, b)
-        return self.prima(a, b) | self.seconda(a, b)
-
     # ---------------------------------------------------------- assembly
 
     def classify_bulk(self, a: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:

@@ -11,10 +11,11 @@ yields the pairs sorted by (a_idx, b_idx), pair_chunks slices them for the
 kernels, and a _Tally accumulates each slice.
 
 Parallelism contract: the sorted pair list is split into contiguous index
-ranges, one per thread (a split may fall inside an a-row).  Each worker
-tallies its own range, and the tallies merge in range order.  Output is
-therefore byte-identical for any thread count.  A sweep with a single range
-runs in the calling thread.
+ranges, one per requested thread (a split may fall inside an a-row).  A pool
+of at most os.cpu_count() workers tallies the ranges, and the tallies merge
+in range order.  Output is therefore byte-identical for any thread count.
+A sweep with a single range runs in the calling thread; fewer than one
+thread is a ValueError.
 """
 
 from __future__ import annotations
@@ -287,6 +288,11 @@ class _Tally:
         self.rows.extend(other.rows)
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+
+
 def _diagnose(params: TrinomialParams) -> dict:
     """Curve point count (odd characteristic) and factorisation-pattern
     witnesses of a permutation instance."""
@@ -309,12 +315,12 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
             part.add(ca, cb, engine.classify_bulk(ca, cb))
         return part
 
-    bounds = np.linspace(0, len(a), max(1, threads) + 1).astype(int).tolist()
+    bounds = np.linspace(0, len(a), min(threads, len(a)) + 1).astype(int).tolist()
     spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     if len(spans) <= 1:  # inline: a worker thread would bring its own malloc arena
         parts = [tally(lo, hi) for lo, hi in spans]
     else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(lambda span: tally(*span), spans))
     total = _Tally(tower.p, keep_rows)
     for part in parts:  # range order
@@ -367,9 +373,11 @@ def exhaustive_scan(
 
     Refuses to run when q exceeds the exhaustion budget (argument, else the
     TRINOMIAL_BUDGET_Q environment variable, else 31); use sampled_scan
-    beyond that.  The budget is checked before the field is built.
+    beyond that.  The budget and the thread count are checked before the
+    field is built.
     """
     t0 = time.perf_counter()
+    _check_threads(threads)
     budget = _effective_budget(max_q)
     if p**h > budget:
         raise BudgetExceededError(
@@ -399,6 +407,7 @@ def sampled_scan(
     t0 = time.perf_counter()
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
+    _check_threads(threads)
     tower = make_field(p, h)
     a, b = sample_pairs(tower.fq2.order, samples, seed)
     return _sweep(tower, "sampled", a, b, t0, threads, summary_only, diagnostics, samples=samples, seed=seed)

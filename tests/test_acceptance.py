@@ -12,41 +12,7 @@ import pytest
 
 from permtri.acceptance import CRITERIA, DEFAULT_MAX_Q
 
-_BY_NUM = {num: (label, fn) for num, label, fn in CRITERIA}
-
-
-def _run(num):
-    label, fn = _BY_NUM[num]
-    passed, detail = fn(DEFAULT_MAX_Q)
-    print(f"criterion {num}: {'PASS' if passed else 'FAIL'} - {label} [{detail}]")
-    return passed
-
-
-def test_criterion_01_closed_form_core():
-    assert _run(1)
-
-
-def test_criterion_02_closed_form_extended():
-    assert _run(2)
-
-
-def test_criterion_03_char2():
-    assert _run(3)
-
-
-def test_criterion_04_char3():
-    assert _run(4)
-
-
-def test_criterion_05_agw_equivalence():
-    assert _run(5)
-
-
-def test_criterion_06_hasse_weil_threshold():
-    assert _run(6)
-
-
-@pytest.mark.xfail(
+KNOWN_FALSE = pytest.mark.xfail(
     strict=True,
     reason=(
         "known false claim, kept red on purpose: the unconditional "
@@ -55,21 +21,22 @@ def test_criterion_06_hasse_weil_threshold():
         "verified conditional law"
     ),
 )
-def test_criterion_07_gcd_structure():
-    assert _run(7)
 
 
-def test_criterion_08_curve_identities():
-    assert _run(8)
-
-
-def test_criterion_09_no_rational_points():
-    assert _run(9)
-
-
-def test_criterion_10_resultant_relation():
-    assert _run(10)
-
-
-def test_criterion_11_scan_determinism():
-    assert _run(11)
+@pytest.mark.parametrize(
+    "num, label, fn",
+    [
+        pytest.param(
+            num,
+            label,
+            fn,
+            id=f"{num:02d}-{fn.__name__.removeprefix('crit_')}",
+            marks=KNOWN_FALSE if num == 7 else (),
+        )
+        for num, label, fn in CRITERIA
+    ],
+)
+def test_criterion(num, label, fn):
+    passed, detail = fn(DEFAULT_MAX_Q)
+    print(f"criterion {num}: {'PASS' if passed else 'FAIL'} - {label} [{detail}]")
+    assert passed

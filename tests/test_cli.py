@@ -46,6 +46,7 @@ class TestScanCommand:
             pytest.param(["--p", "7", "--h", "1", "--sample", "-5"], None, "non-negative", id="negative-sample"),
             pytest.param(["--p", "5", "--h", "1"], "abc", "TRINOMIAL_BUDGET_Q", id="bad-budget-env"),
             pytest.param(["--p", "5", "--h", "1", "--out", "missing/x.csv"], None, "missing/x.csv", id="unwritable-out"),
+            pytest.param(["--p", "5", "--h", "1", "--threads", "0"], None, "threads", id="zero-threads"),
         ],
     )
     def test_usage_error(self, argv, budget_env, message, tmp_path, monkeypatch, capsys):

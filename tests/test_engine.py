@@ -14,50 +14,22 @@ from permtri.engine import ScanEngine
 from permtri.scan import pair_grid, sample_pairs
 
 
-@pytest.mark.parametrize("p,h", [(5, 1), (7, 1)])
-def test_exhaustive_agreement_odd_characteristic(tower, p, h):
+@pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 2), (3, 1)])
+def test_exhaustive_agreement(tower, p, h):
     t = tower(p, h)
     eng = ScanEngine(t)
     a, b = pair_grid(t.fq2.order)
     cols = eng.classify_bulk(a, b)
     direct = eng.pp_direct(a, b)
+    conditions = [name for name in cols if name not in ("is_pp", "gcd_deg")]
     for i in range(len(a)):
         prm = TrinomialParams.from_indices(t, int(a[i]), int(b[i]))
         rep = condition_report(prm)
         assert bool(cols["is_pp"][i]) == is_pp_mu(prm).is_pp
         assert bool(direct[i]) == is_pp_direct(prm).is_pp
         assert int(cols["gcd_deg"][i]) == gcd_degree(prm)
-        assert bool(cols["prima"][i]) == rep.prima
-        assert bool(cols["seconda"][i]) == rep.seconda
-        assert bool(cols["prima_bis"][i]) == rep.prima_bis
-        assert bool(cols["seconda_bis"][i]) == rep.seconda_bis
-        assert bool(cols["seconda_tris"][i]) == rep.seconda_tris
-        assert bool(cols["main"][i]) == rep.main
-
-
-def test_exhaustive_agreement_char2(tower):
-    t = tower(2, 2)
-    eng = ScanEngine(t)
-    a, b = pair_grid(t.fq2.order)
-    cols = eng.classify_bulk(a, b)
-    for i in range(len(a)):
-        prm = TrinomialParams.from_indices(t, int(a[i]), int(b[i]))
-        rep = condition_report(prm)
-        assert bool(cols["char2"][i]) == rep.char2
-        assert bool(cols["is_pp"][i]) == is_pp_mu(prm).is_pp
-        assert int(cols["gcd_deg"][i]) == gcd_degree(prm)
-
-
-def test_exhaustive_agreement_char3(tower):
-    t = tower(3, 1)
-    eng = ScanEngine(t)
-    a, b = pair_grid(t.fq2.order)
-    cols = eng.classify_bulk(a, b)
-    for i in range(len(a)):
-        prm = TrinomialParams.from_indices(t, int(a[i]), int(b[i]))
-        rep = condition_report(prm)
-        assert bool(cols["char3"][i]) == rep.char3
-        assert bool(cols["is_pp"][i]) == is_pp_mu(prm).is_pp
+        for name in conditions:
+            assert bool(cols[name][i]) == getattr(rep, name), name
 
 
 @pytest.mark.parametrize("p,h,count", [(2, 4, 150), (5, 2, 200), (3, 3, 150)])

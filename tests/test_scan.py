@@ -1,6 +1,7 @@
 """Sweep reports: aggregates, rows, persistence, determinism, budgets."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -188,6 +189,34 @@ class TestDeterminism:
             assert len({to_csv_text(r) for r in reports}) == 1
             payloads = {json.dumps({**r.to_json(), "wall_time": None}, sort_keys=True) for r in reports}
             assert len(payloads) == 1
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:  # records the requested size, starts no thread
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(scan, "ThreadPoolExecutor", InlinePool)
+        wide = exhaustive_scan(7, 1, threads=64)
+        assert sizes and max(sizes) <= os.cpu_count()
+        assert to_csv_text(wide) == to_csv_text(exhaustive_scan(7, 1))
+
+    def test_threads_below_one_refused_before_field_build(self, monkeypatch):
+        monkeypatch.setattr(scan, "make_field", lambda p, h: pytest.fail("field built"))
+        with pytest.raises(ValueError, match="threads"):
+            exhaustive_scan(5, 1, threads=0)
+        with pytest.raises(ValueError, match="threads"):
+            sampled_scan(5, 1, 10, seed=1, threads=-3)
 
     def test_classify_pair_deterministic(self, tower):
         t = tower(5, 1)
