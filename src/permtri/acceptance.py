@@ -16,22 +16,16 @@ from __future__ import annotations
 
 import functools
 import time
+from random import Random
 
 import numpy as np
 
-from .bipoly import (
-    build_curves,
-    count_points_off_diag,
-    gcd_degree,
-    hasse_weil_ok,
-    resultant_vs_closed_form,
-    verify_iso_identity,
-)
+from .bipoly import build_curves, gcd_degree, hasse_weil_ok, iso_sample_points, resultant_vs_closed_form
 from .conds import check_char2, check_char3, check_prima_bis
 from .engine import ScanEngine
-from .ff import frobenius, is_prime_power, lift, make_field
+from .ff import is_prime_power, make_field
 from .perm import TrinomialParams, is_pp_direct, is_pp_mu
-from .scan import exhaustive_scan, pair_chunks, pair_grid, sample_pairs, to_csv_text
+from .scan import exhaustive_scan, pair_chunks, pair_grid, point_counts, sample_pairs, to_csv_text
 
 __all__ = ["run_all", "CRITERIA", "DEFAULT_MAX_Q"]
 
@@ -194,25 +188,28 @@ def crit_gcd_structure(max_q: int):
 def crit_curve_identities(max_q: int):
     """Curve construction invariants: exact division, GF(q) coefficients,
     the closed-form corner coefficient, and the transform identity at 50
-    random points; every pair at q=5, 1000 seeded pairs per larger odd q."""
+    random points; every pair at q=5, 1000 seeded pairs per larger odd q.
+    The engine builds the curves of all pairs at once; on 25 seeded pairs
+    per field they must equal bipoly.build_curves."""
 
     def check(p, h, count):
-        tower = _tower(p, h)
-        n = tower.fq2.order
-        a_arr, b_arr = _pairs(n, count, seed=tower.q * 3)
-        pairs = list(zip(a_arr.tolist(), b_arr.tolist()))
-        bad = 0
-        for a_idx, b_idx in pairs:
-            prm = _params(tower, a_idx, b_idx)
-            cp = build_curves(prm)  # raises on inexact division / escape
-            a, b = prm.a, prm.b
-            aq, bq = frobenius(a), frobenius(b)
-            closed = 3 * a * aq + 2 * a + 2 * aq - 3 * b * bq - b - bq + 1
-            if lift(cp.G.coeff(2, 2), tower.fq2) != closed:
-                bad += 1
-            elif not verify_iso_identity(cp, trials=50, seed=a_idx * n + b_idx):
-                bad += 1
-        return bad == 0, f"q={tower.q}: {len(pairs)} pairs, {bad} failures"
+        eng = _engine(p, h)
+        ctx, n, k = eng.ctx, eng.n, eng.ctx.scalar_idx
+        a, b = _pairs(n, count, seed=eng.q * 3)
+        F, G = eng.curve_coeffs(a, b)  # raises on inexact division / escape
+        # corner G[2, 2] = 3 a a^q + 2a + 2a^q - 3 b b^q - b - b^q + 1
+        plus = ctx.vadd(ctx.vmul(k(3), eng.NORM[a]), ctx.vmul(k(2), ctx.vadd(a, eng.FROB[a])))
+        minus = ctx.vadd(ctx.vmul(k(3), eng.NORM[b]), ctx.vadd(b, eng.FROB[b]))
+        bad = G[2, 2] != ctx.vadd(ctx.vsub(plus, minus), k(1))
+        for lo in range(0, len(a), 100):  # 100 pairs x 50 points a call keeps the temporaries small
+            part = slice(lo, lo + 100)
+            pairs = zip(a[part].tolist(), b[part].tolist())
+            points = np.array([iso_sample_points(ctx, 50, ai * n + bi) for ai, bi in pairs])
+            bad[part] |= ~eng.iso_identity(F[:, :, part], G[:, :, part], points[..., 0], points[..., 1])
+        for i in Random(eng.q).sample(range(len(a)), 25):  # the reference path
+            cp = build_curves(_params(eng.tower, a[i], b[i]))
+            bad[i] |= cp.F.coeff_grid(3) != F[:, :, i].tolist() or cp.G.coeff_grid(3) != G[:, :, i].tolist()
+        return not bad.any(), f"q={eng.q}: {len(a)} pairs, {int(bad.sum())} failures"
 
     jobs = [(5, 1, None)] + [
         (p, h, 1000) for p, h in ((7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (5, 2))
@@ -226,15 +223,11 @@ def crit_no_rational_points(max_q: int):
 
     def check(p, h):
         eng = _engine(p, h)
-        worst = 0
-        checked = 0
-        for a, b in pair_chunks(*pair_grid(eng.n), eng.q + 1):
-            pp = eng.pp_mu(a, b)
-            for ai, bi in zip(a[pp].tolist(), b[pp].tolist()):
-                cp = build_curves(_params(eng.tower, ai, bi))
-                worst = max(worst, count_points_off_diag(cp))
-                checked += 1
-        return worst == 0, f"q={eng.q}: {checked} instances, max off-diagonal points {worst}"
+        a, b = pair_grid(eng.n)
+        pp = np.concatenate([eng.pp_mu(ca, cb) for ca, cb in pair_chunks(a, b, eng.q + 1)])
+        counts = point_counts(eng, a[pp], b[pp])
+        worst = int(counts.max(initial=0))
+        return worst == 0, f"q={eng.q}: {len(counts)} instances, max off-diagonal points {worst}"
 
     return _per_field(max_q, ((5, 1), (7, 1), (3, 2), (11, 1), (13, 1)), check)
 

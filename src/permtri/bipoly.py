@@ -27,7 +27,6 @@ note to that effect.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 
@@ -45,6 +44,7 @@ __all__ = [
     "build_curves",
     "psi_point",
     "phi_point",
+    "iso_sample_points",
     "verify_iso_identity",
     "verify_iso_identity_symbolic",
     "count_points_off_diag",
@@ -74,6 +74,10 @@ class BivarPoly:
 
     def coeff(self, i: int, j: int) -> Elem:
         return self.terms.get((i, j), self.ctx.zero)
+
+    def coeff_grid(self, size: int) -> list[list[int]]:
+        """Coefficient indices [i][j] of X^i Y^j for i, j < size."""
+        return [[self.coeff(i, j).i for j in range(size)] for i in range(size)]
 
     def deg_x(self) -> int:
         return max((i for i, _ in self.terms), default=-1)
@@ -257,10 +261,9 @@ class CurvePair:
         return self.G.lift_to(self.params.tower.fq2)
 
 
-@functools.lru_cache(maxsize=32)
-def _psi_clear_basis(ctx: FieldCtx, e_idx: int) -> tuple[Poly, Poly, Poly]:
+def _psi_clear_basis(e: Elem) -> tuple[Poly, Poly, Poly]:
     # (T+e)^i (T-e)^(2-i) for i = 0, 1, 2
-    e = ctx.elem(e_idx)
+    ctx = e.ctx
     plus = Poly(ctx, [e, ctx.one])
     minus = Poly(ctx, [-e, ctx.one])
     return (minus * minus, plus * minus, plus * plus)
@@ -279,7 +282,7 @@ def build_curves(params: TrinomialParams) -> CurvePair:
     ctx = tower.fq2
     e = ctx.e
     F = _collision_poly(params)
-    basis = _psi_clear_basis(ctx, e.i)
+    basis = _psi_clear_basis(e)
     G_top = BivarPoly(ctx)
     for (i, j), c in F.terms.items():
         G_top = G_top + _outer(basis[i], basis[j]).scale(c)
@@ -302,32 +305,36 @@ def phi_point(e: Elem, x: Elem, y: Elem) -> tuple[Elem, Elem]:
     return e * (x + one) / (x - one), e * (y + one) / (y - one)
 
 
-def verify_iso_identity(pair: CurvePair, trials: int = 50, seed: int = 0) -> bool:
-    """Spot-check (X-1)^2 (Y-1)^2 G(phi) = 16 e^4 F at random points.
+def iso_sample_points(ctx: FieldCtx, trials: int, seed: int) -> list[tuple[int, int]]:
+    """The `trials` points (x, y), as indices, at which the identity is
+    sampled for `seed`: drawn x then y from Random(seed), skipping every
+    point with a coordinate in {1, -1} (pole of phi resp. the documented
+    exclusion)."""
+    skip = {1, ctx.neg_i(1)}
+    rng = random.Random(seed)
+    points = []
+    while len(points) < trials:
+        xi = rng.randrange(ctx.order)
+        yi = rng.randrange(ctx.order)
+        if xi not in skip and yi not in skip:
+            points.append((xi, yi))
+    return points
 
-    Points with a coordinate in {1, -1} are skipped (pole of phi resp. the
-    documented exclusion); True iff every sampled point satisfies the
-    identity.
-    """
+
+def verify_iso_identity(pair: CurvePair, trials: int = 50, seed: int = 0) -> bool:
+    """Spot-check (X-1)^2 (Y-1)^2 G(phi) = 16 e^4 F at the points of
+    iso_sample_points; True iff every one satisfies the identity."""
     ctx = pair.params.tower.fq2
     e = pair.e
     G_l = pair.lift_G()
     scale = 16 * e**4
     one = ctx.one
-    skip = {one.i, (-one).i}
-    rng = random.Random(seed)
-    done = 0
-    while done < trials:
-        xi = rng.randrange(ctx.order)
-        yi = rng.randrange(ctx.order)
-        if xi in skip or yi in skip:
-            continue
+    for xi, yi in iso_sample_points(ctx, trials, seed):
         x, y = ctx.elem(xi), ctx.elem(yi)
         px, py = phi_point(e, x, y)
         lhs = (x - one) ** 2 * (y - one) ** 2 * G_l(px, py)
         if lhs != scale * pair.F(x, y):
             return False
-        done += 1
     return True
 
 

@@ -7,11 +7,23 @@ per-pair functions in perm/conds/bipoly; the test suite pins them to those
 module paths exhaustively at small q and on samples elsewhere, so the scan
 can rely on them at speed.
 
+The collision-curve kernels (odd characteristic only) build, for a whole
+block of pairs at once, the quartic F = (N(X) D(Y) - D(X) N(Y)) / (X - Y)
+and its GF(q) form G as (3, 3, P) index arrays for P pairs, [i, j, k]
+holding the coefficient of X^i Y^j of the k-th pair.  They follow bipoly.build_curves step by
+step (exact division top X row first, the psi basis (T+e)^i (T-e)^(2-i),
+the Frobenius fixed-point check on G) and raise where it raises.  The psi
+constants and the off-diagonal GF(q) points are built on first use, so an
+engine that never touches a curve costs nothing more to construct.
+
 Callers are expected to chunk their (a, b) arrays; a kernel call allocates
-grids of shape (len(a), q+1) or (len(a), q^2) depending on the test.
+grids of shape (len(a), q+1), (len(a), q^2) or, for points_off_diag,
+(len(a), q^2 - q) depending on the test.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -179,6 +191,87 @@ class ScanEngine:
         val = ctx.vsub(self._k(1), ctx.vmul(self.NORM[b], self.INV[self.NORM[a]]))
         return eq & self._sq_ok(val)
 
+    # --------------------------------------------------- collision curves
+
+    def _fsum(self, terms: np.ndarray) -> np.ndarray:
+        """Field sum over the first axis."""
+        return functools.reduce(self.ctx.vadd, terms)
+
+    @functools.cached_property
+    def _psi_basis(self) -> np.ndarray:
+        """[i, k]: coefficient of T^k in (T+e)^i (T-e)^(2-i)."""
+        ctx, e = self.ctx, self.ctx.e.i
+        e2, e_twice = ctx.mul_i(e, e), ctx.add_i(e, e)
+        return np.array([[e2, ctx.neg_i(e_twice), 1], [ctx.neg_i(e2), 0, 1], [e2, e_twice, 1]], dtype=np.int64)
+
+    @functools.cached_property
+    def _off_diag_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The q^2 - q points (x, y) of GF(q) x GF(q) with x != y."""
+        x, y = np.divmod(np.arange(self.q * self.q, dtype=np.int64), self.q)
+        off = x != y
+        return x[off], y[off]
+
+    def curve_coeffs(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The collision quartic F over GF(q^2) and its GF(q) form G of every
+        pair, as (3, 3, len(a)) index arrays ([i, j] is the X^i Y^j term).
+
+        Raises ValueError in characteristic 2, ArithmeticError on a division
+        remainder, a degree overflow or a G coefficient outside GF(q).
+        """
+        if self.p == 2:
+            raise ValueError("curve construction requires odd characteristic")
+        ctx = self.ctx
+        one, zero = np.ones_like(a), np.zeros_like(a)
+        num = np.stack([self.FROB[b], zero, one, self.FROB[a]])  # N, low power first
+        den = np.stack([a, one, zero, b])  # D
+        F = self._div_x_minus_y(
+            ctx.vsub(ctx.vmul(num[:, None], den[None, :]), ctx.vmul(den[:, None], num[None, :]))
+        )
+        basis = self._psi_basis
+        # H[k, j] = sum_i basis[i, k] F[i, j];  G[k, l] = sum_j basis[j, l] H[k, j]
+        H = self._fsum(ctx.vmul(basis[:, :, None, None], F[:, None]))
+        G = self._fsum(ctx.vmul(basis[:, None, :, None], H.swapaxes(0, 1)[:, :, None]))
+        if (self.FROB[G] != G).any():
+            raise ArithmeticError("curve coefficient escaped GF(q)")
+        return F, G
+
+    def _div_x_minus_y(self, grid: np.ndarray) -> np.ndarray:
+        """Exact quotient by X - Y of a (4, 4, P) coefficient grid, as
+        bipoly._exact_div_x_minus_y: carry the top X row down, shifted by Y."""
+        ctx = self.ctx
+        rows, cols = grid.shape[:2]
+        carry = np.zeros((rows + cols - 1,) + grid.shape[2:], dtype=np.int64)
+        carry[:cols] = grid[-1]
+        quot = np.empty((rows - 1,) + carry.shape, dtype=np.int64)
+        for i in range(rows - 2, -1, -1):
+            quot[i] = carry
+            shifted = np.zeros_like(carry)
+            shifted[1:] = carry[:-1]
+            shifted[:cols] = ctx.vadd(shifted[:cols], grid[i])
+            carry = shifted
+        if carry.any():
+            raise ArithmeticError("division by X - Y left a remainder (arithmetic bug)")
+        if quot[:, 3:].any():  # pragma: no cover - implies a remainder in exact arithmetic
+            raise ArithmeticError("collision curve has unexpected degree")
+        return quot[:, :3]
+
+    def points_off_diag(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Number of GF(q)-rational zeros (x, y), x != y, of each pair's G."""
+        _F, G = self.curve_coeffs(a, b)
+        return (_eval_curve(self.tower.fq, G, *self._off_diag_points) == 0).sum(axis=1)
+
+    def iso_identity(self, F: np.ndarray, G: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per pair, whether (X-1)^2 (Y-1)^2 G(phi(X, Y)) = 16 e^4 F(X, Y)
+        holds at every point of its row of the (P, M) arrays x, y, with
+        phi(X, Y) = (e(X+1)/(X-1), e(Y+1)/(Y-1)); no coordinate may be 1."""
+        ctx, e, one = self.ctx, self.ctx.e.i, self._k(1)
+        xm, ym = ctx.vsub(x, one), ctx.vsub(y, one)
+        phx = ctx.vmul(ctx.vmul(e, ctx.vadd(x, one)), self.INV[xm])
+        phy = ctx.vmul(ctx.vmul(e, ctx.vadd(y, one)), self.INV[ym])
+        lhs = ctx.vmul(ctx.vmul(ctx.vmul(xm, xm), ctx.vmul(ym, ym)), _eval_curve(ctx, G, phx, phy))
+        scale = ctx.mul_i(self._k(16), ctx.pow_i(e, 4))
+        return (lhs == ctx.vmul(scale, _eval_curve(ctx, F, x, y))).all(axis=1)
+
     # ---------------------------------------------------------- assembly
 
     def classify_bulk(self, a: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
@@ -199,3 +292,13 @@ class ScanEngine:
             out["char3"] = self.char3(a, b)
             out["main"] = out["char3"]
         return out
+
+
+def _eval_curve(ctx, C: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum C[i, j] x^i y^j over ctx for (3, 3, P) coefficients C at points
+    x, y of shape (P, M) or (M,) (the same points for every pair)."""
+    rows = [
+        ctx.vadd(ctx.vmul(ctx.vadd(ctx.vmul(C[i, 2][:, None], y), C[i, 1][:, None]), y), C[i, 0][:, None])
+        for i in range(3)
+    ]
+    return ctx.vadd(ctx.vmul(ctx.vadd(ctx.vmul(rows[2], x), rows[1]), x), rows[0])

@@ -50,6 +50,7 @@ __all__ = [
     "project",
     "is_prime",
     "is_prime_power",
+    "capped_pow",
     "DEFAULT_MAX_ORDER",
 ]
 
@@ -76,6 +77,19 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def capped_pow(base: int, exp: int, cap: int) -> int:
+    """base**exp when that is at most cap, else a value above cap; stops
+    multiplying as soon as the cap is passed, so a huge exponent is cheap."""
+    if abs(base) < 2:
+        return base**exp
+    out = 1
+    for _ in range(exp):
+        out *= base
+        if out > cap:
+            break
+    return out
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
@@ -595,14 +609,15 @@ class FieldTower:
 def make_field(p: int, h: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldTower:
     """Build the tower GF(p) -> GF(p^h) -> GF(p^(2h)).
 
-    Raises ValueError for non-prime p, h < 1, or p^(2h) > max_order.
+    Raises ValueError for h < 1, p^(2h) > max_order or non-prime p, in that
+    order: the size bound is checked before any primality work.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if h < 1:
         raise ValueError("extension degree must be >= 1")
-    if p ** (2 * h) > max_order:
+    if capped_pow(p, 2 * h, max_order) > max_order:
         raise ValueError(f"field size {p}^{2 * h} exceeds the bound {max_order}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     fp = FieldCtx._prime(p)
     fq = fp if h == 1 else FieldCtx._extension(fp, h, "Fq")
     fq2 = FieldCtx._extension(fq, 2, "Fq2")

@@ -34,7 +34,7 @@ import numpy as np
 from .bipoly import conic_witnesses, count_points_off_diag, build_curves, four_line_witness, gcd_degree
 from .conds import ConditionReport, condition_report
 from .engine import ScanEngine
-from .ff import make_field
+from .ff import capped_pow, make_field
 from .perm import TrinomialParams, Verdict, is_pp_mu
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "pair_grid",
     "sample_pairs",
     "pair_chunks",
+    "point_counts",
 ]
 
 CSV_COLUMNS = (
@@ -117,9 +118,14 @@ class PairRecord:
 
 def classify_pair(params: TrinomialParams, diagnostics: bool = False) -> PairRecord:
     """One classification row; with diagnostics, permutation instances also
-    get the curve point count and the factorisation-pattern witnesses."""
+    get the curve point count (odd characteristic) and the
+    factorisation-pattern witnesses, all through the per-pair bipoly path."""
     verdict = is_pp_mu(params)
-    diag = _diagnose(params) if diagnostics and verdict.is_pp else {}
+    diag = {}
+    if diagnostics and verdict.is_pp:
+        if params.tower.p != 2:
+            diag["points_off_diag"] = count_points_off_diag(build_curves(params))
+        diag.update(_witnesses(params))
     return PairRecord(
         q=params.q,
         a_idx=params.a.i,
@@ -293,15 +299,15 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"threads must be at least 1, got {threads}")
 
 
-def _diagnose(params: TrinomialParams) -> dict:
-    """Curve point count (odd characteristic) and factorisation-pattern
-    witnesses of a permutation instance."""
-    out = {}
-    if params.tower.p != 2:
-        out["points_off_diag"] = count_points_off_diag(build_curves(params))
-    out["four_line"] = four_line_witness(params).to_json()
-    out["conic"] = conic_witnesses(params).to_json()
-    return out
+def point_counts(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """engine.points_off_diag of every pair (a, b), in pair_chunks slices."""
+    counts = [engine.points_off_diag(ca, cb) for ca, cb in pair_chunks(a, b, engine.q**2)]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *counts])
+
+
+def _witnesses(params: TrinomialParams) -> dict:
+    """Factorisation-pattern witnesses of a permutation instance."""
+    return {"four_line": four_line_witness(params).to_json(), "conic": conic_witnesses(params).to_json()}
 
 
 def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
@@ -330,10 +336,14 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
     if keep_rows:
         rows = np.concatenate(total.rows) if total.rows else np.empty((0, len(_ROW_FIELDS)), dtype=np.int32)
     diag = None
-    if diagnostics:
+    if diagnostics:  # point counts of every instance at once, witnesses pair by pair
+        points = [{}] * len(total.pp_pairs)
+        if tower.p != 2:
+            pa, pb = np.array(total.pp_pairs, dtype=np.int64).reshape(-1, 2).T
+            points = [{"points_off_diag": c} for c in point_counts(engine, pa, pb).tolist()]
         diag = [
-            {"a_idx": ai, "b_idx": bi, **_diagnose(TrinomialParams.from_indices(tower, ai, bi))}
-            for ai, bi in total.pp_pairs
+            {"a_idx": ai, "b_idx": bi, **pts, **_witnesses(TrinomialParams.from_indices(tower, ai, bi))}
+            for (ai, bi), pts in zip(total.pp_pairs, points)
         ]
     set_eq = None
     if tower.p > 3:
@@ -379,9 +389,9 @@ def exhaustive_scan(
     t0 = time.perf_counter()
     _check_threads(threads)
     budget = _effective_budget(max_q)
-    if p**h > budget:
+    if capped_pow(p, h, budget) > budget:
         raise BudgetExceededError(
-            f"q = {p**h} exceeds the exhaustion budget {budget}; "
+            f"q = {p}^{h} exceeds the exhaustion budget {budget}; "
             "use sampled_scan (or raise the budget)"
         )
     tower = make_field(p, h)

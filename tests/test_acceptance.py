@@ -8,9 +8,11 @@ conditional law is covered by tests/test_conds.py.  Everything else must
 pass at the stated scopes with no tolerance.
 """
 
+import numpy as np
 import pytest
 
-from permtri.acceptance import CRITERIA, DEFAULT_MAX_Q
+from permtri.acceptance import CRITERIA, DEFAULT_MAX_Q, crit_curve_identities, crit_no_rational_points
+from permtri.engine import ScanEngine
 
 KNOWN_FALSE = pytest.mark.xfail(
     strict=True,
@@ -40,3 +42,36 @@ def test_criterion(num, label, fn):
     passed, detail = fn(DEFAULT_MAX_Q)
     print(f"criterion {num}: {'PASS' if passed else 'FAIL'} - {label} [{detail}]")
     assert passed
+
+
+def test_criterion_8_fails_on_a_perturbed_curve(monkeypatch):
+    """G + 1 is still a GF(q) curve but breaks the transform identity at
+    every sampled point, so every pair must fail."""
+    real = ScanEngine.curve_coeffs
+
+    def perturbed(self, a, b):
+        F, G = real(self, a, b)
+        G = G.copy()
+        G[0, 0] = self.ctx.vadd(G[0, 0], 1)
+        return F, G
+
+    monkeypatch.setattr(ScanEngine, "curve_coeffs", perturbed)
+    assert crit_curve_identities(5) == (False, "q=5: 576 pairs, 576 failures")
+
+
+def test_criterion_8_raises_on_a_division_remainder(monkeypatch):
+    real = ScanEngine._div_x_minus_y
+
+    def leftover(self, grid):
+        grid = grid.copy()
+        grid[0, 0] = self.ctx.vadd(grid[0, 0], 1)
+        return real(self, grid)
+
+    monkeypatch.setattr(ScanEngine, "_div_x_minus_y", leftover)
+    with pytest.raises(ArithmeticError, match="remainder"):
+        crit_curve_identities(5)
+
+
+def test_criterion_9_reports_points(monkeypatch):
+    monkeypatch.setattr(ScanEngine, "points_off_diag", lambda self, a, b: np.ones(len(a), dtype=np.int64))
+    assert crit_no_rational_points(5) == (False, "q=5: 18 instances, max off-diagonal points 1")

@@ -4,9 +4,25 @@ import json
 
 import pytest
 
+from permtri import exhaustive_scan, ff
 from permtri.cli import main
 from permtri.scan import to_csv_text
-from permtri import exhaustive_scan
+
+HUGE_PRIME = "1000000000000000003"
+
+
+@pytest.fixture
+def no_big_primality(monkeypatch):
+    """Oversized fields must be refused before any trial division: a
+    primality test of a large number fails the test instead of hanging."""
+    real = ff.is_prime
+
+    def guarded(n):
+        if n > 10**6:
+            pytest.fail(f"is_prime({n}) ran before the size check")
+        return real(n)
+
+    monkeypatch.setattr(ff, "is_prime", guarded)
 
 
 class TestScanCommand:
@@ -47,9 +63,13 @@ class TestScanCommand:
             pytest.param(["--p", "5", "--h", "1"], "abc", "TRINOMIAL_BUDGET_Q", id="bad-budget-env"),
             pytest.param(["--p", "5", "--h", "1", "--out", "missing/x.csv"], None, "missing/x.csv", id="unwritable-out"),
             pytest.param(["--p", "5", "--h", "1", "--threads", "0"], None, "threads", id="zero-threads"),
+            pytest.param(
+                ["--p", HUGE_PRIME, "--h", "1", "--sample", "3"], None, f"{HUGE_PRIME}^2 exceeds", id="huge-prime"
+            ),
+            pytest.param(["--p", "3", "--h", "10000000"], None, "q = 3^10000000 exceeds", id="huge-h"),
         ],
     )
-    def test_usage_error(self, argv, budget_env, message, tmp_path, monkeypatch, capsys):
+    def test_usage_error(self, argv, budget_env, message, tmp_path, monkeypatch, capsys, no_big_primality):
         monkeypatch.chdir(tmp_path)
         if budget_env is not None:
             monkeypatch.setenv("TRINOMIAL_BUDGET_Q", budget_env)
@@ -73,6 +93,11 @@ class TestCheckCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["points_off_diag"] == 0
         assert data["conic"]["pattern"] == "conic-swap"
+
+    @pytest.mark.parametrize("p, h", [(HUGE_PRIME, "1"), ("3", "10000000")], ids=["huge-prime", "huge-h"])
+    def test_oversized_field_is_usage_error(self, p, h, capsys, no_big_primality):
+        assert main(["check", "--p", p, "--h", h, "--a", "1", "--b", "1"]) == 2
+        assert f"{p}^{2 * int(h)} exceeds the bound" in capsys.readouterr().err
 
     def test_zero_parameter_is_usage_error(self, capsys):
         assert main(["check", "--p", "5", "--h", "1", "--a", "0", "--b", "3"]) == 2

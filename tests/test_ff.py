@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permtri import ff
 from permtri import (
     SquareClass,
     frobenius,
@@ -46,6 +47,13 @@ class TestMakeField:
     def test_rejects_oversize(self):
         with pytest.raises(ValueError, match="exceeds"):
             make_field(5, 1, max_order=10)
+
+    def test_size_bound_checked_before_primality(self, monkeypatch):
+        monkeypatch.setattr(ff, "is_prime", lambda n: pytest.fail("primality tested before the size bound"))
+        with pytest.raises(ValueError, match=r"^field size 1000000000000000003\^2 exceeds"):
+            make_field(1000000000000000003, 1)
+        with pytest.raises(ValueError, match=r"^field size 3\^20000000 exceeds"):
+            make_field(3, 10**7)
 
     def test_f25_canonical_modulus(self, tower):
         # enumeration oracle: first monic quadratic over GF(5) with no root
@@ -315,6 +323,15 @@ def test_is_prime_power():
     assert is_prime_power(13) == (13, 1)
     assert is_prime_power(12) is None
     assert is_prime_power(1) is None
+
+
+def test_capped_pow():
+    assert ff.capped_pow(3, 4, 81) == 81
+    assert ff.capped_pow(3, 5, 81) > 81
+    assert ff.capped_pow(2, 10**12, 100) > 100  # stops once past the cap
+    assert ff.capped_pow(1, 10**12, 5) == 1
+    assert ff.capped_pow(-1, 10**12 + 1, 5) == -1
+    assert ff.capped_pow(7, 0, 5) == 1
 
 
 _T49 = make_field(7, 1)

@@ -16,9 +16,12 @@ from permtri import (
     sampled_scan,
 )
 from permtri import scan
+from permtri.engine import ScanEngine
 from permtri.scan import (
     CSV_COLUMNS,
+    point_counts,
     report_from_json,
+    sample_pairs,
     to_csv_text,
     to_json_text,
 )
@@ -110,6 +113,19 @@ class TestExhaustive:
         for entry in rep.diagnostics:
             assert entry["points_off_diag"] == 0
             assert entry["conic"]["pattern"] in ("conic-swap", "conic-sym", "conic-xsq", "four-lines", "none")
+
+    def test_diagnostics_point_counts_come_from_the_engine(self, monkeypatch):
+        monkeypatch.setattr(ScanEngine, "points_off_diag", lambda self, a, b: np.full(len(a), 3, dtype=np.int64))
+        rep = exhaustive_scan(5, 1, diagnostics=True, summary_only=True)
+        assert [entry["points_off_diag"] for entry in rep.diagnostics] == [3] * rep.pp_count
+
+    def test_point_counts_chunked(self, tower, monkeypatch):
+        eng = ScanEngine(tower(7, 1))
+        a, b = sample_pairs(eng.n, 50, seed=3)
+        whole = eng.points_off_diag(a, b)
+        monkeypatch.setattr(scan, "_CHUNK_CELLS", 7 * 49)  # 7 pairs per slice
+        assert point_counts(eng, a, b).tolist() == whole.tolist()
+        assert point_counts(eng, a[:0], b[:0]).tolist() == []
 
 
 class TestSampled:
