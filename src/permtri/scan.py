@@ -16,6 +16,14 @@ of at most os.cpu_count() workers tallies the ranges, and the tallies merge
 in range order.  Output is therefore byte-identical for any thread count.
 A sweep with a single range runs in the calling thread; fewer than one
 thread is a ValueError.
+
+Serialisation contract: to_csv_text and to_json_text are the one path
+from a report to text (emit_report and the CLI call them).  Both write the
+row matrix through _encode_rows, which formats blocks of _ENCODE_ROWS rows
+with array operations and no Python loop per row.  The bytes equal those
+of formatting each row with str(): CSV rows are `q,` and the cells joined
+by `,` with -1 as an empty cell; JSON is exactly
+json.dumps(report.to_json(), sort_keys=True, separators=(",", ": ")).
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from random import Random
 
@@ -78,6 +86,7 @@ BUDGET_ENV_VAR = "TRINOMIAL_BUDGET_Q"
 
 _ROW_FIELDS = CSV_COLUMNS[1:]  # rows store everything but the constant q
 _CHUNK_CELLS = 1 << 20  # kernel grid cells per pair_chunks slice
+_ENCODE_ROWS = 1 << 15  # rows per _encode_rows block
 
 
 class BudgetExceededError(ValueError):
@@ -198,7 +207,7 @@ def report_from_json(text: str) -> ScanReport:
         wall_time=d["wall_time"],
         samples=d["samples"],
         seed=d["seed"],
-        rows=None if d["rows"] is None else np.array(d["rows"], dtype=np.int32),
+        rows=None if d["rows"] is None else np.array(d["rows"], dtype=np.int32).reshape(-1, len(_ROW_FIELDS)),
         diagnostics=d["diagnostics"],
     )
 
@@ -246,6 +255,7 @@ class _Tally:
 
     p: int
     keep_rows: bool
+    keep_pairs: bool  # pp_pairs feed the diagnostics only
     pp_count: int = 0
     attribution: Counter = field(default_factory=Counter)
     gcd_histogram: Counter = field(default_factory=Counter)
@@ -261,7 +271,8 @@ class _Tally:
         self.pp_count += int(pp.sum())
         for i in np.flatnonzero(pp != main).tolist():
             self.violations.append((int(a[i]), int(b[i]), bool(pp[i]), bool(main[i])))
-        self.pp_pairs.extend(zip(a[pp].tolist(), b[pp].tolist()))
+        if self.keep_pairs:
+            self.pp_pairs.extend(zip(a[pp].tolist(), b[pp].tolist()))
         vals, counts = np.unique(cols["gcd_deg"][pp], return_counts=True)
         self.gcd_histogram.update(dict(zip(vals.tolist(), counts.tolist())))
         if self.p > 3:
@@ -316,7 +327,7 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
     keep_rows = not summary_only
 
     def tally(lo: int, hi: int) -> _Tally:
-        part = _Tally(tower.p, keep_rows)
+        part = _Tally(tower.p, keep_rows, diagnostics)
         for ca, cb in pair_chunks(a[lo:hi], b[lo:hi], tower.q + 1):
             part.add(ca, cb, engine.classify_bulk(ca, cb))
         return part
@@ -328,7 +339,7 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
     else:
         with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(lambda span: tally(*span), spans))
-    total = _Tally(tower.p, keep_rows)
+    total = _Tally(tower.p, keep_rows, diagnostics)
     for part in parts:  # range order
         total.merge(part)
 
@@ -423,24 +434,68 @@ def sampled_scan(
     return _sweep(tower, "sampled", a, b, t0, threads, summary_only, diagnostics, samples=samples, seed=seed)
 
 
+def _cell_index(col: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The distinct values a table must cover, and each cell's table index.
+    A range no longer than the column is indexed by offset; a sparse
+    column (a sampled b_idx at large q) goes through np.unique instead."""
+    lo, hi = int(col.min()), int(col.max())
+    if hi - lo < len(col):
+        return list(range(lo, hi + 1)), col - lo
+    values, idx = np.unique(col, return_inverse=True)
+    return values.tolist(), idx
+
+
+def _encode_rows(rows: np.ndarray, lead: str, sep: str, end: str, cell) -> list[str]:
+    """ASCII text of an int32 row matrix, one str per block of _ENCODE_ROWS
+    rows: per row `lead`, the cells `cell(v)` joined by `sep`, then `end`.
+
+    Each column of a block gathers its cells (with the `sep` or `end` that
+    follows them) from a small table of NUL-padded byte strings into one
+    field of a fixed-width line record; one boolean mask over the block's
+    bytes then drops the padding.  No output text may contain a NUL.
+    """
+    tails = [sep] * (rows.shape[1] - 1) + [end]
+    out = []
+    for lo in range(0, len(rows), _ENCODE_ROWS):
+        block = rows[lo : lo + _ENCODE_ROWS]
+        fields = [np.bytes_(lead.encode())]
+        for col, tail in zip(block.T, tails):
+            values, idx = _cell_index(col)
+            fields.append(np.array([(cell(v) + tail).encode() for v in values])[idx])
+        line = np.empty(len(block), [("", f.dtype) for f in fields])
+        for name, f in zip(line.dtype.names, fields):
+            line[name] = f
+        flat = line.view(np.uint8)
+        out.append(flat[flat != 0].tobytes().decode("ascii"))
+    return out
+
+
 def to_csv_text(report: ScanReport) -> str:
     """Full-row CSV (header only when the report carries no rows).
 
     Booleans are 0/1; conditions that do not apply to the characteristic
     are left empty.
     """
-    lines = [",".join(CSV_COLUMNS)]
-    if report.rows is not None:
-        q = str(report.q)
-        for row in report.rows.tolist():
-            cells = [q]
-            cells.extend("" if v == -1 else str(v) for v in row)
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    header = ",".join(CSV_COLUMNS) + "\n"
+    if report.rows is None:
+        return header
+    blocks = _encode_rows(report.rows, f"{report.q},", ",", "\n", lambda v: "" if v == -1 else str(v))
+    return "".join([header, *blocks])
 
 
 def to_json_text(report: ScanReport) -> str:
-    return json.dumps(report.to_json(), sort_keys=True, separators=(",", ": "))
+    """json.dumps(report.to_json(), sort_keys=True, separators=(",", ": ")),
+    with the rows encoded by _encode_rows instead of through Python lists."""
+    text = json.dumps(replace(report, rows=None).to_json(), sort_keys=True, separators=(",", ": "))
+    if report.rows is None:
+        return text
+    # keys sort, so the top-level "rows" is the last one: only samples,
+    # seed, set_equalities and wall_time follow it
+    head, _, tail = text.rpartition('"rows": null')
+    blocks = _encode_rows(report.rows, "[", ",", "],", str)
+    if blocks:
+        blocks[-1] = blocks[-1][:-1]  # no comma after the last row
+    return "".join([head, '"rows": [', *blocks, "]", tail])
 
 
 def emit_report(report: ScanReport, fmt: str, path) -> Path:

@@ -19,6 +19,7 @@ from permtri import scan
 from permtri.engine import ScanEngine
 from permtri.scan import (
     CSV_COLUMNS,
+    pair_grid,
     point_counts,
     report_from_json,
     sample_pairs,
@@ -175,6 +176,13 @@ class TestEmission:
         assert to_json_text(again) == text
         assert np.array_equal(again.rows, rep.rows)
 
+    def test_json_round_trip_keeps_empty_rows(self, tower):
+        rep = sampled_scan(5, 1, 0, seed=1)
+        again = report_from_json(to_json_text(rep))
+        assert again.rows.shape == rep.rows.shape == (0, 10)
+        assert to_csv_text(again) == to_csv_text(rep)
+        assert to_json_text(again) == to_json_text(rep)
+
     def test_emit_json_file(self, tower, tmp_path):
         rep = sampled_scan(5, 1, 50, seed=3)
         path = emit_report(rep, "json", tmp_path / "r.json")
@@ -190,6 +198,54 @@ class TestEmission:
         rep = sampled_scan(5, 1, 1, seed=0)
         with pytest.raises(OSError):
             emit_report(rep, "csv", tmp_path / "missing_dir" / "x.csv")
+
+
+def _csv_reference(report):
+    """The per-row CSV loop that the vectorised row encoder replaced."""
+    lines = [",".join(CSV_COLUMNS)]
+    if report.rows is not None:
+        q = str(report.q)
+        for row in report.rows.tolist():
+            cells = [q]
+            cells.extend("" if v == -1 else str(v) for v in row)
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+_ENCODED_REPORTS = {
+    "q5": lambda: exhaustive_scan(5, 1),
+    "q7": lambda: exhaustive_scan(7, 1),
+    "q9-p3": lambda: exhaustive_scan(3, 2),  # empty condition cells
+    "q8-p2": lambda: exhaustive_scan(2, 3),
+    "q59-sampled": lambda: sampled_scan(59, 1, 2000, seed=4),  # 4-digit, sparse indices
+    "zero-samples": lambda: sampled_scan(7, 1, 0, seed=1),
+    "q5-diagnostics": lambda: exhaustive_scan(5, 1, diagnostics=True),
+}
+
+
+class TestRowEncoder:
+    @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+    @pytest.mark.parametrize("name", list(_ENCODED_REPORTS))
+    def test_bytes_match_reference(self, tower, monkeypatch, name, block):
+        if block is not None:  # 7-row blocks end in the middle of a-rows
+            monkeypatch.setattr(scan, "_ENCODE_ROWS", block)
+        rep = _ENCODED_REPORTS[name]()
+        assert to_csv_text(rep) == _csv_reference(rep)
+        assert to_json_text(rep) == json.dumps(rep.to_json(), sort_keys=True, separators=(",", ": "))
+
+
+class TestTally:
+    def test_pairs_kept_only_for_diagnostics(self, tower):
+        eng = ScanEngine(tower(5, 1))
+        a, b = pair_grid(eng.n)
+        cols = eng.classify_bulk(a, b)
+        plain = scan._Tally(5, keep_rows=False, keep_pairs=False)
+        plain.add(a, b, cols)
+        assert plain.pp_pairs == [] and plain.pp_count == 18
+        whole = scan._Tally(5, keep_rows=False, keep_pairs=True)
+        whole.add(a, b, cols)
+        pp = cols["is_pp"]
+        assert whole.pp_pairs == list(zip(a[pp].tolist(), b[pp].tolist()))
 
 
 class TestDeterminism:
