@@ -1,11 +1,12 @@
 """Vectorised verdict and condition kernels for whole parameter sweeps.
 
 Everything here operates on numpy arrays of canonical element indices,
-backed by the per-layer tables built in ff (log/exp multiplication, GF(p)
-digit addition).  The kernels are algebraically independent rewrites of the
-per-pair functions in perm/conds/bipoly; the test suite pins them to those
-module paths exhaustively at small q and on samples elsewhere, so the scan
-can rely on them at speed.
+backed by the per-layer tables built in ff (flat gathers into the dense
+tables; past them a coordinate add and log/exp multiplication).  The
+kernels are algebraically independent rewrites of the per-pair functions in
+perm/conds/bipoly; the test suite pins them to those module paths
+exhaustively at small q and on samples elsewhere, so the scan can rely on
+them at speed.
 
 The collision-curve kernels (odd characteristic only) build, for a whole
 block of pairs at once, the quartic F = (N(X) D(Y) - D(X) N(Y)) / (X - Y)

@@ -22,9 +22,16 @@ coordinate and the adjoined root t itself is the distinguished element e
 with e^q = -e.  For p = 2 the modulus is t^2 + t + c with c of absolute
 trace 1 and conjugation maps u + v t to (u + v) + v t.
 
-Multiplication runs on discrete-log tables, addition on per-element GF(p)
-digit vectors; both exist as plain lists (scalar ops) and numpy arrays
-(vectorised ops, see the v* methods).  Contexts are immutable after
+Scalar ops run on discrete-log, exp and Zech tables held as plain lists.
+The vectorised ops (the v* methods) take numpy index arrays.  On a layer
+with at most _DENSE_TABLE_CELLS cells in its order x order tables, vadd and
+vmul are one gather each, on the raveled table with an int32 flat index
+x * order + y.  Past that limit (only the top layer GF(q^2) gets there with
+the default size bound, and its GF(q) is always dense) vadd adds the
+coordinates over the layer below, x = u + q v, through that layer's flat
+gather, and vmul goes through the log/exp tables with a zero mask.  Every
+vector operand is checked to lie in [0, order): a flat index would
+otherwise read another cell without an error.  Contexts are immutable after
 construction and safe to share across threads.
 """
 
@@ -57,10 +64,19 @@ __all__ = [
 # Largest permitted cardinality of the top layer GF(q^2).
 DEFAULT_MAX_ORDER = 6_250_000
 
-# Dense order x order add/mul tables are built below this cell count; they
-# turn the vectorised ops into single gathers.  Larger layers fall back to
-# digit-vector addition and log/exp multiplication.
+# A layer gets dense order x order add and mul tables (int32, 4 B a cell)
+# when they have at most this many cells, i.e. order <= 2828; vadd and vmul
+# are then one flat gather each.  Past it, vadd goes through the layer below
+# and vmul through log/exp.  int32 flat indices need n * n < 2**31.
 _DENSE_TABLE_CELLS = 8_000_000
+
+# Cells gathered per step by _take_in_place: the block's index and values
+# stay in L2, and no second full-size array is held.
+_GATHER_BLOCK = 1 << 16
+
+# Unsigned dtype of each integer width: in an unsigned view a negative index
+# is huge, so one max() tests both ends of [0, order).
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
 def is_prime(n: int) -> bool:
@@ -347,19 +363,12 @@ class FieldCtx:
         n, p = self.order, self.p
         self.generator_idx = gen
 
-        # GF(p) digit matrix of every index (base-p expansion).
+        # negation, coordinate-wise over the layer below
         idx = np.arange(n, dtype=np.int64)
-        dig = np.empty((n, self.h), dtype=np.int16)
-        t = idx.copy()
-        for k in range(self.h):
-            dig[:, k] = t % p
-            t //= p
-        self.np_dig = dig
-        self.np_pv = (p ** np.arange(self.h, dtype=np.int64)).astype(np.int64)
-
-        # negation tables
-        neg = ((p - dig) % p) @ self.np_pv
-        self.np_neg = neg.astype(np.int32)
+        if self.base is None:
+            self.np_neg = (-idx % p).astype(np.int32)
+        else:
+            self.np_neg = self._join([self.base.np_neg[c] for c in self._coords(idx)]).astype(np.int32)
         self._neg = self.np_neg.tolist()
 
         # exp/log tables from the generator
@@ -402,9 +411,7 @@ class FieldCtx:
             add = np.empty((n, n), dtype=np.int32)
             block = max(1, _DENSE_TABLE_CELLS // (8 * n))
             for lo in range(0, n, block):
-                hi = min(n, lo + block)
-                s = (dig[lo:hi, None, :] + dig[None, :, :]) % p
-                add[lo:hi] = s.astype(np.int64) @ self.np_pv
+                add[lo : lo + block] = self._coord_add(idx[lo : lo + block, None], idx[None, :])
             self.np_add = add
             lg = self.np_log
             mul = self.np_exp2[lg[:, None] + lg[None, :]].astype(np.int32)
@@ -486,22 +493,54 @@ class FieldCtx:
 
     # ------------------------------------------------------ vectorised ops
 
+    def _in_range(self, a) -> np.ndarray:
+        """a as an array, after checking that every entry lies in [0, order)."""
+        a = np.asarray(a)
+        if a.size and a.view(_UNSIGNED[a.itemsize]).max() >= self.order:
+            raise IndexError(f"index out of range for GF({self.order})")
+        return a
+
+    def _coords(self, x) -> list:
+        """Coordinates of indices x over the layer below, lowest power first."""
+        out = []
+        for _ in range(self.degree - 1):
+            x, c = np.divmod(x, self.base.order)
+            out.append(c)
+        return out + [x]
+
+    def _join(self, coords: list):
+        """Inverse of _coords."""
+        out = coords[-1]
+        for c in reversed(coords[:-1]):
+            out = out * self.base.order + c
+        return out
+
+    def _coord_add(self, x, y):
+        """x + y without this layer's table: mod p on the prime layer, else
+        coordinate-wise through the layer below."""
+        if self.base is None:
+            return (x + y) % self.p
+        return self._join([self.base._add(cx, cy) for cx, cy in zip(self._coords(x), self._coords(y))])
+
+    def _add(self, x, y):
+        """vadd on operands already known to lie in [0, order)."""
+        if self.np_add is None:
+            return self._coord_add(x, y)
+        return _take_in_place(self.np_add.ravel(), _flat_index(x, y, self.order))
+
     def vadd(self, x, y):
-        if self.np_add is not None:
-            return self.np_add[x, y]
-        x, y = np.broadcast_arrays(x, y)
-        s = (self.np_dig[x] + self.np_dig[y]) % self.p
-        return s.astype(np.int64) @ self.np_pv
+        return self._add(self._in_range(x), self._in_range(y))
 
     def vsub(self, x, y):
-        return self.vadd(x, self.np_neg[y])
+        return self.vadd(x, self.np_neg[self._in_range(y)])
 
     def vmul(self, x, y):
+        x, y = self._in_range(x), self._in_range(y)
         if self.np_mul is not None:
-            return self.np_mul[x, y]
-        x, y = np.broadcast_arrays(x, y)
-        out = self.np_exp2[self.np_log[x] + self.np_log[y]]
-        return np.where((x == 0) | (y == 0), 0, out)
+            return _take_in_place(self.np_mul.ravel(), _flat_index(x, y, self.order))
+        out = _take_in_place(self.np_exp2, np.add(self.np_log.take(x), self.np_log.take(y)))
+        out *= (x != 0) & (y != 0)
+        return out
 
     def vpow(self, x, k: int):
         x = np.asarray(x)
@@ -550,6 +589,27 @@ class FieldCtx:
 
 
 _CTX_TOKEN = object()
+
+
+def _flat_index(x, y, n: int) -> np.ndarray:
+    """x * n + y into a raveled n x n table, as one new int32 array of the
+    broadcast shape (an intp index would take 8 B a cell)."""
+    idx = np.empty(np.broadcast(x, y).shape, dtype=np.int32)
+    np.multiply(x, n, out=idx, dtype=np.int32)
+    return np.add(idx, y, out=idx, dtype=np.int32)
+
+
+def _take_in_place(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[idx] for an int32 index array idx.  Past one block, idx is
+    overwritten with the result a block at a time, so that the result and
+    a full-size index never coexist."""
+    if idx.size <= _GATHER_BLOCK:
+        return table[idx]
+    flat = idx.reshape(-1)  # a copy only if idx is not C-contiguous
+    for lo in range(0, flat.size, _GATHER_BLOCK):
+        blk = flat[lo : lo + _GATHER_BLOCK]
+        blk[...] = table[blk]
+    return flat.reshape(idx.shape)
 
 
 def _coeff_divmod_r(num: list[int], den: list[int], base: FieldCtx):

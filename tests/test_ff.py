@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -332,6 +333,99 @@ def test_capped_pow():
     assert ff.capped_pow(1, 10**12, 5) == 1
     assert ff.capped_pow(-1, 10**12 + 1, 5) == -1
     assert ff.capped_pow(7, 0, 5) == 1
+
+
+VECTOR_OPS = ("vadd", "vsub", "vmul")
+
+
+def _scalar_op(ctx, op):
+    """The scalar twin of a vector op: the Zech/log-table reference."""
+    return {"vadd": ctx.add_i, "vsub": ctx.sub_i, "vmul": ctx.mul_i}[op]
+
+
+class TestVectorOps:
+    """The vector ops against the scalar ops, inside the dense limit (one
+    flat gather) and past it (coordinate add, log/exp multiply)."""
+
+    @pytest.mark.parametrize("p,h", [(2, 2), (3, 2), (5, 1), (7, 1)])
+    def test_match_scalar_ops_on_every_pair(self, tower, p, h):
+        t = tower(p, h)
+        for ctx in dict.fromkeys((t.fp, t.fq, t.fq2)):
+            x, y = np.divmod(np.arange(ctx.order**2), ctx.order)
+            for op in VECTOR_OPS:
+                f = _scalar_op(ctx, op)
+                assert getattr(ctx, op)(x, y).tolist() == [f(i, j) for i, j in zip(x.tolist(), y.tolist())]
+
+    @pytest.mark.parametrize("p,h", [(59, 1), (2, 6), (3, 4)])
+    def test_match_scalar_ops_past_the_dense_limit(self, tower, p, h):
+        t = tower(p, h)
+        ctx = t.fq2
+        assert ctx.np_add is None and ctx.np_mul is None and t.fq.np_add is not None
+        rng = np.random.default_rng(p**h)
+        x, y = rng.integers(0, ctx.order, (2, 20_000))
+        x[:100], y[50:150] = 0, 0  # zero operands, one side and both
+        for op in VECTOR_OPS:
+            f = _scalar_op(ctx, op)
+            assert getattr(ctx, op)(x, y).tolist() == [f(i, j) for i, j in zip(x.tolist(), y.tolist())]
+
+    @pytest.mark.parametrize("p,h", [(7, 1), (59, 1)])
+    @pytest.mark.parametrize("op", VECTOR_OPS)
+    def test_broadcasts_scalars_and_dtypes(self, tower, p, h, op):
+        ctx = tower(p, h).fq2
+        f = getattr(ctx, op)
+        rng = np.random.default_rng(7)
+        x, y = rng.integers(0, ctx.order, 30), rng.integers(0, ctx.order, 40)
+        x[0], y[0] = 0, 0
+        scalar = _scalar_op(ctx, op)
+        want = np.array([[scalar(i, j) for j in y.tolist()] for i in x.tolist()])
+        for dx, dy in itertools.product((np.int32, np.int64), repeat=2):
+            got = f(x.astype(dx)[:, None], y.astype(dy)[None, :])
+            assert got.shape == (30, 40)
+            assert (got == want).all()
+        # 0-d arrays and np.int64 scalars (the engine's constants), either side
+        i, j = int(x[3]), int(y[5])
+        for k in (np.int64(i), np.asarray(i)):
+            assert (f(k, y) == want[3]).all()
+        for k in (np.int64(j), np.asarray(j)):
+            assert (f(x, k) == want[:, 5]).all()
+        assert f(np.int64(i), np.asarray(j)) == want[3, 5]
+
+    @pytest.mark.parametrize("p,h", [(7, 1), (59, 1)])
+    def test_gather_in_blocks(self, tower, monkeypatch, p, h):
+        # 7-cell blocks end mid-row; transposed operands are not contiguous
+        monkeypatch.setattr(ff, "_GATHER_BLOCK", 7)
+        ctx = tower(p, h).fq2
+        x, y = np.random.default_rng(11).integers(0, ctx.order, (2, 12, 10))
+        x[0], y[:, 0] = 0, 0
+        for op in VECTOR_OPS:
+            f = _scalar_op(ctx, op)
+            want = [[f(i, j) for i, j in zip(r, s)] for r, s in zip(x.T.tolist(), y.T.tolist())]
+            assert getattr(ctx, op)(x.T, y.T).tolist() == want
+
+    @pytest.mark.parametrize("p,h", [(7, 1), (59, 1)])
+    @pytest.mark.parametrize("op", VECTOR_OPS)
+    def test_out_of_range_operand_raises(self, tower, p, h, op):
+        ctx = tower(p, h).fq2
+        f = getattr(ctx, op)
+        good = np.array([0, 1, ctx.order - 1])
+        for bad in (ctx.order, -1):
+            for dtype in (np.int32, np.int64):
+                arr = good.astype(dtype)
+                arr[1] = bad
+                for x, y in ((arr, good), (good, arr), (bad, 1), (1, np.int64(bad))):
+                    with pytest.raises(IndexError):
+                        f(x, y)
+
+    def test_table_names_the_benchmark_reads(self):
+        # perfbench names its ff.v*.dense / .logexp spans from np_add and
+        # np_mul, and sizes the dense tables from _DENSE_TABLE_CELLS
+        assert ff._DENSE_TABLE_CELLS == 8_000_000
+        dense, past = make_field(5, 2).fq2, make_field(59, 1).fq2
+        assert dense.np_add.shape == dense.np_mul.shape == (625, 625)
+        x, y = np.divmod(np.arange(625 * 625), 625)
+        assert (dense.np_add.ravel() == dense.vadd(x, y)).all()
+        assert (dense.np_mul.ravel() == dense.vmul(x, y)).all()
+        assert past.np_add is None and past.np_mul is None
 
 
 _T49 = make_field(7, 1)
