@@ -525,9 +525,7 @@ def conic_witnesses(params: TrinomialParams) -> FactorWitness:
     for A, B in ab_pairs[:1]:  # (A,B) order immaterial for this shape
         s_cd = F.coeff(1, 1) * neg_b_inv - 2 * A * B
         p_cd = F.coeff(0, 0) * neg_b_inv
-        cd_pairs = _pair_from_sum_product(ctx, s_cd, p_cd)
-        if not cd_pairs and s_cd.i == 0 and p_cd.i == 0:
-            cd_pairs = [(ctx.zero, ctx.zero)]
+        cd_pairs = _pair_from_sum_product(ctx, s_cd, p_cd)  # [(0, 0), (0, 0)] when both vanish
         if not cd_pairs:
             missing_root = True
         for C, D in cd_pairs:

@@ -17,6 +17,15 @@ the Frobenius fixed-point check on G) and raise where it raises.  The psi
 constants and the off-diagonal GF(q) points are built on first use, so an
 engine that never touches a curve costs nothing more to construct.
 
+The witness kernel (odd characteristic only) is bipoly.four_line_witness
+and conic_witnesses for a whole block of pairs, given their F.  Each
+candidate factorisation is built from the same closed-form or
+coefficient-matched constants, in the same order; where those are roots of
+a quadratic over GF(q^2), quad_roots finds both at once, taking the square
+root of the discriminant by the parity of its discrete log.  Each candidate
+is expanded and compared with F, and the first match of a pair is its
+witness, so the output equals the per-pair to_json() dicts exactly.
+
 Callers are expected to chunk their (a, b) arrays; a kernel call allocates
 grids of shape (len(a), q+1), (len(a), q^2) or, for points_off_diag,
 (len(a), q^2 - q) depending on the test.
@@ -258,7 +267,11 @@ class ScanEngine:
 
     def points_off_diag(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Number of GF(q)-rational zeros (x, y), x != y, of each pair's G."""
-        _F, G = self.curve_coeffs(a, b)
+        return self.count_off_diag(self.curve_coeffs(a, b)[1])
+
+    def count_off_diag(self, G: np.ndarray) -> np.ndarray:
+        """points_off_diag of the pairs whose GF(q) curves (as curve_coeffs
+        gives them) are G."""
         return (_eval_curve(self.tower.fq, G, *self._off_diag_points) == 0).sum(axis=1)
 
     def iso_identity(self, F: np.ndarray, G: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -272,6 +285,92 @@ class ScanEngine:
         lhs = ctx.vmul(ctx.vmul(ctx.vmul(xm, xm), ctx.vmul(ym, ym)), _eval_curve(ctx, G, phx, phy))
         scale = ctx.mul_i(self._k(16), ctx.pow_i(e, 4))
         return (lhs == ctx.vmul(scale, _eval_curve(ctx, F, x, y))).all(axis=1)
+
+    # ------------------------------------------------ factorisation witnesses
+
+    def quad_roots(self, c0, c1, c2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Roots of c2 T^2 + c1 T + c0 (c2 nonzero, odd characteristic) as
+        (lo, hi, ok).  Where ok, lo <= hi are the roots ascending by index
+        with multiplicity, as upoly.roots lists them (lo == hi for a zero
+        discriminant); where not, the discriminant is a non-square and both
+        are junk.  A nonzero x = g^k is a square iff k is even, with root g^(k/2)."""
+        ctx = self.ctx
+        disc = ctx.vsub(ctx.vmul(c1, c1), ctx.vmul(self._k(4), ctx.vmul(c2, c0)))
+        lg = ctx.np_log[disc]
+        ok = (disc == 0) | (lg % 2 == 0)
+        s = np.where(disc == 0, 0, ctx.np_exp2[lg // 2])
+        inv_2c2, neg_c1 = self.INV[ctx.vmul(self._k(2), c2)], self.NEG[c1]
+        r1 = ctx.vmul(ctx.vadd(neg_c1, s), inv_2c2)
+        r2 = ctx.vmul(ctx.vsub(neg_c1, s), inv_2c2)
+        return np.minimum(r1, r2), np.maximum(r1, r2), ok
+
+    def _is_F(self, b, f1: dict, f2: dict, F: np.ndarray) -> np.ndarray:
+        """Per pair, whether -b f1 f2 equals the (size, size, P) grid F; f1
+        and f2 map (i, j) to the coefficient of X^i Y^j."""
+        ctx = self.ctx
+        grid = np.zeros(F.shape, dtype=np.int64)
+        for (i1, j1), c1 in f1.items():
+            for (i2, j2), c2 in f2.items():
+                grid[i1 + i2, j1 + j2] = ctx.vadd(grid[i1 + i2, j1 + j2], ctx.vmul(c1, c2))
+        return (ctx.vmul(self.NEG[b], grid) == F).all(axis=(0, 1))
+
+    def witnesses(self, a: np.ndarray, b: np.ndarray, F: np.ndarray) -> list[dict]:
+        """Per pair, {"four_line": ..., "conic": ...}: the to_json() of
+        bipoly.four_line_witness and conic_witnesses, from the pairs'
+        quartics F (as curve_coeffs gives them).  Each shape of those
+        functions runs here on the whole batch, in their order, with the
+        same candidate constants; each candidate is checked by expanding it
+        and comparing with F, and the first match of a pair wins."""
+        ctx, one = self.ctx, self._k(1)
+        aq = self.FROB[a]
+
+        four = _FirstMatch(len(a))
+        A, B, ok = self.quad_roots(ctx.vmul(a, b), ctx.vmul(aq, aq), ctx.vmul(aq, b))
+        AB, ApB = ctx.vmul(A, B), ctx.vadd(A, B)
+        lines = {(0, 0): AB, (1, 0): ApB, (2, 0): one}, {(0, 0): AB, (0, 1): ApB, (0, 2): one}
+        four.offer("four-lines", {"A": A, "B": B}, ok & self._is_F(b, *lines, F))
+        four_notes = np.where(ok, "", "line constants not in GF(q^2)")
+
+        conic = _FirstMatch(len(a))
+        missing = np.zeros(len(a), dtype=bool)
+        if self.p > 3:  # A a root of 3a^q A^2 - 9a^(q+1) A + 9a^(q+2) - a, B = 3a - A, C = a / a^q
+            na = self.NORM[a]
+            c0 = ctx.vsub(ctx.vmul(ctx.vmul(self._k(9), na), a), a)
+            A0, A1, ok = self.quad_roots(c0, ctx.vmul(self._k(-9), na), ctx.vmul(self._k(3), aq))
+            missing |= ~ok
+            C = ctx.vmul(a, self.INV[aq])
+            for A in (A0, A1):
+                B = ctx.vsub(ctx.vmul(self._k(3), a), A)
+                f1 = {(1, 1): one, (1, 0): A, (0, 1): B, (0, 0): C}
+                f2 = {(1, 1): one, (1, 0): B, (0, 1): A, (0, 0): C}
+                conic.offer("conic-swap", {"A": A, "B": B, "C": C}, ok & self._is_F(b, f1, f2, F))
+
+        # symmetric shape: A, B from their sum and product (one order), then C, D (both orders)
+        neg_b_inv = self.INV[self.NEG[b]]
+        s_ab, p_ab = ctx.vmul(F[2, 1], neg_b_inv), ctx.vmul(F[2, 0], neg_b_inv)
+        A, B, ok_ab = self.quad_roots(p_ab, self.NEG[s_ab], one)
+        s_cd = ctx.vsub(ctx.vmul(F[1, 1], neg_b_inv), ctx.vmul(self._k(2), ctx.vmul(A, B)))
+        C0, C1, ok_cd = self.quad_roots(ctx.vmul(F[0, 0], neg_b_inv), self.NEG[s_cd], one)
+        missing |= ~ok_ab | ~ok_cd
+        for C, D in ((C0, C1), (C1, C0)):
+            f1 = {(1, 1): one, (1, 0): A, (0, 1): A, (0, 0): C}
+            f2 = {(1, 1): one, (1, 0): B, (0, 1): B, (0, 0): D}
+            conic.offer("conic-sym", {"A": A, "B": B, "C": C, "D": D}, ok_ab & ok_cd & self._is_F(b, f1, f2, F))
+
+        # square shape: coefficient matching on F padded to the 4 x 4 grid of its candidate
+        F4 = np.zeros((4, 4, len(a)), dtype=F.dtype)
+        F4[:3, :3] = F
+        A, B = ctx.vmul(F4[2, 1], neg_b_inv), ctx.vmul(F4[3, 0], neg_b_inv)
+        C = ctx.vsub(ctx.vmul(F4[2, 0], neg_b_inv), ctx.vmul(A, B))
+        f1 = {(2, 0): one, (1, 0): A, (0, 1): B, (0, 0): C}
+        f2 = {(0, 2): one, (0, 1): A, (1, 0): B, (0, 0): C}
+        conic.offer("conic-xsq", {"A": A, "B": B, "C": C}, self._is_F(b, f1, f2, F4))
+        conic_notes = np.where(missing, "some pattern constants not in GF(q^2)", "")
+
+        return [
+            {"four_line": fl, "conic": cn}
+            for fl, cn in zip(four.to_json(four_notes.tolist()), conic.to_json(conic_notes.tolist()))
+        ]
 
     # ---------------------------------------------------------- assembly
 
@@ -292,6 +391,30 @@ class ScanEngine:
         else:
             out["char3"] = self.char3(a, b)
             out["main"] = out["char3"]
+        return out
+
+
+class _FirstMatch:
+    """Per pair, the first offered factorisation shape that matched F."""
+
+    def __init__(self, size: int):
+        self.which = np.full(size, -1)  # index into shapes, -1 while none matched
+        self.shapes: list[tuple[str, dict[str, list[int]]]] = []
+
+    def offer(self, pattern: str, constants: dict[str, np.ndarray], match: np.ndarray) -> None:
+        self.which[match & (self.which < 0)] = len(self.shapes)
+        self.shapes.append((pattern, {k: v.tolist() for k, v in constants.items()}))
+
+    def to_json(self, notes: list[str]) -> list[dict]:
+        """FactorWitness.to_json() of each pair; `notes` are those of a "none"."""
+        out = []
+        for i, k in enumerate(self.which.tolist()):
+            if k < 0:
+                out.append({"pattern": "none", "constants": {}, "residual_check": False, "note": notes[i]})
+            else:
+                pattern, constants = self.shapes[k]
+                consts = {name: v[i] for name, v in constants.items()}
+                out.append({"pattern": pattern, "constants": consts, "residual_check": True, "note": ""})
         return out
 
 

@@ -543,7 +543,7 @@ class FieldCtx:
         return out
 
     def vpow(self, x, k: int):
-        x = np.asarray(x)
+        x = self._in_range(x)
         lg = self.np_log[x].astype(np.int64)
         out = self.np_exp2[lg * (k % (self.order - 1)) % (self.order - 1)]
         return np.where(x == 0, 1 if k == 0 else 0, out)

@@ -321,6 +321,22 @@ def _witnesses(params: TrinomialParams) -> dict:
     return {"four_line": four_line_witness(params).to_json(), "conic": conic_witnesses(params).to_json()}
 
 
+def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> list[dict]:
+    """Point count and witnesses of each permutation instance (a, b).  In
+    odd characteristic the engine builds F and G once per pair_chunks slice,
+    counts points on G and finds the witnesses from F; for p = 2 there is
+    no point count and the witnesses come from bipoly pair by pair."""
+    if engine.p == 2:
+        pairs = zip(a.tolist(), b.tolist())
+        return [_witnesses(TrinomialParams.from_indices(engine.tower, ai, bi)) for ai, bi in pairs]
+    out = []
+    for ca, cb in pair_chunks(a, b, engine.q**2):
+        F, G = engine.curve_coeffs(ca, cb)
+        counts = engine.count_off_diag(G).tolist()
+        out += [{"points_off_diag": c, **w} for c, w in zip(counts, engine.witnesses(ca, cb, F))]
+    return out
+
+
 def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
     """Classify the sorted pairs (a, b) and aggregate them into a report."""
     engine = ScanEngine(tower)
@@ -347,14 +363,11 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
     if keep_rows:
         rows = np.concatenate(total.rows) if total.rows else np.empty((0, len(_ROW_FIELDS)), dtype=np.int32)
     diag = None
-    if diagnostics:  # point counts of every instance at once, witnesses pair by pair
-        points = [{}] * len(total.pp_pairs)
-        if tower.p != 2:
-            pa, pb = np.array(total.pp_pairs, dtype=np.int64).reshape(-1, 2).T
-            points = [{"points_off_diag": c} for c in point_counts(engine, pa, pb).tolist()]
+    if diagnostics:
+        pa, pb = np.array(total.pp_pairs, dtype=np.int64).reshape(-1, 2).T
         diag = [
-            {"a_idx": ai, "b_idx": bi, **pts, **_witnesses(TrinomialParams.from_indices(tower, ai, bi))}
-            for (ai, bi), pts in zip(total.pp_pairs, points)
+            {"a_idx": ai, "b_idx": bi, **extra}
+            for (ai, bi), extra in zip(total.pp_pairs, _instance_diagnostics(engine, pa, pb))
         ]
     set_eq = None
     if tower.p > 3:

@@ -28,7 +28,7 @@ from permtri import (
     verify_iso_identity,
     verify_iso_identity_symbolic,
 )
-from permtri.bipoly import _collision_poly, _exact_div_x_minus_y
+from permtri.bipoly import _collision_poly, _exact_div_x_minus_y, _pair_from_sum_product
 
 
 def params(t, a, b):
@@ -363,6 +363,10 @@ class TestFactorWitnesses:
                 w = conic_witnesses(p)
                 if w.pattern == "conic-xsq":
                     assert w.constants["B"].i == 0
+
+    def test_zero_sum_and_product_give_the_zero_pair_twice(self, tower):
+        ctx = tower(7, 1).fq2
+        assert _pair_from_sum_product(ctx, ctx.zero, ctx.zero) == [(ctx.zero, ctx.zero)] * 2
 
     def test_witness_json(self, tower):
         w = four_line_witness(params(tower(5, 1), 5, 1))

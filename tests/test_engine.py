@@ -1,19 +1,27 @@
 """The vectorised kernels must agree with the per-pair module path."""
 
+import json
+import random
+
 import numpy as np
 import pytest
 
 from permtri import (
+    BivarPoly,
+    Poly,
     TrinomialParams,
+    bipoly,
     build_curves,
     condition_report,
     count_points_off_diag,
+    frobenius,
     gcd_degree,
     is_pp_direct,
     is_pp_mu,
+    roots,
 )
 from permtri.engine import ScanEngine
-from permtri.scan import pair_grid, point_counts, sample_pairs
+from permtri.scan import _witnesses, pair_grid, point_counts, sample_pairs, sampled_scan
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 2), (3, 1)])
@@ -96,3 +104,142 @@ def test_curve_constants_built_on_first_use(tower):
     assert "_psi_basis" not in vars(eng) and "_off_diag_points" not in vars(eng)
     eng.points_off_diag(np.array([1]), np.array([2]))
     assert "_psi_basis" in vars(eng) and "_off_diag_points" in vars(eng)
+
+
+def _quad_roots_ref(ctx, c0, c1, c2):
+    """upoly.roots of c2 T^2 + c1 T + c0 as indices: (lo, hi) or None."""
+    rts = roots(Poly(ctx, [ctx.elem(c0), ctx.elem(c1), ctx.elem(c2)]))
+    return (rts[0].i, rts[1].i) if rts else None
+
+
+@pytest.mark.parametrize("p,h,count", [(3, 1, None), (5, 1, None), (13, 1, 300)])
+def test_quad_roots_match_upoly_roots(tower, p, h, count):
+    """Every monic quadratic over GF(9) and GF(25), seeded ones (monic or
+    not) over GF(169): same roots, ascending, a double root twice."""
+    t = tower(p, h)
+    eng, ctx, n = ScanEngine(t), t.fq2, t.fq2.order
+    if count is None:
+        c0, c1 = np.divmod(np.arange(n * n), n)
+        c2 = np.ones(n * n, dtype=np.int64)
+    else:
+        c0, c1, c2 = np.random.default_rng(p).integers(0, n, (3, count))
+        c2[: count // 2] = 1
+        c2[c2 == 0] = 2
+        c0[:10] = 0  # a zero constant term
+        c1[10:20], c0[10:20] = 0, 0  # c2 T^2: a double root at 0
+    lo, hi, ok = eng.quad_roots(c0, c1, c2)
+    want = [_quad_roots_ref(ctx, *c) for c in zip(c0.tolist(), c1.tolist(), c2.tolist())]
+    assert [(x, y) if k else None for x, y, k in zip(lo.tolist(), hi.tolist(), ok.tolist())] == want
+    assert None in want  # a non-square discriminant
+    assert any(w is not None and w[0] == w[1] for w in want)  # a zero one
+    assert (c0 == 0).any()
+
+
+def _witnesses_ref(t, a, b) -> list:
+    """bipoly's witnesses of the pairs (a, b), as `check` reports them."""
+    return [_witnesses(TrinomialParams.from_indices(t, ai, bi)) for ai, bi in zip(a.tolist(), b.tolist())]
+
+
+def _assert_witnesses_match(eng, a, b):
+    F, _G = eng.curve_coeffs(a, b)
+    # json.dumps pins the key order and the plain-int/bool types too
+    assert json.dumps(eng.witnesses(a, b, F)) == json.dumps(_witnesses_ref(eng.tower, a, b))
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
+def test_witnesses_match_bipoly_on_every_instance(tower, p, h):
+    eng = ScanEngine(tower(p, h))
+    a, b = pair_grid(eng.n)
+    pp = eng.pp_mu(a, b)
+    _assert_witnesses_match(eng, a[pp], b[pp])
+
+
+def test_witnesses_match_bipoly_on_samples_q25(tower):
+    """Seeded pairs (mostly not permutations: every "none" note shows up)
+    and seeded permutation instances at q = 25."""
+    eng = ScanEngine(tower(5, 2))
+    a, b = sample_pairs(eng.n, 60, seed=25)
+    _assert_witnesses_match(eng, a, b)
+    ga, gb = pair_grid(eng.n)
+    pp = np.flatnonzero(eng.pp_mu(ga, gb))
+    pick = np.sort(np.random.default_rng(25).choice(pp, 30, replace=False))
+    _assert_witnesses_match(eng, ga[pick], gb[pick])
+
+
+def test_witnesses_match_bipoly_past_the_dense_limit(tower):
+    """The instances of a seeded q = 59 sampled scan (log/exp tables only),
+    as the scan reports them, and a few seeded pairs."""
+    t = tower(59, 1)
+    assert t.fq2.np_mul is None
+    rep = sampled_scan(59, 1, 20_000, seed=2, summary_only=True, diagnostics=True)
+    assert rep.pp_count > 0
+    a = np.array([d["a_idx"] for d in rep.diagnostics])
+    b = np.array([d["b_idx"] for d in rep.diagnostics])
+    got = [{k: d[k] for k in ("four_line", "conic")} for d in rep.diagnostics]
+    assert json.dumps(got) == json.dumps(_witnesses_ref(t, a, b))
+    _assert_witnesses_match(ScanEngine(t), *sample_pairs(t.fq2.order, 8, seed=59))
+
+
+def _shaped_curve(t, rng, a, b, shape):
+    """-b f1 f2 for a factor pair of the given witness shape (constants as
+    bipoly would derive them where it computes them from a, b), or an
+    unstructured quartic; None where the shape's constants do not exist."""
+    ctx, one = t.fq2, t.fq2.one
+
+    def rand():
+        return ctx.elem(rng.randrange(ctx.order))
+
+    aq = frobenius(a)
+    if shape == "four-lines":
+        rts = roots(Poly(ctx, [a * b, aq * aq, aq * b]))
+        if not rts:
+            return None
+        quad = [rts[0] * rts[1], rts[0] + rts[1], one]
+        f1 = BivarPoly(ctx, {(i, 0): c for i, c in enumerate(quad)})
+        f2 = BivarPoly(ctx, {(0, i): c for i, c in enumerate(quad)})
+    elif shape == "conic-swap":
+        rts = roots(Poly(ctx, [9 * a * aq * a - a, -9 * a * aq, 3 * aq]))
+        if not rts:
+            return None
+        A, B, C = rts[-1], 3 * a - rts[-1], a * aq.inv()
+        f1 = BivarPoly(ctx, {(1, 1): one, (1, 0): A, (0, 1): B, (0, 0): C})
+        f2 = BivarPoly(ctx, {(1, 1): one, (1, 0): B, (0, 1): A, (0, 0): C})
+    elif shape == "conic-sym":
+        A, B, C, D = rand(), rand(), rand(), rand()
+        f1 = BivarPoly(ctx, {(1, 1): one, (1, 0): A, (0, 1): A, (0, 0): C})
+        f2 = BivarPoly(ctx, {(1, 1): one, (1, 0): B, (0, 1): B, (0, 0): D})
+    elif shape == "conic-xsq":  # B = 0 keeps the product inside the 3 x 3 grid
+        A, C = rand(), rand()
+        f1 = BivarPoly(ctx, {(2, 0): one, (1, 0): A, (0, 0): C})
+        f2 = BivarPoly(ctx, {(0, 2): one, (0, 1): A, (0, 0): C})
+    else:
+        return BivarPoly(ctx, {(i, j): rand() for i in range(3) for j in range(3)})
+    return (f1 * f2).scale(-b)
+
+
+@pytest.mark.parametrize("p,h", [(7, 1), (3, 2)])
+def test_witnesses_match_bipoly_on_constructed_curves(tower, monkeypatch, p, h):
+    """Every witness shape and note, conic-xsq included (no collision curve
+    of a real pair has it): quartics built from each shape's factors are
+    handed to both paths as the F of a seeded pair."""
+    t = tower(p, h)
+    eng, rng = ScanEngine(t), random.Random(p**h)
+    shapes = ("four-lines", "conic-sym", "conic-xsq", "random") + (("conic-swap",) if p > 3 else ())
+    a, b, curves = [], [], []
+    while len(curves) < 100:
+        ai, bi = rng.randrange(1, t.fq2.order), rng.randrange(1, t.fq2.order)
+        prm = TrinomialParams.from_indices(t, ai, bi)
+        F = _shaped_curve(t, rng, prm.a, prm.b, shapes[len(curves) % len(shapes)])
+        if F is not None:
+            a.append(ai), b.append(bi), curves.append(F)
+    a, b = np.array(a), np.array(b)
+    grid = np.array([F.coeff_grid(3) for F in curves]).transpose(1, 2, 0)
+    want = []
+    for ai, bi, F in zip(a.tolist(), b.tolist(), curves):
+        monkeypatch.setattr(bipoly, "_collision_poly", lambda params, F=F: F)
+        want += _witnesses_ref(t, np.array([ai]), np.array([bi]))
+    assert json.dumps(eng.witnesses(a, b, grid)) == json.dumps(want)
+    seen = {(w[k]["pattern"], w[k]["note"]) for w in want for k in ("four_line", "conic")}
+    expected = {("four-lines", ""), ("conic-sym", ""), ("conic-xsq", ""), ("none", "")}
+    expected |= {("none", "line constants not in GF(q^2)"), ("none", "some pattern constants not in GF(q^2)")}
+    assert expected | ({("conic-swap", "")} if p > 3 else set()) <= seen

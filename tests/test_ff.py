@@ -403,7 +403,7 @@ class TestVectorOps:
             assert getattr(ctx, op)(x.T, y.T).tolist() == want
 
     @pytest.mark.parametrize("p,h", [(7, 1), (59, 1)])
-    @pytest.mark.parametrize("op", VECTOR_OPS)
+    @pytest.mark.parametrize("op", [*VECTOR_OPS, "vpow"])
     def test_out_of_range_operand_raises(self, tower, p, h, op):
         ctx = tower(p, h).fq2
         f = getattr(ctx, op)
@@ -412,7 +412,11 @@ class TestVectorOps:
             for dtype in (np.int32, np.int64):
                 arr = good.astype(dtype)
                 arr[1] = bad
-                for x, y in ((arr, good), (good, arr), (bad, 1), (1, np.int64(bad))):
+                if op == "vpow":  # the exponent is a plain int
+                    operands = ((arr, 2), (bad, 2), (np.int64(bad), 0))
+                else:
+                    operands = ((arr, good), (good, arr), (bad, 1), (1, np.int64(bad)))
+                for x, y in operands:
                     with pytest.raises(IndexError):
                         f(x, y)
 

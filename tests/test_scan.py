@@ -116,9 +116,27 @@ class TestExhaustive:
             assert entry["conic"]["pattern"] in ("conic-swap", "conic-sym", "conic-xsq", "four-lines", "none")
 
     def test_diagnostics_point_counts_come_from_the_engine(self, monkeypatch):
-        monkeypatch.setattr(ScanEngine, "points_off_diag", lambda self, a, b: np.full(len(a), 3, dtype=np.int64))
+        monkeypatch.setattr(ScanEngine, "count_off_diag", lambda self, G: np.full(G.shape[-1], 3, dtype=np.int64))
         rep = exhaustive_scan(5, 1, diagnostics=True, summary_only=True)
         assert [entry["points_off_diag"] for entry in rep.diagnostics] == [3] * rep.pp_count
+
+    def test_diagnostics_witnesses_come_from_the_engine_for_odd_p(self, monkeypatch):
+        class Called(Exception):
+            pass
+
+        def per_pair(params):
+            raise Called
+
+        with monkeypatch.context() as m:
+            for name in ("four_line_witness", "conic_witnesses"):
+                m.setattr(scan, name, per_pair)
+            rep = exhaustive_scan(5, 2, diagnostics=True, summary_only=True)
+        assert len(rep.diagnostics) == rep.pp_count == 546
+        for name in ("four_line_witness", "conic_witnesses"):  # p = 2 stays on bipoly
+            with monkeypatch.context() as m:
+                m.setattr(scan, name, per_pair)
+                with pytest.raises(Called):
+                    exhaustive_scan(2, 2, diagnostics=True, summary_only=True)
 
     def test_point_counts_chunked(self, tower, monkeypatch):
         eng = ScanEngine(tower(7, 1))
@@ -254,6 +272,7 @@ class TestDeterminism:
         sweeps = (
             lambda t: exhaustive_scan(7, 1, threads=t, diagnostics=True),
             lambda t: exhaustive_scan(3, 2, threads=t),
+            lambda t: exhaustive_scan(3, 2, threads=t, diagnostics=True),  # engine witnesses, no conic-swap
             lambda t: sampled_scan(7, 1, 500, seed=5, threads=t, diagnostics=True),
         )
         for sweep in sweeps:
