@@ -1,0 +1,8 @@
+"""`python -m permtri ...`: the command-line front end of permtri.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -236,17 +236,31 @@ def crit_resultant_relation(max_q: int):
     """Res(N, D) vanishes exactly with a positive GCD degree (exhaustive at
     q=5), and on seeded samples at q in {5, 7, 11} the resultant equals the
     inner factor of the closed form, whose square times b^(2q+10) is the
-    closed form."""
+    closed form.  The engine computes the resultant, the inner factor and the
+    GCD degree of all pairs of a job at once; on 25 seeded pairs per job they
+    must equal bipoly.resultant_vs_closed_form (and gcd_degree)."""
 
     def check(p, h, count):
-        tower = _tower(p, h)
-        pairs = [_params(tower, a, b) for a, b in zip(*_pairs(tower.fq2.order, count, seed=tower.q * 7))]
+        eng = _engine(p, h)
+        ctx = eng.ctx
+        a, b = _pairs(eng.n, count, seed=eng.q * 7)
+        res, inner = eng.resultant(a, b), eng.resultant_inner(a, b)
         if count is None:
-            bad = sum((resultant_vs_closed_form(prm).lhs.i == 0) != (gcd_degree(prm) > 0) for prm in pairs)
-            return bad == 0, f"q={tower.q} vanishing<->gcd exceptions: {bad}"
-        cmps = map(resultant_vs_closed_form, pairs)
-        bad = sum(not (cmp.lhs_equals_inner and cmp.rhs_is_prefactor_times_lhs_squared) for cmp in cmps)
-        return bad == 0, f"q={tower.q}: {bad}/{count} relation failures"
+            gcd = eng.gcd_deg(a, b)
+            bad = (res == 0) != (gcd > 0)
+        else:
+            prefactor = ctx.vpow(b, 2 * eng.q + 10)
+            closed_form = ctx.vmul(prefactor, ctx.vmul(inner, inner))
+            bad = (res != inner) | (closed_form != ctx.vmul(prefactor, ctx.vmul(res, res)))
+        for i in Random(eng.q * 7).sample(range(len(a)), 25):  # the reference path
+            prm = _params(eng.tower, a[i], b[i])
+            cmp = resultant_vs_closed_form(prm)
+            bad[i] |= cmp.lhs.i != res[i] or cmp.inner.i != inner[i]
+            if count is None:
+                bad[i] |= gcd_degree(prm) != gcd[i]
+        if count is None:
+            return not bad.any(), f"q={eng.q} vanishing<->gcd exceptions: {int(bad.sum())}"
+        return not bad.any(), f"q={eng.q}: {int(bad.sum())}/{count} relation failures"
 
     return _per_field(max_q, ((5, 1, None), (5, 1, 1000), (7, 1, 1000), (11, 1, 1000)), check)
 

@@ -499,7 +499,8 @@ def conic_witnesses(params: TrinomialParams) -> FactorWitness:
 
     if params.tower.p > 3:
         # constants: A a root of 3a^q A^2 - 9a^(q+1) A + 9a^(q+2) - a,
-        # B = 3a - A, C = 1/a^(q-1)
+        # B = 3a - A, C = 1/a^(q-1).  The roots sum to 3a, so the other
+        # root's candidate is this one with its two factors swapped.
         aq = frobenius(a)
         na = a * aq
         quad = Poly(ctx, [9 * na * a - a, -9 * na, 3 * aq])
@@ -507,7 +508,7 @@ def conic_witnesses(params: TrinomialParams) -> FactorWitness:
         rts = roots(quad)
         if not rts:
             missing_root = True
-        for A in rts:
+        for A in rts[:1]:
             B = 3 * a - A
             f1 = BivarPoly(ctx, {(1, 1): ctx.one, (1, 0): A, (0, 1): B, (0, 0): Cc})
             f2 = BivarPoly(ctx, {(1, 1): ctx.one, (1, 0): B, (0, 1): A, (0, 0): Cc})

@@ -26,6 +26,13 @@ root of the discriminant by the parity of its discrete log.  Each candidate
 is expanded and compared with F, and the first match of a pair is its
 witness, so the output equals the per-pair to_json() dicts exactly.
 
+The resultant kernel is upoly.resultant of the two cubics for a whole block
+of pairs: each pair's 6 x 6 Sylvester matrix, in upoly's layout, is one
+slice of a (6, 6, P) index array, and _det eliminates every slice at once,
+each with its own pivot rows.  resultant_inner evaluates the closed-form
+inner factor Phi(a, b) of bipoly.resultant_vs_closed_form.  The two are
+computed independently of each other, so comparing them is a real check.
+
 Callers are expected to chunk their (a, b) arrays; a kernel call allocates
 grids of shape (len(a), q+1), (len(a), q^2) or, for points_off_diag,
 (len(a), q^2 - q) depending on the test.
@@ -145,6 +152,42 @@ class ScanEngine:
         r1_at = ctx.vadd(ctx.vadd(ctx.vmul(c2, ctx.vmul(x0, x0)), ctx.vmul(c1, x0)), c0)
         deg1 = (t1 != 0) & (r1_at == 0)
         return (2 * deg2.astype(np.uint8)) + deg1.astype(np.uint8)
+
+    # --------------------------------------------------------- resultants
+
+    def resultant(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Res_X(N, D) of every pair (a, b nonzero): the determinant of the
+        6 x 6 Sylvester matrix laid out as upoly.resultant lays it out."""
+        aq, bq = self.FROB[a], self.FROB[b]
+        one, zero = np.ones_like(a), np.zeros_like(a)
+        num = np.stack([aq, one, zero, bq])  # N, highest power first
+        den = np.stack([b, zero, one, a])  # D
+        M = np.zeros((6, 6, len(a)), dtype=np.int64)
+        for r in range(3):
+            M[r, r : r + 4] = num
+            M[3 + r, r : r + 4] = den
+        return _det(self.ctx, M)
+
+    def resultant_inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The closed-form inner factor Phi(a, b) of every pair, the ten terms
+        of bipoly.resultant_vs_closed_form."""
+        ctx, k = self.ctx, self._k
+        na, nb = self.NORM[a], self.NORM[b]
+        na2, nb2 = ctx.vmul(na, na), ctx.vmul(nb, nb)
+        aq = self.FROB[a]
+        terms = [
+            ctx.vmul(na2, na),
+            ctx.vmul(k(-3), ctx.vmul(na2, nb)),
+            self.NEG[na2],
+            self.NEG[ctx.vmul(ctx.vmul(a, a), b)],
+            ctx.vmul(k(3), ctx.vmul(na, nb2)),
+            self.NEG[ctx.vmul(na, nb)],
+            self.NEG[ctx.vmul(ctx.vmul(aq, aq), self.FROB[b])],
+            self.NEG[ctx.vmul(nb2, nb)],
+            ctx.vmul(k(2), nb2),
+            self.NEG[nb],
+        ]
+        return self._fsum(terms)
 
     # ----------------------------------------------------------- criteria
 
@@ -336,14 +379,13 @@ class ScanEngine:
         if self.p > 3:  # A a root of 3a^q A^2 - 9a^(q+1) A + 9a^(q+2) - a, B = 3a - A, C = a / a^q
             na = self.NORM[a]
             c0 = ctx.vsub(ctx.vmul(ctx.vmul(self._k(9), na), a), a)
-            A0, A1, ok = self.quad_roots(c0, ctx.vmul(self._k(-9), na), ctx.vmul(self._k(3), aq))
+            A, _A1, ok = self.quad_roots(c0, ctx.vmul(self._k(-9), na), ctx.vmul(self._k(3), aq))
             missing |= ~ok
             C = ctx.vmul(a, self.INV[aq])
-            for A in (A0, A1):
-                B = ctx.vsub(ctx.vmul(self._k(3), a), A)
-                f1 = {(1, 1): one, (1, 0): A, (0, 1): B, (0, 0): C}
-                f2 = {(1, 1): one, (1, 0): B, (0, 1): A, (0, 0): C}
-                conic.offer("conic-swap", {"A": A, "B": B, "C": C}, ok & self._is_F(b, f1, f2, F))
+            B = ctx.vsub(ctx.vmul(self._k(3), a), A)  # the other root, whose candidate is f2 f1
+            f1 = {(1, 1): one, (1, 0): A, (0, 1): B, (0, 0): C}
+            f2 = {(1, 1): one, (1, 0): B, (0, 1): A, (0, 0): C}
+            conic.offer("conic-swap", {"A": A, "B": B, "C": C}, ok & self._is_F(b, f1, f2, F))
 
         # symmetric shape: A, B from their sum and product (one order), then C, D (both orders)
         neg_b_inv = self.INV[self.NEG[b]]
@@ -416,6 +458,30 @@ class _FirstMatch:
                 consts = {name: v[i] for name, v in constants.items()}
                 out.append({"pattern": pattern, "constants": consts, "residual_check": True, "note": ""})
         return out
+
+
+def _det(ctx, M: np.ndarray) -> np.ndarray:
+    """Determinant over ctx of each (n, n) slice M[:, :, k] of an (n, n, P)
+    index array, by upoly._det's Gaussian elimination: in each column the
+    first nonzero entry at or below the diagonal is swapped up as the pivot.
+    A slice with no pivot in some column keeps a zero there (argmax of an
+    all-False column is its first row), which zeroes its determinant."""
+    M = M.copy()
+    n, size = M.shape[0], M.shape[2]
+    slices = np.arange(size)
+    det = np.ones(size, dtype=np.int64)
+    odd_swaps = np.zeros(size, dtype=bool)
+    for c in range(n):
+        nonzero = M[c:, c] != 0
+        piv = c + nonzero.argmax(axis=0)
+        odd_swaps ^= piv != c
+        pivot_row = M[piv, :, slices]  # (P, n)
+        M[piv, :, slices] = M[c].T
+        M[c] = pivot_row.T
+        det = ctx.vmul(det, M[c, c])
+        factor = ctx.vmul(M[c + 1 :, c], ctx.np_inv[M[c, c]])  # np_inv[0] = 0: no pivot, no elimination
+        M[c + 1 :, c:] = ctx.vsub(M[c + 1 :, c:], ctx.vmul(factor[:, None], M[c, c:][None]))
+    return np.where(odd_swaps, ctx.np_neg[det], det)
 
 
 def _eval_curve(ctx, C: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

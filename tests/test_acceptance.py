@@ -11,7 +11,14 @@ pass at the stated scopes with no tolerance.
 import numpy as np
 import pytest
 
-from permtri.acceptance import CRITERIA, DEFAULT_MAX_Q, crit_curve_identities, crit_no_rational_points
+from permtri import acceptance
+from permtri.acceptance import (
+    CRITERIA,
+    DEFAULT_MAX_Q,
+    crit_curve_identities,
+    crit_no_rational_points,
+    crit_resultant_relation,
+)
 from permtri.engine import ScanEngine
 
 KNOWN_FALSE = pytest.mark.xfail(
@@ -75,3 +82,31 @@ def test_criterion_8_raises_on_a_division_remainder(monkeypatch):
 def test_criterion_9_reports_points(monkeypatch):
     monkeypatch.setattr(ScanEngine, "points_off_diag", lambda self, a, b: np.ones(len(a), dtype=np.int64))
     assert crit_no_rational_points(5) == (False, "q=5: 18 instances, max off-diagonal points 1")
+
+
+@pytest.mark.parametrize("kernels, failures", [(("resultant",), 1000), (("resultant", "resultant_inner"), 25)])
+def test_criterion_10_fails_on_a_perturbed_resultant(monkeypatch, kernels, failures):
+    """Res + 1 breaks the relation on every sampled pair and the vanishing
+    no longer tracks the GCD degree.  Shifting the inner factor with it keeps
+    the engine's relation, so only the 25 reference pairs per job fail."""
+    for name in kernels:
+        real = getattr(ScanEngine, name)
+        monkeypatch.setattr(ScanEngine, name, lambda self, a, b, real=real: self.ctx.vadd(real(self, a, b), 1))
+    assert crit_resultant_relation(7) == (
+        False,
+        f"q=5 vanishing<->gcd exceptions: 264; q=5: {failures}/1000 relation failures; "
+        f"q=7: {failures}/1000 relation failures",
+    )
+
+
+def test_criterion_10_ties_in_bipoly_on_25_pairs_per_job(monkeypatch):
+    calls = []
+    real = acceptance.resultant_vs_closed_form
+
+    def counted(prm):
+        calls.append(prm)
+        return real(prm)
+
+    monkeypatch.setattr(acceptance, "resultant_vs_closed_form", counted)
+    assert crit_resultant_relation(7)[0]
+    assert len(calls) == 75

@@ -353,16 +353,44 @@ class TestFactorWitnesses:
         assert (f1 * f2).scale(-p.b) == _collision_poly(p)
 
     def test_xsq_pattern_would_force_b_zero_line_constant(self, tower):
-        # degree-2 instances: whatever matches, a square-shape witness must
-        # carry B = 0 (the curve has no X^3 term to absorb it)
+        # F has no X^3 term, so the square shape's B = -[X^3]/b is 0 on every
+        # pair, and a square-shape witness must carry B = 0
         t = tower(5, 1)
         n = t.fq2.order
         for a in range(1, n):
             for b in range(1, n):
                 p = params(t, a, b)
+                assert _collision_poly(p).coeff(3, 0).i == 0
                 w = conic_witnesses(p)
                 if w.pattern == "conic-xsq":
                     assert w.constants["B"].i == 0
+
+    @pytest.mark.parametrize("q", [5, 7, 11, 13])
+    def test_conic_swap_roots_give_one_product(self, tower, q):
+        # the roots of 3a^q A^2 - 9a^(q+1) A + 9a^(q+2) - a sum to 3a, so
+        # the second root's candidate is the first one's factors swapped:
+        # trying the first root alone decides the shape
+        t = tower(q, 1)
+        ctx, one = t.fq2, t.fq2.one
+        seen = 0
+        for ai in range(1, ctx.order):
+            a = ctx.elem(ai)
+            aq = frobenius(a)
+            na = a * aq
+            rts = roots(Poly(ctx, [9 * na * a - a, -9 * na, 3 * aq]))
+            if not rts:
+                continue
+            seen += 1
+            assert rts[0] + rts[1] == 3 * a
+            C = a * aq.inv()
+            products = []
+            for A in rts:
+                B = 3 * a - A
+                f1 = BivarPoly(ctx, {(1, 1): one, (1, 0): A, (0, 1): B, (0, 0): C})
+                f2 = BivarPoly(ctx, {(1, 1): one, (1, 0): B, (0, 1): A, (0, 0): C})
+                products.append(f1 * f2)
+            assert products[0] == products[1]
+        assert seen > 0
 
     def test_zero_sum_and_product_give_the_zero_pair_twice(self, tower):
         ctx = tower(7, 1).fq2

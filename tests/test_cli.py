@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,14 @@ class TestCheckCommand:
 
     def test_zero_parameter_is_usage_error(self, capsys):
         assert main(["check", "--p", "5", "--h", "1", "--a", "0", "--b", "3"]) == 2
+
+    def test_runs_as_a_module_from_a_plain_checkout(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "permtri", "check", "--p", "5", "--h", "1", "--a", "5", "--b", "1"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["gcd_deg"] == 2
 
 
 class TestUsage:

@@ -12,15 +12,19 @@ from permtri import (
     TrinomialParams,
     bipoly,
     build_curves,
+    build_numden,
     condition_report,
     count_points_off_diag,
     frobenius,
     gcd_degree,
     is_pp_direct,
     is_pp_mu,
+    resultant,
+    resultant_vs_closed_form,
     roots,
+    upoly,
 )
-from permtri.engine import ScanEngine
+from permtri.engine import ScanEngine, _det
 from permtri.scan import _witnesses, pair_grid, point_counts, sample_pairs, sampled_scan
 
 
@@ -104,6 +108,47 @@ def test_curve_constants_built_on_first_use(tower):
     assert "_psi_basis" not in vars(eng) and "_off_diag_points" not in vars(eng)
     eng.points_off_diag(np.array([1]), np.array([2]))
     assert "_psi_basis" in vars(eng) and "_off_diag_points" in vars(eng)
+
+
+@pytest.mark.parametrize(
+    "p,h,count", [(3, 1, None), (2, 2, None), (5, 1, None), (7, 1, None), (5, 2, 200), (59, 1, 200)]
+)
+def test_resultant_kernels_match_bipoly(tower, p, h, count):
+    """resultant equals upoly.resultant of the two cubics and resultant_inner
+    the closed form's inner factor: on every pair at q in {3, 4, 5, 7}, the
+    pairs with a shared factor (no pivot left) included, and on seeded
+    pairs at q = 25 and, past the dense tables, q = 59."""
+    t = tower(p, h)
+    eng = ScanEngine(t)
+    a, b = pair_grid(t.fq2.order) if count is None else sample_pairs(t.fq2.order, count, seed=t.q)
+    want_res, want_inner = [], []
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        prm = TrinomialParams.from_indices(t, ai, bi)
+        want_res.append(resultant(*build_numden(prm)).i)
+        want_inner.append(resultant_vs_closed_form(prm).inner.i)
+    assert eng.resultant(a, b).tolist() == want_res
+    assert eng.resultant_inner(a, b).tolist() == want_inner
+    assert 0 in want_res
+    assert (t.fq2.np_mul is None) == (p == 59)
+
+
+def test_det_matches_upoly_det(tower):
+    """Seeded 6 x 6 matrices over GF(49): dense ones, singular ones (a
+    repeated row, a zero column) and sparse ones, where zeros on and below
+    the diagonal make the elimination swap rows."""
+    ctx = tower(7, 1).fq2
+    rng = np.random.default_rng(49)
+    M = rng.integers(0, ctx.order, (6, 6, 300))
+    M[5, :, :50] = M[2, :, :50]
+    M[:, 3, 50:100] = 0
+    M[:, :, 100:] *= rng.random((6, 6, 200)) < 0.4
+    want = [
+        upoly._det(ctx, [[ctx.elem(x) for x in row] for row in M[:, :, k].tolist()]).i for k in range(M.shape[2])
+    ]
+    got = _det(ctx, M)
+    assert got.tolist() == want
+    assert (got[:100] == 0).all() and (got[100:] == 0).any() and (got[100:] != 0).any()
+    assert ((M[0, 0, 100:] == 0) & (got[100:] != 0)).any()  # a swap before a nonzero determinant
 
 
 def _quad_roots_ref(ctx, c0, c1, c2):
