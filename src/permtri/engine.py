@@ -13,9 +13,12 @@ block of pairs at once, the quartic F = (N(X) D(Y) - D(X) N(Y)) / (X - Y)
 and its GF(q) form G as (3, 3, P) index arrays for P pairs, [i, j, k]
 holding the coefficient of X^i Y^j of the k-th pair.  They follow bipoly.build_curves step by
 step (exact division top X row first, the psi basis (T+e)^i (T-e)^(2-i),
-the Frobenius fixed-point check on G) and raise where it raises.  The psi
-constants and the off-diagonal GF(q) points are built on first use, so an
-engine that never touches a curve costs nothing more to construct.
+the Frobenius fixed-point check on G) and raise where it raises.  The
+transform identity (X-1)^2 (Y-1)^2 G(phi(X, Y)) = 16 e^4 F(X, Y) is checked
+exactly, by rebasing G on phi's basis e^i (T+1)^i (T-1)^(2-i) and comparing
+coefficients.  The psi constants and the off-diagonal GF(q) points are built
+on first use, so an engine that never touches a curve costs nothing more to
+construct.
 
 The witness kernel (odd characteristic only) is bipoly.four_line_witness
 and conic_witnesses for a whole block of pairs, given their F.  Each
@@ -34,7 +37,7 @@ inner factor Phi(a, b) of bipoly.resultant_vs_closed_form.  The two are
 computed independently of each other, so comparing them is a real check.
 
 Callers are expected to chunk their (a, b) arrays; a kernel call allocates
-grids of shape (len(a), q+1), (len(a), q^2) or, for points_off_diag,
+grids of shape (len(a), q+1), (len(a), q^2) or, for count_off_diag,
 (len(a), q^2 - q) depending on the test.
 """
 
@@ -238,11 +241,7 @@ class ScanEngine:
         tr_gen = self.TR2[ctx.vmul(nb, self.INV[na])] == 0
         return alg & np.where(nb == 1, tr_one, tr_gen)
 
-    def char3(self, a, b):
-        ctx = self.ctx
-        eq = ctx.vmul(self.FROB[a], self.FROB[b]) == ctx.vmul(a, ctx.vsub(self.NORM[b], self.NORM[a]))
-        val = ctx.vsub(self._k(1), ctx.vmul(self.NORM[b], self.INV[self.NORM[a]]))
-        return eq & self._sq_ok(val)
+    char3 = prima  # at p = 3 the constant 4 is 1, so prima's formula is the char-3 criterion
 
     # --------------------------------------------------- collision curves
 
@@ -250,12 +249,25 @@ class ScanEngine:
         """Field sum over the first axis."""
         return functools.reduce(self.ctx.vadd, terms)
 
+    def _mobius_basis(self, c: int, s: int) -> np.ndarray:
+        """[i, k]: coefficient of T^k in s^i (T+c)^i (T-c)^(2-i)."""
+        ctx = self.ctx
+        c2, c_twice = ctx.mul_i(c, c), ctx.add_i(c, c)
+        rows = np.array([[c2, ctx.neg_i(c_twice), 1], [ctx.neg_i(c2), 0, 1], [c2, c_twice, 1]], dtype=np.int64)
+        return ctx.vmul(rows, np.array([1, s, ctx.mul_i(s, s)], dtype=np.int64)[:, None])
+
     @functools.cached_property
     def _psi_basis(self) -> np.ndarray:
         """[i, k]: coefficient of T^k in (T+e)^i (T-e)^(2-i)."""
-        ctx, e = self.ctx, self.ctx.e.i
-        e2, e_twice = ctx.mul_i(e, e), ctx.add_i(e, e)
-        return np.array([[e2, ctx.neg_i(e_twice), 1], [ctx.neg_i(e2), 0, 1], [e2, e_twice, 1]], dtype=np.int64)
+        return self._mobius_basis(self.ctx.e.i, 1)
+
+    def _rebase(self, C: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """sum C[i, j] B_i(X) B_j(Y) of (3, 3, P) coefficients C, with
+        basis[i, k] the coefficient of T^k in B_i."""
+        ctx = self.ctx
+        # H[k, j] = sum_i basis[i, k] C[i, j];  out[k, l] = sum_j basis[j, l] H[k, j]
+        H = self._fsum(ctx.vmul(basis[:, :, None, None], C[:, None]))
+        return self._fsum(ctx.vmul(basis[:, None, :, None], H.swapaxes(0, 1)[:, :, None]))
 
     @functools.cached_property
     def _off_diag_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -280,10 +292,7 @@ class ScanEngine:
         F = self._div_x_minus_y(
             ctx.vsub(ctx.vmul(num[:, None], den[None, :]), ctx.vmul(den[:, None], num[None, :]))
         )
-        basis = self._psi_basis
-        # H[k, j] = sum_i basis[i, k] F[i, j];  G[k, l] = sum_j basis[j, l] H[k, j]
-        H = self._fsum(ctx.vmul(basis[:, :, None, None], F[:, None]))
-        G = self._fsum(ctx.vmul(basis[:, None, :, None], H.swapaxes(0, 1)[:, :, None]))
+        G = self._rebase(F, self._psi_basis)
         if (self.FROB[G] != G).any():
             raise ArithmeticError("curve coefficient escaped GF(q)")
         return F, G
@@ -308,26 +317,20 @@ class ScanEngine:
             raise ArithmeticError("collision curve has unexpected degree")
         return quot[:, :3]
 
-    def points_off_diag(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Number of GF(q)-rational zeros (x, y), x != y, of each pair's G."""
-        return self.count_off_diag(self.curve_coeffs(a, b)[1])
-
     def count_off_diag(self, G: np.ndarray) -> np.ndarray:
-        """points_off_diag of the pairs whose GF(q) curves (as curve_coeffs
-        gives them) are G."""
+        """Number of GF(q)-rational zeros (x, y), x != y, of each of the
+        GF(q) curves G (as curve_coeffs gives them)."""
         return (_eval_curve(self.tower.fq, G, *self._off_diag_points) == 0).sum(axis=1)
 
-    def iso_identity(self, F: np.ndarray, G: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per pair, whether (X-1)^2 (Y-1)^2 G(phi(X, Y)) = 16 e^4 F(X, Y)
-        holds at every point of its row of the (P, M) arrays x, y, with
-        phi(X, Y) = (e(X+1)/(X-1), e(Y+1)/(Y-1)); no coordinate may be 1."""
-        ctx, e, one = self.ctx, self.ctx.e.i, self._k(1)
-        xm, ym = ctx.vsub(x, one), ctx.vsub(y, one)
-        phx = ctx.vmul(ctx.vmul(e, ctx.vadd(x, one)), self.INV[xm])
-        phy = ctx.vmul(ctx.vmul(e, ctx.vadd(y, one)), self.INV[ym])
-        lhs = ctx.vmul(ctx.vmul(ctx.vmul(xm, xm), ctx.vmul(ym, ym)), _eval_curve(ctx, G, phx, phy))
+    def iso_identity(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Per pair, whether (X-1)^2 (Y-1)^2 G(phi(X, Y)) = 16 e^4 F(X, Y) as
+        polynomials, phi(X, Y) = (e(X+1)/(X-1), e(Y+1)/(Y-1)): the left side
+        is G rebased on e^i (T+1)^i (T-1)^(2-i), compared coefficient by
+        coefficient."""
+        ctx, e = self.ctx, self.ctx.e.i
+        lhs = self._rebase(G, self._mobius_basis(1, e))
         scale = ctx.mul_i(self._k(16), ctx.pow_i(e, 4))
-        return (lhs == ctx.vmul(scale, _eval_curve(ctx, F, x, y))).all(axis=1)
+        return (lhs == ctx.vmul(scale, F)).all(axis=(0, 1))
 
     # ------------------------------------------------ factorisation witnesses
 
@@ -485,8 +488,8 @@ def _det(ctx, M: np.ndarray) -> np.ndarray:
 
 
 def _eval_curve(ctx, C: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum C[i, j] x^i y^j over ctx for (3, 3, P) coefficients C at points
-    x, y of shape (P, M) or (M,) (the same points for every pair)."""
+    """sum C[i, j] x^i y^j over ctx for (3, 3, P) coefficients C at the M
+    points x, y shared by every pair, as a (P, M) array."""
     rows = [
         ctx.vadd(ctx.vmul(ctx.vadd(ctx.vmul(C[i, 2][:, None], y), C[i, 1][:, None]), y), C[i, 0][:, None])
         for i in range(3)

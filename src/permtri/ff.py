@@ -666,16 +666,16 @@ class FieldTower:
         return f"FieldTower(p={self.p}, q={self.q}, q2={self.fq2.order})"
 
 
-def make_field(p: int, h: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldTower:
+def make_field(p: int, h: int) -> FieldTower:
     """Build the tower GF(p) -> GF(p^h) -> GF(p^(2h)).
 
-    Raises ValueError for h < 1, p^(2h) > max_order or non-prime p, in that
-    order: the size bound is checked before any primality work.
+    Raises ValueError for h < 1, p^(2h) > DEFAULT_MAX_ORDER or non-prime p,
+    in that order: the size bound is checked before any primality work.
     """
     if h < 1:
         raise ValueError("extension degree must be >= 1")
-    if capped_pow(p, 2 * h, max_order) > max_order:
-        raise ValueError(f"field size {p}^{2 * h} exceeds the bound {max_order}")
+    if capped_pow(p, 2 * h, DEFAULT_MAX_ORDER) > DEFAULT_MAX_ORDER:
+        raise ValueError(f"field size {p}^{2 * h} exceeds the bound {DEFAULT_MAX_ORDER}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     fp = FieldCtx._prime(p)

@@ -62,7 +62,6 @@ __all__ = [
     "pair_grid",
     "sample_pairs",
     "pair_chunks",
-    "point_counts",
 ]
 
 CSV_COLUMNS = (
@@ -308,12 +307,6 @@ class _Tally:
 def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-
-
-def point_counts(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """engine.points_off_diag of every pair (a, b), in pair_chunks slices."""
-    counts = [engine.points_off_diag(ca, cb) for ca, cb in pair_chunks(a, b, engine.q**2)]
-    return np.concatenate([np.zeros(0, dtype=np.int64), *counts])
 
 
 def _witnesses(params: TrinomialParams) -> dict:

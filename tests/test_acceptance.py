@@ -11,7 +11,7 @@ pass at the stated scopes with no tolerance.
 import numpy as np
 import pytest
 
-from permtri import acceptance
+from permtri import acceptance, bipoly
 from permtri.acceptance import (
     CRITERIA,
     DEFAULT_MAX_Q,
@@ -52,8 +52,9 @@ def test_criterion(num, label, fn):
 
 
 def test_criterion_8_fails_on_a_perturbed_curve(monkeypatch):
-    """G + 1 is still a GF(q) curve but breaks the transform identity at
-    every sampled point, so every pair must fail."""
+    """G + 1 is still a GF(q) curve but adds (X-1)^2 (Y-1)^2 to the left
+    side of the transform identity, so a coefficient differs and every pair
+    must fail."""
     real = ScanEngine.curve_coeffs
 
     def perturbed(self, a, b):
@@ -79,8 +80,17 @@ def test_criterion_8_raises_on_a_division_remainder(monkeypatch):
         crit_curve_identities(5)
 
 
+def test_criterion_8_draws_no_sample_points(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("criterion 8 drew sample points")
+
+    for module in (bipoly, acceptance):  # also where an import by name would look it up
+        monkeypatch.setattr(module, "iso_sample_points", drawn, raising=False)
+    assert crit_curve_identities(7)[0]
+
+
 def test_criterion_9_reports_points(monkeypatch):
-    monkeypatch.setattr(ScanEngine, "points_off_diag", lambda self, a, b: np.ones(len(a), dtype=np.int64))
+    monkeypatch.setattr(ScanEngine, "count_off_diag", lambda self, G: np.ones(G.shape[-1], dtype=np.int64))
     assert crit_no_rational_points(5) == (False, "q=5: 18 instances, max off-diagonal points 1")
 
 

@@ -23,9 +23,10 @@ from permtri import (
     resultant_vs_closed_form,
     roots,
     upoly,
+    verify_iso_identity_symbolic,
 )
 from permtri.engine import ScanEngine, _det
-from permtri.scan import _witnesses, pair_grid, point_counts, sample_pairs, sampled_scan
+from permtri.scan import _witnesses, pair_grid, sample_pairs, sampled_scan
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 2), (3, 1)])
@@ -86,7 +87,7 @@ def test_curve_kernels_match_bipoly(tower, p, h, count):
     eng = ScanEngine(t)
     a, b = pair_grid(t.fq2.order) if count is None else sample_pairs(t.fq2.order, count, seed=t.q)
     F, G = eng.curve_coeffs(a, b)
-    points = point_counts(eng, a, b)
+    points = eng.count_off_diag(G)
     assert points.any()  # nonzero counts are compared too, not only zeros
     for i in range(len(a)):
         cp = build_curves(TrinomialParams.from_indices(t, int(a[i]), int(b[i])))
@@ -98,16 +99,44 @@ def test_curve_kernels_match_bipoly(tower, p, h, count):
 def test_curve_kernels_refuse_char2(tower):
     eng = ScanEngine(tower(2, 2))
     a, b = np.array([1, 2]), np.array([3, 1])
-    for kernel in (eng.curve_coeffs, eng.points_off_diag):
-        with pytest.raises(ValueError, match="odd characteristic"):
-            kernel(a, b)
+    with pytest.raises(ValueError, match="odd characteristic"):
+        eng.count_off_diag(eng.curve_coeffs(a, b)[1])
 
 
 def test_curve_constants_built_on_first_use(tower):
     eng = ScanEngine(tower(7, 1))
     assert "_psi_basis" not in vars(eng) and "_off_diag_points" not in vars(eng)
-    eng.points_off_diag(np.array([1]), np.array([2]))
+    eng.count_off_diag(eng.curve_coeffs(np.array([1]), np.array([2]))[1])
     assert "_psi_basis" in vars(eng) and "_off_diag_points" in vars(eng)
+
+
+@pytest.mark.parametrize("p,h,count", [(5, 1, None), (7, 1, 200), (3, 2, 200), (5, 2, 200), (59, 1, 200)])
+def test_iso_identity_matches_symbolic_reference(tower, p, h, count):
+    """iso_identity equals verify_iso_identity_symbolic on every pair at
+    q = 5 and on seeded pairs at q = 7, 9, 25 and, past the dense tables, 59."""
+    t = tower(p, h)
+    eng = ScanEngine(t)
+    a, b = pair_grid(t.fq2.order) if count is None else sample_pairs(t.fq2.order, count, seed=t.q)
+    pairs = zip(a.tolist(), b.tolist())
+    want = [verify_iso_identity_symbolic(build_curves(TrinomialParams.from_indices(t, ai, bi))) for ai, bi in pairs]
+    assert eng.iso_identity(*eng.curve_coeffs(a, b)).tolist() == want
+    assert (t.fq2.np_mul is None) == (p == 59)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_iso_identity_is_exact(tower, p):
+    """Adding 1 to any one of the nine coefficients of G, or of F, breaks
+    the identity on every pair."""
+    eng = ScanEngine(tower(p, 1))
+    F, G = eng.curve_coeffs(*pair_grid(eng.n))
+    assert eng.iso_identity(F, G).all()
+    for i in range(3):
+        for j in range(3):
+            for side in (0, 1):
+                curves = [F, G]
+                curves[side] = curves[side].copy()
+                curves[side][i, j] = eng.ctx.vadd(curves[side][i, j], 1)
+                assert not eng.iso_identity(*curves).any(), (i, j, side)
 
 
 @pytest.mark.parametrize(

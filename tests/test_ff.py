@@ -47,7 +47,7 @@ class TestMakeField:
 
     def test_rejects_oversize(self):
         with pytest.raises(ValueError, match="exceeds"):
-            make_field(5, 1, max_order=10)
+            make_field(2503, 1)  # 2503^2 = 6 265 009 > DEFAULT_MAX_ORDER
 
     def test_size_bound_checked_before_primality(self, monkeypatch):
         monkeypatch.setattr(ff, "is_prime", lambda n: pytest.fail("primality tested before the size bound"))

@@ -20,7 +20,6 @@ from permtri.engine import ScanEngine
 from permtri.scan import (
     CSV_COLUMNS,
     pair_grid,
-    point_counts,
     report_from_json,
     sample_pairs,
     to_csv_text,
@@ -138,13 +137,13 @@ class TestExhaustive:
                 with pytest.raises(Called):
                     exhaustive_scan(2, 2, diagnostics=True, summary_only=True)
 
-    def test_point_counts_chunked(self, tower, monkeypatch):
+    def test_instance_diagnostics_chunked(self, tower, monkeypatch):
         eng = ScanEngine(tower(7, 1))
         a, b = sample_pairs(eng.n, 50, seed=3)
-        whole = eng.points_off_diag(a, b)
+        whole = scan._instance_diagnostics(eng, a, b)
         monkeypatch.setattr(scan, "_CHUNK_CELLS", 7 * 49)  # 7 pairs per slice
-        assert point_counts(eng, a, b).tolist() == whole.tolist()
-        assert point_counts(eng, a[:0], b[:0]).tolist() == []
+        assert scan._instance_diagnostics(eng, a, b) == whole
+        assert scan._instance_diagnostics(eng, a[:0], b[:0]) == []
 
 
 class TestSampled:
