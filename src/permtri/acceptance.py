@@ -289,6 +289,8 @@ CRITERIA = (
 
 def run_all(max_q: int = DEFAULT_MAX_Q) -> bool:
     """Run every criterion; one line each; True iff all passed."""
+    if max_q < 3:  # below every field a criterion uses: nothing would be checked
+        raise ValueError(f"max_q {max_q} is below 3, the smallest field any criterion uses")
     all_ok = True
     for num, label, fn in CRITERIA:
         t0 = time.perf_counter()

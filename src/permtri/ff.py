@@ -22,6 +22,15 @@ coordinate and the adjoined root t itself is the distinguished element e
 with e^q = -e.  For p = 2 the modulus is t^2 + t + c with c of absolute
 trace 1 and conjugation maps u + v t to (u + v) + v t.
 
+Every layer is built by one path, GF(p) being the degree-1 layer over no
+base.  On a layer of n elements the generator g is the least index >= 1 of
+multiplicative order n - 1 (1 on GF(2)); the exp/log tables are its powers,
+each product taken as x * y mod p on GF(p), else as the coefficient product
+reduced by the monic modulus.  Negation and inversion are read off the
+logs: -x = x g^((n-1)/2) for odd p, -x = x for p = 2, 1/x = g^(n-1-log x).
+The add table is built coordinate-wise through the layer below, and the
+top layer's Frobenius table conjugates coordinates as above.
+
 Scalar ops run on discrete-log, exp and Zech tables held as plain lists.
 The vectorised ops (the v* methods) take numpy index arrays.  On a layer
 with at most _DENSE_TABLE_CELLS cells in its order x order tables, vadd and
@@ -79,20 +88,19 @@ _GATHER_BLOCK = 1 << 16
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (inputs are tiny here)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division up to sqrt(n)."""
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            return d
+        d += 1 if d == 2 else 2
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality test (inputs are tiny here)."""
+    return n >= 2 and _least_factor(n) == n
 
 
 def capped_pow(base: int, exp: int, cap: int) -> int:
@@ -112,32 +120,21 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p**k and p prime, or None."""
     if n < 2:
         return None
-    p = n
-    for d in range(2, n + 1):
-        if d * d > n:
-            break
-        if n % d == 0:
-            p = d
-            break
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
+    p, k = _least_factor(n), 0
+    while n % p == 0:
+        n //= p
         k += 1
-    return (p, k) if m == 1 else None
+    return (p, k) if n == 1 else None
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending."""
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        d = _least_factor(n)
+        out.append(d)
+        while n % d == 0:
+            n //= d
     return out
 
 
@@ -270,33 +267,18 @@ class FieldCtx:
     # ---------------------------------------------------------------- build
 
     @staticmethod
-    def _prime(p: int) -> FieldCtx:
+    def _layer(p: int, base: FieldCtx | None, degree: int, level: str) -> FieldCtx:
+        """The layer of the given degree over `base`; GF(p) is the degree-1
+        layer over no base."""
         ctx = FieldCtx(_token=_CTX_TOKEN)
-        ctx.p = p
-        ctx.degree = 1
-        ctx.h = 1
-        ctx.order = p
-        ctx.base = None
-        ctx.level = "Fp"
-        ctx.modulus = None
-        ctx.q = None
-        ctx.e = None
-        ctx._finish_tables(gen=ctx._find_prime_generator())
-        return ctx
-
-    @staticmethod
-    def _extension(base: FieldCtx, degree: int, level: str) -> FieldCtx:
-        ctx = FieldCtx(_token=_CTX_TOKEN)
-        ctx.p = base.p
-        ctx.degree = degree
-        ctx.h = base.h * degree
-        ctx.order = base.order**degree
-        ctx.base = base
-        ctx.level = level
-        ctx.modulus = ctx._canonical_modulus()
-        ctx.q = None
-        ctx.e = None
-        ctx._finish_tables(gen=ctx._find_ext_generator())
+        ctx.p, ctx.degree, ctx.base, ctx.level = p, degree, base, level
+        if base is None:
+            ctx.h, ctx.order, ctx.modulus = degree, p**degree, None
+        else:
+            ctx.h, ctx.order = base.h * degree, base.order**degree
+            ctx.modulus = ctx._canonical_modulus()
+        ctx.q = ctx.e = None
+        ctx._finish_tables()
         return ctx
 
     def _canonical_modulus(self) -> tuple[int, ...]:
@@ -307,25 +289,22 @@ class FieldCtx:
                 return cand
         raise RuntimeError("no irreducible modulus found")  # pragma: no cover
 
-    def _find_prime_generator(self) -> int:
-        if self.p == 2:
-            return 1
-        fac = _prime_factors(self.p - 1)
-        for g in range(2, self.p):
-            if all(pow(g, (self.p - 1) // r, self.p) != 1 for r in fac):
-                return g
-        raise RuntimeError("no primitive root")  # pragma: no cover
-
-    def _find_ext_generator(self) -> int:
+    def _find_generator(self) -> int:
+        """The least index >= 1 of multiplicative order n - 1 (1 on GF(2))."""
         n1 = self.order - 1
         fac = _prime_factors(n1)
-        for g in range(2, self.order):
+        for g in range(1, self.order):
             if all(self._boot_pow(g, n1 // r) != 1 for r in fac):
                 return g
         raise RuntimeError("no generator")  # pragma: no cover
 
-    # Bootstrap coefficient arithmetic, used only before the log tables exist.
+    # Bootstrap arithmetic, used only before the log tables exist: x * y mod p
+    # on GF(p), else the coefficient product reduced by the monic modulus.
     def _boot_mul(self, x: int, y: int) -> int:
+        if self.base is None:
+            return x * y % self.p
+        if x == 1:  # every power starts from 1, and g = 1 is the first candidate
+            return y
         base, d, B = self.base, self.degree, self.base.order
         xv = [(x // B**k) % B for k in range(d)]
         yv = [(y // B**k) % B for k in range(d)]
@@ -359,64 +338,42 @@ class FieldCtx:
             k >>= 1
         return r
 
-    def _finish_tables(self, gen: int) -> None:
+    def _finish_tables(self) -> None:
         n, p = self.order, self.p
-        self.generator_idx = gen
-
-        # negation, coordinate-wise over the layer below
-        idx = np.arange(n, dtype=np.int64)
-        if self.base is None:
-            self.np_neg = (-idx % p).astype(np.int32)
-        else:
-            self.np_neg = self._join([self.base.np_neg[c] for c in self._coords(idx)]).astype(np.int32)
-        self._neg = self.np_neg.tolist()
-
-        # exp/log tables from the generator
-        exp = [0] * (2 * (n - 1)) if n > 2 else [1, 1]
+        gen = self.generator_idx = self._find_generator()
+        exp = [0] * (2 * (n - 1))
         log = [0] * n
-        if n > 2:
-            acc = 1
-            if self.base is None:
-                for k in range(n - 1):
-                    exp[k] = acc
-                    exp[k + n - 1] = acc
-                    log[acc] = k
-                    acc = acc * gen % p
-            else:
-                for k in range(n - 1):
-                    exp[k] = acc
-                    exp[k + n - 1] = acc
-                    log[acc] = k
-                    acc = self._boot_mul(acc, gen)
-            if acc != 1:  # pragma: no cover
-                raise RuntimeError("generator order mismatch")
-        else:
-            log = [0, 0]
-        self._exp = exp
-        self._log = log
+        acc, mul = 1, self._boot_mul
+        for k in range(n - 1):
+            exp[k] = exp[k + n - 1] = acc
+            log[acc] = k
+            acc = mul(acc, gen)
+        if acc != 1:  # pragma: no cover
+            raise RuntimeError("generator order mismatch")
+        self._exp, self._log = exp, log
         self.np_exp2 = np.array(exp, dtype=np.int32)
         self.np_log = np.array(log, dtype=np.int32)
 
-        # inversion table (index 0 left as 0; scalar path raises instead)
-        inv = np.zeros(n, dtype=np.int32)
-        nz = np.arange(1, n)
-        inv[nz] = self.np_exp2[(n - 1) - self.np_log[nz]]
-        self.np_inv = inv
-        self._inv = inv.tolist()
+        # -x = x g^((n-1)/2) (x itself when p = 2) and 1/x = g^(n-1-log x);
+        # 0 maps to 0 in both (the scalar path raises on inverting it)
+        half = (n - 1) // 2 if p != 2 else 0
+        self.np_neg = self.np_exp2[self.np_log + half]
+        self.np_inv = self.np_exp2[(n - 1) - self.np_log]
+        self.np_neg[0] = self.np_inv[0] = 0
+        self._neg, self._inv = self.np_neg.tolist(), self.np_inv.tolist()
 
         # Dense tables for the vectorised fast path.
-        self.np_add = None
-        self.np_mul = None
+        self.np_add = self.np_mul = None
         if n * n <= _DENSE_TABLE_CELLS:
+            idx = np.arange(n, dtype=np.int64)
             add = np.empty((n, n), dtype=np.int32)
             block = max(1, _DENSE_TABLE_CELLS // (8 * n))
             for lo in range(0, n, block):
                 add[lo : lo + block] = self._coord_add(idx[lo : lo + block, None], idx[None, :])
             self.np_add = add
             lg = self.np_log
-            mul = self.np_exp2[lg[:, None] + lg[None, :]].astype(np.int32)
-            mul[0, :] = 0
-            mul[:, 0] = 0
+            mul = self.np_exp2[lg[:, None] + lg[None, :]]
+            mul[0] = mul[:, 0] = 0
             self.np_mul = mul
 
         # Zech-style table: _zech[k] = log(1 + g^k), -1 when the sum is zero.
@@ -678,9 +635,9 @@ def make_field(p: int, h: int) -> FieldTower:
         raise ValueError(f"field size {p}^{2 * h} exceeds the bound {DEFAULT_MAX_ORDER}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    fp = FieldCtx._prime(p)
-    fq = fp if h == 1 else FieldCtx._extension(fp, h, "Fq")
-    fq2 = FieldCtx._extension(fq, 2, "Fq2")
+    fp = FieldCtx._layer(p, None, 1, "Fp")
+    fq = fp if h == 1 else FieldCtx._layer(p, fp, h, "Fq")
+    fq2 = FieldCtx._layer(p, fq, 2, "Fq2")
     return FieldTower(fp=fp, fq=fq, fq2=fq2)
 
 

@@ -136,3 +136,10 @@ class TestSelftest:
         lines = [l for l in out.splitlines() if l.startswith("criterion")]
         assert len(lines) == 11
         assert all(": PASS" in l or "skipped" in l for l in lines)
+
+    def test_bound_below_every_field_is_usage_error(self, capsys):
+        # at max-q 2 every field-bounded criterion would skip and report PASS
+        assert main(["selftest", "--max-q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "criterion" not in captured.out
+        assert captured.err.startswith("error: ") and "max_q 2 is below 3" in captured.err

@@ -1,6 +1,7 @@
 """Field tower construction, element arithmetic, and the canonical encoding."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from permtri import ff
 from permtri import (
+    Poly,
     SquareClass,
     frobenius,
     is_prime_power,
@@ -326,6 +328,18 @@ def test_is_prime_power():
     assert is_prime_power(1) is None
 
 
+def test_trial_division_against_the_definitions():
+    primes = [n for n in range(5001) if n >= 2 and all(n % d for d in range(2, n))]
+    powers = {p**k: (p, k) for p in primes for k in range(1, 13) if p**k <= 5000}
+    assert [n for n in range(5001) if ff.is_prime(n)] == primes
+    assert all(is_prime_power(n) == powers.get(n) for n in range(5001))
+    for n in range(1, 2001):
+        assert ff._prime_factors(n) == [p for p in primes if p <= n and n % p == 0]
+    # the first factor ends the search: no trial division up to sqrt(n)
+    assert ff.is_prime(2 * 1000000000000000003) is False
+    assert ff.is_prime(3 * 1000000000000000003) is False
+
+
 def test_capped_pow():
     assert ff.capped_pow(3, 4, 81) == 81
     assert ff.capped_pow(3, 5, 81) > 81
@@ -333,6 +347,61 @@ def test_capped_pow():
     assert ff.capped_pow(1, 10**12, 5) == 1
     assert ff.capped_pow(-1, 10**12 + 1, 5) == -1
     assert ff.capped_pow(7, 0, 5) == 1
+
+
+# Towers whose every layer the table oracles below walk: GF(2) itself, a
+# degree-4 layer, p = 3 on two levels, and a top layer past the dense limit.
+ORACLE_FIELDS = [(2, 1), (2, 4), (3, 2), (5, 2), (7, 1), (59, 1)]
+
+
+def _layers(t):
+    return list(dict.fromkeys((t.fp, t.fq, t.fq2)))
+
+
+def _oracle_mul(ctx, x: int, y: int) -> int:
+    """x * y on `ctx` without its tables: integers mod p on GF(p), else the
+    product of the coefficient polynomials over the layer below (upoly.Poly)
+    modulo the layer's modulus."""
+    if ctx.base is None:
+        return x * y % ctx.p
+    prod = Poly(ctx.base, ctx.elem(x).coeffs()) * Poly(ctx.base, ctx.elem(y).coeffs())
+    rem = prod % Poly.from_indices(ctx.base, ctx.modulus)
+    return ctx.from_coeffs([rem.coeff(k) for k in range(ctx.degree)]).i
+
+
+class TestTablesAgainstOracles:
+    """Every layer, GF(p) included, comes from one builder.  Each table it
+    derives is pinned here to arithmetic that does not go through it."""
+
+    @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
+    def test_negation_cancels_under_the_coordinate_add(self, tower, p, h):
+        # mod p on GF(p), coordinate-wise through the layer below elsewhere
+        for ctx in _layers(tower(p, h)):
+            x = np.arange(ctx.order)
+            assert not ctx._coord_add(x, ctx.np_neg[x]).any()
+            assert not ctx.vadd(x, ctx.np_neg[x]).any()
+            assert ctx._neg == ctx.np_neg.tolist()
+
+    @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
+    def test_exp_steps_by_the_generator(self, tower, p, h):
+        for ctx in _layers(tower(p, h)):
+            n1, g = ctx.order - 1, ctx.generator_idx
+            exp = ctx._exp
+            assert exp == ctx.np_exp2.tolist() and exp[0] == 1 and exp[:n1] == exp[n1:]
+            assert exp[1:n1] + [1] == [_oracle_mul(ctx, e, g) for e in exp[:n1]]
+            assert [ctx._log[e] for e in exp[:n1]] == list(range(n1))
+
+    @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
+    def test_generator_is_the_least_index_of_full_order(self, tower, p, h):
+        # The exp table is pinned to the powers of g above, so g has order
+        # n - 1 iff they are distinct, and x = g^k has order (n-1)/gcd(k, n-1)
+        for ctx in _layers(tower(p, h)):
+            n1, g = ctx.order - 1, ctx.generator_idx
+            assert len(set(ctx._exp[:n1])) == n1
+            assert all(math.gcd(ctx._log[x], n1) > 1 for x in range(1, g))
+        # on GF(p), against the primitive roots found by listing powers
+        roots = [x for x in range(1, p) if len({pow(x, k, p) for k in range(p - 1)}) == p - 1]
+        assert tower(p, h).fp.generator_idx == roots[0]
 
 
 VECTOR_OPS = ("vadd", "vsub", "vmul")
@@ -350,7 +419,7 @@ class TestVectorOps:
     @pytest.mark.parametrize("p,h", [(2, 2), (3, 2), (5, 1), (7, 1)])
     def test_match_scalar_ops_on_every_pair(self, tower, p, h):
         t = tower(p, h)
-        for ctx in dict.fromkeys((t.fp, t.fq, t.fq2)):
+        for ctx in _layers(t):
             x, y = np.divmod(np.arange(ctx.order**2), ctx.order)
             for op in VECTOR_OPS:
                 f = _scalar_op(ctx, op)
