@@ -91,9 +91,6 @@ class BivarPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_symmetric(self) -> bool:
-        return all(self.terms.get((j, i)) == c for (i, j), c in self.terms.items())
-
     def _merge(self, other: BivarPoly, sign: int) -> BivarPoly:
         if other.ctx is not self.ctx:
             raise ValueError("context mismatch")

@@ -528,11 +528,10 @@ class FieldCtx:
         return (Elem(self, i) for i in range(self.order))
 
     def from_coeffs(self, coeffs) -> Elem:
-        """Inverse of Elem.coeffs(); accepts base-layer Elems or indices."""
-        if self.base is None:
-            (c,) = coeffs
-            return Elem(self, c.i if isinstance(c, Elem) else c % self.p)
-        B = self.base.order
+        """Inverse of Elem.coeffs(); accepts base-layer Elems or indices.
+        On GF(p) the one coefficient is an index in [0, p), as on the other
+        layers; ValueError when a coefficient is out of range."""
+        B = self.p if self.base is None else self.base.order
         i = 0
         for c in reversed(list(coeffs)):
             ci = c.i if isinstance(c, Elem) else c

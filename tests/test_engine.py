@@ -1,6 +1,7 @@
 """The vectorised kernels must agree with the per-pair module path."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -26,7 +27,7 @@ from permtri import (
     verify_iso_identity_symbolic,
 )
 from permtri.engine import ScanEngine, _det
-from permtri.scan import _witnesses, pair_grid, sample_pairs, sampled_scan
+from permtri.scan import _witnesses, pair_chunks, pair_grid, sample_pairs, sampled_scan
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 2), (3, 1)])
@@ -77,6 +78,64 @@ def test_broadcasting_shapes(tower):
     out = eng.classify_bulk(a, b)
     assert out["is_pp"].shape == (3,)
     assert out["gcd_deg"].dtype == np.uint8
+
+
+# The screened verdicts pp_mu/pp_direct against their full tests _pp_mu/_pp_direct,
+# with the column width and the screen's prefix K = floor(2.5 sqrt(q)) or floor(4.7 q)
+_KERNELS = {
+    "mu": (lambda q: q + 1, lambda q: int(2.5 * math.sqrt(q))),
+    "direct": (lambda q: q * q, lambda q: int(4.7 * q)),
+}
+_SCREEN_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
+
+
+def _assert_screen_exact(eng, kernel, a, b):
+    screened, full = getattr(eng, "pp_" + kernel), getattr(eng, "_pp_" + kernel)
+    for ca, cb in pair_chunks(a, b, _KERNELS[kernel][0](eng.q)):
+        assert (screened(ca, cb) == full(ca, cb)).all()
+
+
+@pytest.mark.parametrize("kernel,p,h", [(k, p, h) for k in _KERNELS for p, h in _SCREEN_FIELDS] + [("mu", 5, 2)])
+def test_screened_verdicts_equal_the_full_test(tower, kernel, p, h):
+    eng = ScanEngine(tower(p, h))
+    _assert_screen_exact(eng, kernel, *pair_grid(eng.n))
+
+
+@pytest.mark.parametrize("p,h", [(5, 2), (3, 3)])
+def test_screened_pp_direct_exact_on_samples(tower, p, h):
+    """The full grids at q = 25 and 27 take 10-15 s, so the suite samples them;
+    criterion 4 checks the screened pp_direct on every pair at q = 27 against
+    the char-3 criterion."""
+    eng = ScanEngine(tower(p, h))
+    _assert_screen_exact(eng, "direct", *sample_pairs(eng.n, 20_000, seed=eng.q))
+
+
+@pytest.mark.parametrize("kernel", ["mu", "direct"])
+@pytest.mark.parametrize("p,h", _SCREEN_FIELDS)
+def test_full_test_sees_only_the_screen_survivors(tower, monkeypatch, kernel, p, h):
+    """The full test runs once on the prefix of K columns, then once more, on
+    all columns, on exactly the pairs the prefix left; where K >= the width
+    (q = 3, 4) it runs once on every pair."""
+    eng = ScanEngine(tower(p, h))
+    width, k = (rule(eng.q) for rule in _KERNELS[kernel])
+    full, calls = getattr(eng, "_pp_" + kernel), []
+
+    def record(a, b, cols=slice(None)):
+        calls.append((a, b, cols))
+        return full(a, b, cols)
+
+    monkeypatch.setattr(eng, "_pp_" + kernel, record)
+    a, b = pair_grid(eng.n)
+    verdict = getattr(eng, "pp_" + kernel)(a, b)
+    if k >= width:
+        assert len(calls) == 1
+        assert (calls[0][0] == a).all() and (calls[0][1] == b).all() and calls[0][2] == slice(None)
+        return
+    (a0, b0, prefix), (a1, b1, rest) = calls
+    assert (a0 == a).all() and (b0 == b).all() and (prefix, rest) == (slice(k), slice(None))
+    live = full(a, b, slice(k))
+    assert (a1 == a[live]).all() and (b1 == b[live]).all()
+    assert not (verdict & ~live).any() and live.sum() < len(a)  # every permutation passes a prefix that rejects
 
 
 @pytest.mark.parametrize("p,h,count", [(5, 1, None), (7, 1, 200), (3, 2, 200), (11, 1, 200), (13, 1, 200), (5, 2, 200)])

@@ -162,14 +162,22 @@ class TestElemArithmetic:
 class TestEncoding:
     @pytest.mark.parametrize("p,h", [(5, 1), (3, 2), (2, 3)])
     def test_coeffs_roundtrip_bijection(self, tower, p, h):
-        ctx = tower(p, h).fq2
-        seen = set()
-        for x in ctx.elements():
-            back = ctx.from_coeffs(x.coeffs())
-            assert back == x
-            assert len(x.coeffs()) == ctx.degree
-            seen.add(x.i)
-        assert seen == set(range(ctx.order))
+        for ctx in _layers(tower(p, h)):
+            seen = set()
+            for x in ctx.elements():
+                back = ctx.from_coeffs(x.coeffs())
+                assert back == x
+                assert len(x.coeffs()) == ctx.degree
+                seen.add(x.i)
+            assert seen == set(range(ctx.order))
+
+    @pytest.mark.parametrize("p,h", [(5, 1), (3, 2), (2, 3)])
+    def test_from_coeffs_rejects_out_of_range(self, tower, p, h):
+        for ctx in _layers(tower(p, h)):
+            top = ctx.p if ctx.base is None else ctx.base.order
+            for bad in (top, top + 2, -1):
+                with pytest.raises(ValueError, match="out of range"):
+                    ctx.from_coeffs([bad] + [0] * (ctx.degree - 1))
 
     def test_subfield_lift_preserves_index(self, tower):
         t = tower(3, 2)
