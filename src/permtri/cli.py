@@ -15,9 +15,8 @@ from .scan import (
     classify_pair,
     emit_report,
     exhaustive_scan,
+    report_blocks,
     sampled_scan,
-    to_csv_text,
-    to_json_text,
 )
 
 
@@ -71,7 +70,10 @@ def _cmd_scan(args) -> int:
             diagnostics=args.diagnostics,
         )
     if args.out == "-":
-        sys.stdout.write(to_csv_text(report) if args.format == "csv" else to_json_text(report) + "\n")
+        for block in report_blocks(report, args.format):
+            sys.stdout.write(block.decode("ascii"))
+        if args.format == "json":
+            sys.stdout.write("\n")
     else:
         emit_report(report, args.format, args.out)
     return 1 if report.equivalence_violations else 0

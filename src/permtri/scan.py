@@ -8,7 +8,9 @@ equivalence violation, never silently dropped.
 
 Both sweeps run one pipeline: a pair source (pair_grid or sample_pairs)
 yields the pairs sorted by (a_idx, b_idx), pair_chunks slices them for the
-kernels, and a _Tally accumulates each slice.
+kernels, and a _Tally accumulates each slice.  A full-row sweep allocates
+its (pairs, 10) int32 row matrix once; each tally writes its slices'
+rows straight into its own range of it.
 
 Parallelism contract: the sorted pair list is split into contiguous index
 ranges, one per requested thread (a split may fall inside an a-row).  A pool
@@ -17,13 +19,18 @@ in range order.  Output is therefore byte-identical for any thread count.
 A sweep with a single range runs in the calling thread; fewer than one
 thread is a ValueError.
 
-Serialisation contract: to_csv_text and to_json_text are the one path
-from a report to text (emit_report and the CLI call them).  Both write the
-row matrix through _encode_rows, which formats blocks of _ENCODE_ROWS rows
-with array operations and no Python loop per row.  The bytes equal those
-of formatting each row with str(): CSV rows are `q,` and the cells joined
-by `,` with -1 as an empty cell; JSON is exactly
+Serialisation contract: report_blocks is the one path from a report to
+text.  It yields the CSV or JSON as consecutive ASCII byte blocks:
+emit_report writes them to a binary file, the CLI writes them to stdout,
+and to_csv_text and to_json_text are their joins.  The rows go through
+_encode_rows, which formats blocks of _ENCODE_ROWS rows with array
+operations and no Python loop per row, so a writer holds one block of
+text at a time.  The bytes equal those of formatting each row with str():
+CSV rows are `q,` and the cells joined by `,` with -1 as an empty cell;
+JSON is exactly
 json.dumps(report.to_json(), sort_keys=True, separators=(",", ": ")).
+report_from_json reads rows laid out that way with numpy, and any other
+text through json.loads.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import json
 import os
 import time
 from collections import Counter
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -56,6 +64,7 @@ __all__ = [
     "exhaustive_scan",
     "sampled_scan",
     "emit_report",
+    "report_blocks",
     "to_csv_text",
     "to_json_text",
     "report_from_json",
@@ -191,7 +200,8 @@ class ScanReport:
 
 
 def report_from_json(text: str) -> ScanReport:
-    d = json.loads(text)
+    """The report that to_json_text(report) wrote as `text`."""
+    d = _loads_report(text)
     return ScanReport(
         q=d["q"],
         p=d["p"],
@@ -206,9 +216,91 @@ def report_from_json(text: str) -> ScanReport:
         wall_time=d["wall_time"],
         samples=d["samples"],
         seed=d["seed"],
-        rows=None if d["rows"] is None else np.array(d["rows"], dtype=np.int32).reshape(-1, len(_ROW_FIELDS)),
+        rows=None if d["rows"] is None else np.asarray(d["rows"], dtype=np.int32).reshape(-1, len(_ROW_FIELDS)),
         diagnostics=d["diagnostics"],
     )
+
+
+def _loads_report(text: str) -> dict:
+    """json.loads(text), with a top-level "rows" array laid out as
+    to_json_text writes it returned as an int32 matrix parsed by numpy.
+
+    The rows span runs from `"rows": [` to the `],"samples": ` that follows
+    it.  The text before it, closed by `"rows": null}`, and the text after
+    it, opened by `{`, must each load as an object, which holds only when
+    the span sits at the top level.  Any other text, or a span that
+    _parse_rows refuses, is loaded whole by json.loads, so malformed text
+    raises what json.loads raises.
+    """
+    key = '"rows": ['
+    start = text.find(key) if isinstance(text, str) else -1
+    end = text.find('],"samples": ', start) if start >= 0 else -1
+    if end < 0:
+        return json.loads(text)
+    try:
+        head = json.loads(text[:start] + '"rows": null}')
+        tail = json.loads("{" + text[end + 2 :])
+    except ValueError:  # JSONDecodeError: the span is nested, or the text is malformed
+        return json.loads(text)
+    rows = None if "rows" in tail else _parse_rows((text[start + len(key) : end] + ",").encode())
+    if rows is None:
+        return json.loads(text)
+    return {**head, **tail, "rows": rows}
+
+
+def _parse_rows(data: bytes) -> np.ndarray | None:
+    """The int32 row matrix written as `data`, the rows `[c,...,c],` of a
+    JSON report one after another (a `,` appended to the last), or None
+    when `data` is anything else.  One np.fromstring reads the cells as
+    int32 once _is_row_layout has passed them and the brackets are removed.
+    """
+    width = len(_ROW_FIELDS)
+    if data == b",":
+        return np.empty((0, width), dtype=np.int32)
+    if not _is_row_layout(np.frombuffer(data, dtype=np.uint8), width):
+        return None
+    return np.fromstring(data.translate(None, b"[]"), dtype=np.int32, sep=",").reshape(-1, width)
+
+
+def _is_row_layout(buf: np.ndarray, width: int) -> bool:
+    """Whether the bytes `buf` are rows `[c,...,c],` of `width` cells, each
+    cell a JSON integer `-?(0|[1-9][0-9]*)` of at most 9 digits, so that it
+    fits int32 (an index of 10 digits, q^2 > 10^9, is left to json.loads).
+
+    Each row runs from one `[` to the next, ends in `],` and holds
+    width + 2 marks (bytes other than digits and `-`) and no other `[` or
+    `]`; with every mark a bracket or a `,`, its marks are then the row
+    skeleton in order.  Checks on adjacent bytes put one cell between
+    marks inside a row.  The masks are freed on return, before the caller
+    parses the values.
+    """
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    minus = buf == ord("-")
+    mark = ~(digit | minus)
+    opens = np.flatnonzero(buf == ord("["))
+    rows = len(opens)
+    ends = np.append(opens[1:], len(buf))
+    if rows == 0 or opens[0] != 0 or (buf[ends - 1] != ord(",")).any() or (buf[ends - 2] != ord("]")).any():
+        return False
+    counts = (np.count_nonzero(buf == ord("]")), np.count_nonzero(buf == ord(",")), np.count_nonzero(mark))
+    if counts != (rows, width * rows, (width + 2) * rows):
+        return False
+    # Marks per row, summed mod 256: a row holds at least the 3 marks `[],`,
+    # so a row that sums to width + 2 holds at least that many, and the
+    # total above leaves none over.
+    if (np.add.reduceat(mark.view(np.uint8), opens, dtype=np.uint8) != width + 2).any():
+        return False
+    this, after = buf[:-1], buf[1:]
+    if (mark[:-1] & mark[1:] & (this != ord("]")) & (after != ord("["))).any():
+        return False  # an empty cell
+    if (minus[1:] & ~mark[:-1]).any() or (minus[:-1] & ~digit[1:]).any():
+        return False  # a `-` that does not open a cell or is not followed by a digit
+    if ((this[1:] == ord("0")) & ~digit[:-2] & digit[2:]).any():
+        return False  # a leading zero
+    run = digit[9:].copy()
+    for k in range(1, 10):
+        run &= digit[9 - k : len(digit) - k]
+    return not run.any()  # no cell of 10 digits or more
 
 
 def _effective_budget(max_q: int | None) -> int:
@@ -250,11 +342,14 @@ def pair_chunks(a: np.ndarray, b: np.ndarray, cells_per_pair: int):
 @dataclass
 class _Tally:
     """Aggregates of a run of sorted pairs; tallies of consecutive runs
-    merge in order into the tally of their concatenation."""
+    merge in order into the tally of their concatenation.  `rows` (full
+    mode only) is the run's slice of the sweep's row matrix, filled in
+    pair order as the pairs are added."""
 
     p: int
-    keep_rows: bool
+    rows: np.ndarray | None
     keep_pairs: bool  # pp_pairs feed the diagnostics only
+    pair_count: int = 0
     pp_count: int = 0
     attribution: Counter = field(default_factory=Counter)
     gcd_histogram: Counter = field(default_factory=Counter)
@@ -262,7 +357,6 @@ class _Tally:
     pp_pairs: list = field(default_factory=list)
     prima_mismatch: bool = False
     seconda_mismatch: bool = False
-    rows: list = field(default_factory=list)
 
     def add(self, a: np.ndarray, b: np.ndarray, cols: dict[str, np.ndarray]) -> None:
         """Fold in one classify_bulk result for the pairs (a, b)."""
@@ -287,10 +381,12 @@ class _Tally:
             self.seconda_mismatch |= bool((se != cols["seconda_bis"]).any())
         else:
             self.attribution.update({"char2" if self.p == 2 else "char3": int(pp.sum())})
-        if self.keep_rows:
+        if self.rows is not None:
             named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": main}
-            absent = np.full(len(a), -1, dtype=np.int32)
-            self.rows.append(np.column_stack([named.get(f, absent).astype(np.int32) for f in _ROW_FIELDS]))
+            out = self.rows[self.pair_count : self.pair_count + len(a)]
+            for j, f in enumerate(_ROW_FIELDS):
+                out[:, j] = named.get(f, -1)
+        self.pair_count += len(a)
 
     def merge(self, other: _Tally) -> None:
         """Append the tally of the run that follows this one."""
@@ -301,7 +397,7 @@ class _Tally:
         self.pp_pairs.extend(other.pp_pairs)
         self.prima_mismatch |= other.prima_mismatch
         self.seconda_mismatch |= other.seconda_mismatch
-        self.rows.extend(other.rows)
+        self.pair_count += other.pair_count
 
 
 def _check_threads(threads: int) -> None:
@@ -333,10 +429,10 @@ def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> l
 def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
     """Classify the sorted pairs (a, b) and aggregate them into a report."""
     engine = ScanEngine(tower)
-    keep_rows = not summary_only
+    rows = None if summary_only else np.empty((len(a), len(_ROW_FIELDS)), dtype=np.int32)
 
     def tally(lo: int, hi: int) -> _Tally:
-        part = _Tally(tower.p, keep_rows, diagnostics)
+        part = _Tally(tower.p, None if rows is None else rows[lo:hi], diagnostics)
         for ca, cb in pair_chunks(a[lo:hi], b[lo:hi], tower.q + 1):
             part.add(ca, cb, engine.classify_bulk(ca, cb))
         return part
@@ -348,13 +444,10 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
     else:
         with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(lambda span: tally(*span), spans))
-    total = _Tally(tower.p, keep_rows, diagnostics)
+    total = _Tally(tower.p, None, diagnostics)
     for part in parts:  # range order
         total.merge(part)
 
-    rows = None
-    if keep_rows:
-        rows = np.concatenate(total.rows) if total.rows else np.empty((0, len(_ROW_FIELDS)), dtype=np.int32)
     diag = None
     if diagnostics:
         pa, pb = np.array(total.pp_pairs, dtype=np.int64).reshape(-1, 2).T
@@ -451,9 +544,9 @@ def _cell_index(col: np.ndarray) -> tuple[list[int], np.ndarray]:
     return values.tolist(), idx
 
 
-def _encode_rows(rows: np.ndarray, lead: str, sep: str, end: str, cell) -> list[str]:
-    """ASCII text of an int32 row matrix, one str per block of _ENCODE_ROWS
-    rows: per row `lead`, the cells `cell(v)` joined by `sep`, then `end`.
+def _encode_rows(rows: np.ndarray, lead: str, sep: str, end: str, cell) -> Iterator[bytes]:
+    """ASCII bytes of an int32 row matrix, one block per _ENCODE_ROWS rows:
+    per row `lead`, the cells `cell(v)` joined by `sep`, then `end`.
 
     Each column of a block gathers its cells (with the `sep` or `end` that
     follows them) from a small table of NUL-padded byte strings into one
@@ -461,7 +554,6 @@ def _encode_rows(rows: np.ndarray, lead: str, sep: str, end: str, cell) -> list[
     bytes then drops the padding.  No output text may contain a NUL.
     """
     tails = [sep] * (rows.shape[1] - 1) + [end]
-    out = []
     for lo in range(0, len(rows), _ENCODE_ROWS):
         block = rows[lo : lo + _ENCODE_ROWS]
         fields = [np.bytes_(lead.encode())]
@@ -472,47 +564,60 @@ def _encode_rows(rows: np.ndarray, lead: str, sep: str, end: str, cell) -> list[
         for name, f in zip(line.dtype.names, fields):
             line[name] = f
         flat = line.view(np.uint8)
-        out.append(flat[flat != 0].tobytes().decode("ascii"))
-    return out
+        yield flat[flat != 0].tobytes()
 
 
-def to_csv_text(report: ScanReport) -> str:
-    """Full-row CSV (header only when the report carries no rows).
-
-    Booleans are 0/1; conditions that do not apply to the characteristic
-    are left empty.
-    """
-    header = ",".join(CSV_COLUMNS) + "\n"
-    if report.rows is None:
-        return header
-    blocks = _encode_rows(report.rows, f"{report.q},", ",", "\n", lambda v: "" if v == -1 else str(v))
-    return "".join([header, *blocks])
+def _csv_blocks(report: ScanReport) -> Iterator[bytes]:
+    yield (",".join(CSV_COLUMNS) + "\n").encode()
+    if report.rows is not None:
+        yield from _encode_rows(report.rows, f"{report.q},", ",", "\n", lambda v: "" if v == -1 else str(v))
 
 
-def to_json_text(report: ScanReport) -> str:
-    """json.dumps(report.to_json(), sort_keys=True, separators=(",", ": ")),
-    with the rows encoded by _encode_rows instead of through Python lists."""
+def _json_blocks(report: ScanReport) -> Iterator[bytes]:
     text = json.dumps(replace(report, rows=None).to_json(), sort_keys=True, separators=(",", ": "))
     if report.rows is None:
-        return text
+        yield text.encode()
+        return
     # keys sort, so the top-level "rows" is the last one: only samples,
     # seed, set_equalities and wall_time follow it
     head, _, tail = text.rpartition('"rows": null')
-    blocks = _encode_rows(report.rows, "[", ",", "],", str)
-    if blocks:
-        blocks[-1] = blocks[-1][:-1]  # no comma after the last row
-    return "".join([head, '"rows": [', *blocks, "]", tail])
+    yield (head + '"rows": [').encode()
+    for i, block in enumerate(_encode_rows(report.rows, ",[", ",", "]", str)):
+        yield block[1:] if i == 0 else block  # no comma before the first row
+    yield ("]" + tail).encode()
+
+
+def report_blocks(report: ScanReport, fmt: str) -> Iterator[bytes]:
+    """The report serialised as csv or json, in consecutive ASCII blocks.
+
+    CSV is the header and one row per pair (header only when the report
+    carries no rows): booleans are 0/1 and conditions that do not apply to
+    the characteristic are empty.  JSON is exactly
+    json.dumps(report.to_json(), sort_keys=True, separators=(",", ": ")),
+    with the rows encoded by _encode_rows instead of through Python lists.
+    """
+    if fmt == "csv":
+        return _csv_blocks(report)
+    if fmt == "json":
+        return _json_blocks(report)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def to_csv_text(report: ScanReport) -> str:
+    """The report's full-row CSV (see report_blocks)."""
+    return b"".join(report_blocks(report, "csv")).decode("ascii")
+
+
+def to_json_text(report: ScanReport) -> str:
+    """The report's one-line JSON (see report_blocks)."""
+    return b"".join(report_blocks(report, "json")).decode("ascii")
 
 
 def emit_report(report: ScanReport, fmt: str, path) -> Path:
-    """Serialise the report to `path` as csv or json."""
-    if fmt == "csv":
-        text = to_csv_text(report)
-    elif fmt == "json":
-        text = to_json_text(report)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    """Serialise the report to `path` as csv or json, block by block."""
+    blocks = report_blocks(report, fmt)  # an unknown fmt raises before the file is created
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        for block in blocks:
+            fh.write(block)
     return path

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from permtri import exhaustive_scan, ff
+from permtri import cli, exhaustive_scan, ff, scan
 from permtri.cli import main
 from permtri.scan import to_csv_text
 
@@ -51,6 +51,19 @@ class TestScanCommand:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["q"] == 7 and data["mode"] == "sampled"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_bytes_equal_file_bytes(self, fmt, tmp_path, capsys, monkeypatch):
+        rep = exhaustive_scan(5, 1)  # one report, so both carry the same wall_time
+        monkeypatch.setattr(cli, "exhaustive_scan", lambda *args, **kwargs: rep)
+        monkeypatch.setattr(scan, "_ENCODE_ROWS", 100)  # several blocks
+        out = tmp_path / f"r.{fmt}"
+        argv = ["scan", "--p", "5", "--h", "1", "--format", fmt]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert stdout == out.read_bytes() + (b"\n" if fmt == "json" else b"")
 
     def test_threads_flag(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

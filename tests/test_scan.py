@@ -2,6 +2,8 @@
 
 import json
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +213,18 @@ class TestEmission:
         with pytest.raises(ValueError):
             emit_report(rep, "xml", tmp_path / "x")
 
+    def test_emit_streams_blocks(self, tower, tmp_path):
+        rep = exhaustive_scan(5, 2)
+        tracemalloc.start()
+        try:
+            path = emit_report(rep, "csv", tmp_path / "q25.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 10_000_000
+        assert peak < size / 2  # one block at a time, never the whole text
+
     def test_unwritable_path(self, tower, tmp_path):
         rep = sampled_scan(5, 1, 1, seed=0)
         with pytest.raises(OSError):
@@ -251,15 +265,177 @@ class TestRowEncoder:
         assert to_json_text(rep) == json.dumps(rep.to_json(), sort_keys=True, separators=(",", ": "))
 
 
+def _read(text):
+    """(payload without rows, rows) of report_from_json(text), or the type
+    of the exception it raised."""
+    try:
+        rep = report_from_json(text)
+    except Exception as exc:  # any error: its type is what is compared
+        return type(exc)
+    return replace(rep, rows=None).to_json(), rep.rows
+
+
+def _read_reference(text):
+    """_read through the reader that numpy replaced: json.loads of the whole
+    text, and the rows through Python lists."""
+    try:
+        d = json.loads(text)
+        rows = None if d["rows"] is None else np.array(d["rows"], dtype=np.int32).reshape(-1, len(CSV_COLUMNS) - 1)
+    except Exception as exc:  # any error, as in _read
+        return type(exc)
+    return {**d, "rows": None}, rows
+
+
+def _assert_same_read(text):
+    got, want = _read(text), _read_reference(text)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    assert got[0] == want[0]
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        assert got[1].dtype == np.int32 and got[1].flags.c_contiguous
+        assert np.array_equal(got[1], want[1])
+
+
+def _with_rows(text, rows):
+    """`text` with its top-level rows replaced by the JSON text `rows`."""
+    head, rest = text.split('"rows": ', 1)
+    tail = rest.split(',"samples": ', 1)[1]
+    return f'{head}"rows": {rows},"samples": {tail}'
+
+
+_ROW = "[1,2,0,1,0,0,0,0,2,1]"
+
+
+def _cells(*values):
+    return "[" + ",".join(map(str, values)) + "]"
+
+
+_MALFORMED_ROWS = {
+    "leading-zero": "[[01,2,0,1,0,0,0,0,2,1]]",
+    "leading-zero-negative": "[[-01,2,0,1,0,0,0,0,2,1]]",
+    "minus-zero": "[[-0,2,0,1,0,0,0,0,2,1]]",
+    "negative": f"[{_ROW},[-5,2,0,1,0,0,0,0,2,-1]]",
+    "whitespace-in-row": "[[1, 2,0,1,0,0,0,0,2,1]]",
+    "whitespace-between-rows": f"[{_ROW}, {_ROW}]",
+    "9-columns": "[[1,2,0,1,0,0,0,0,2]]",
+    "9-columns-10-rows": "[" + ",".join(["[1,2,0,1,0,0,0,0,2]"] * 10) + "]",
+    "11-columns": "[[1,2,0,1,0,0,0,0,2,1,1]]",
+    "9-then-11-columns": "[[1,2,0,1,0,0,0,0,2],[1,2,0,1,0,0,0,0,2,1,1]]",
+    "row-inside-row": "[[1,2,0,1,0,0,0,0,2,1,5,[1,2,0,1,0,0,0,0,2]]]",
+    "digit-between-rows": f"[[1,2,0,1,0,0,0,0,2,1,5]7{_ROW}]",
+    "space-for-comma": "[[1 2,0,1,0,0,0,0,2,1]]",
+    "digit-before-first-row": f"[5{_ROW}]",
+    "int32-bounds": "[" + _cells(2**31 - 1, -(2**31), 0, 1, 0, 0, 0, 0, 2, 1) + "]",
+    "2**31": "[" + _cells(2**31, 2, 0, 1, 0, 0, 0, 0, 2, 1) + "]",
+    "-2**31-1": "[" + _cells(-(2**31) - 1, 2, 0, 1, 0, 0, 0, 0, 2, 1) + "]",
+    "11-digits": "[" + _cells(10**10, 2, 0, 1, 0, 0, 0, 0, 2, 1) + "]",
+    "20-digits": "[" + _cells(10**19, 2, 0, 1, 0, 0, 0, 0, 2, 1) + "]",
+    "stray-minus": "[[1,-,0,1,0,0,0,0,2,1]]",
+    "inner-minus": "[[1-2,2,0,1,0,0,0,0,2,1]]",
+    "double-minus": "[[--1,2,0,1,0,0,0,0,2,1]]",
+    "trailing-minus": "[[1,2,0,1,0,0,0,0,2,1-]]",
+    "empty-cell": "[[1,,0,1,0,0,0,0,2,1]]",
+    "float": "[[1.0,2,0,1,0,0,0,0,2,1]]",
+    "exponent": "[[1e0,2,0,1,0,0,0,0,2,1]]",
+    "boolean": "[[true,2,0,1,0,0,0,0,2,1]]",
+    "non-ascii-digit": "[[1,2,0,1,0,0,0,0,2,\u0661]]",  # ARABIC-INDIC DIGIT ONE
+    "empty": "[]",
+    "null": "null",
+    "empty-row": "[[]]",
+    "flat": _ROW,
+    "unclosed-row": "[[1,2,0,1,0,0,0,0,2,1]",
+    "extra-bracket": f"[{_ROW}]]",
+    "cell-then-row": "[1,[2,0,1,0,0,0,0,2,1]]",
+    "row-of-rows": f"[[{_ROW}]]",
+}
+
+
+class TestJsonReader:
+    @pytest.mark.parametrize("name", list(_ENCODED_REPORTS))
+    def test_numpy_rows_equal_json_rows(self, monkeypatch, name):
+        text = to_json_text(_ENCODED_REPORTS[name]())
+        loaded = []
+        real_loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kw: loaded.append(s) or real_loads(s, **kw))
+        got = _read(text)
+        monkeypatch.undo()
+        assert text not in loaded  # the rows went through numpy
+        _assert_same_read(text)
+        assert to_json_text(report_from_json(text)) == text
+        assert got[1].shape == (report_from_json(text).pair_count, 10)
+
+    @pytest.mark.parametrize("name", list(_MALFORMED_ROWS))
+    def test_other_rows_read_as_json_loads_reads_them(self, name):
+        _assert_same_read(_with_rows(to_json_text(sampled_scan(7, 1, 3, seed=2)), _MALFORMED_ROWS[name]))
+
+    def test_rows_key_off_the_top_level(self):
+        text = to_json_text(sampled_scan(7, 1, 3, seed=2))
+        nested = '"attribution": {"rows": [' + _ROW + '],"samples": 0,'
+        cases = [
+            text.replace('"attribution": {', nested, 1),  # nested before the real rows
+            _with_rows(text, "null").replace('"attribution": {', nested, 1),  # nested only
+            text[:-1] + ',"rows": null}',  # a later top-level duplicate wins
+            text[:-1] + ',"\\u0072ows": null}',  # the same key, escaped
+            '{"wrapped": ' + text + "}",
+            "[" + text + "]",
+        ]
+        assert all('"rows": [' in c or "u0072" in c for c in cases)
+        for case in cases:
+            _assert_same_read(case)
+
+    def test_cells_of_10_digits_refused_before_parsing(self):
+        # np.fromstring would not raise on a cell outside int32
+        for cell in (b"2147483647", b"2147483648", b"-2147483649", b"99999999999999999999"):
+            data = b"[" + cell + b",2,0,1,0,0,0,0,2,1],"
+            assert not scan._is_row_layout(np.frombuffer(data, dtype=np.uint8), 10)
+            assert scan._is_row_layout(np.frombuffer(data.replace(cell, b"-999999999"), dtype=np.uint8), 10)
+
+
+class TestRowMatrix:
+    @pytest.mark.parametrize("p, h", [(3, 2), (7, 1)], ids=["q9-p3", "q7"])
+    def test_thread_slices_fill_one_matrix(self, tower, monkeypatch, p, h):
+        eng = ScanEngine(tower(p, h))
+        a, b = pair_grid(eng.n)
+        cols = eng.classify_bulk(a, b)
+        named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": cols["main"]}
+        absent = np.full(len(a), -1)
+        reference = np.column_stack([named.get(f, absent).astype(np.int32) for f in CSV_COLUMNS[1:]])
+        monkeypatch.setattr(scan, "_CHUNK_CELLS", 5 * (eng.q + 1))  # 5-pair slices end mid-a-row
+        for threads in (1, 2, 3):
+            rows = exhaustive_scan(p, h, threads=threads).rows
+            assert rows.dtype == np.int32 and rows.flags.c_contiguous and rows.shape == (len(a), 10)
+            assert np.array_equal(rows, reference)
+        assert (reference[:, 3:8] == -1).all() == (p == 3)
+
+    def test_summary_mode_allocates_no_matrix(self, monkeypatch):
+        seen = []
+
+        class Spy(scan._Tally):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.rows)
+
+        monkeypatch.setattr(scan, "_Tally", Spy)
+        full = exhaustive_scan(7, 1, threads=2)
+        assert [r is None for r in seen] == [False, False, True]  # two slices, then the total
+        assert all(np.shares_memory(r, full.rows) for r in seen[:2])
+        seen.clear()
+        assert exhaustive_scan(7, 1, threads=2, summary_only=True).rows is None
+        assert len(seen) == 3 and all(r is None for r in seen)
+
+
 class TestTally:
     def test_pairs_kept_only_for_diagnostics(self, tower):
         eng = ScanEngine(tower(5, 1))
         a, b = pair_grid(eng.n)
         cols = eng.classify_bulk(a, b)
-        plain = scan._Tally(5, keep_rows=False, keep_pairs=False)
+        plain = scan._Tally(5, rows=None, keep_pairs=False)
         plain.add(a, b, cols)
         assert plain.pp_pairs == [] and plain.pp_count == 18
-        whole = scan._Tally(5, keep_rows=False, keep_pairs=True)
+        whole = scan._Tally(5, rows=None, keep_pairs=True)
         whole.add(a, b, cols)
         pp = cols["is_pp"]
         assert whole.pp_pairs == list(zip(a[pp].tolist(), b[pp].tolist()))
