@@ -16,7 +16,8 @@ test, the same code over every column, runs only on the pairs left.  The
 screen is exact: a pole, or two equal images, on any subset of the columns is
 already a pole or a collision of the full test, so it rejects nothing the
 full test would accept, and every survivor gets the full test's verdict.
-Where K is at least the width (q <= 4) the full test runs alone.  Each K
+Where K + 2 reaches the width (q <= 8 for pp_mu, q <= 5 for pp_direct) the
+screen costs more than it saves, and the full test runs alone.  Each K
 was the fastest of those measured at q = 16..127; it leaves about 5% of the
 pairs for pp_mu's full test and 0.2-5% for pp_direct's.  pp_direct still
 evaluates f on GF(q^2) itself, so it stays independent of the reduced test
@@ -132,7 +133,7 @@ class ScanEngine:
     def _screened(self, test, a: np.ndarray, b: np.ndarray, width: int, k: int) -> np.ndarray:
         """test(a, b) over all `width` columns, run in full only on the pairs
         that show no pole and no repeated image on the first k columns."""
-        if k >= width:
+        if k + 2 >= width:
             return test(a, b)
         out = test(a, b, slice(k))
         live = np.flatnonzero(out)

@@ -29,8 +29,9 @@ text at a time.  The bytes equal those of formatting each row with str():
 CSV rows are `q,` and the cells joined by `,` with -1 as an empty cell;
 JSON is exactly
 json.dumps(report.to_json(), sort_keys=True, separators=(",", ": ")).
-report_from_json reads rows laid out that way with numpy, and any other
-text through json.loads.
+report_from_json reads the top-level rows with numpy when re-encoding the
+parsed matrix reproduces their text exactly, and any other text through
+json.loads.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -242,65 +244,38 @@ def _loads_report(text: str) -> dict:
         tail = json.loads("{" + text[end + 2 :])
     except ValueError:  # JSONDecodeError: the span is nested, or the text is malformed
         return json.loads(text)
-    rows = None if "rows" in tail else _parse_rows((text[start + len(key) : end] + ",").encode())
+    # the writer's bytes are ASCII, so a `?` for any other character refuses the span
+    rows = None if "rows" in tail else _parse_rows(text[start + len(key) : end].encode("ascii", "replace"))
     if rows is None:
         return json.loads(text)
     return {**head, **tail, "rows": rows}
 
 
 def _parse_rows(data: bytes) -> np.ndarray | None:
-    """The int32 row matrix written as `data`, the rows `[c,...,c],` of a
-    JSON report one after another (a `,` appended to the last), or None
-    when `data` is anything else.  One np.fromstring reads the cells as
-    int32 once _is_row_layout has passed them and the brackets are removed.
+    """The int32 row matrix that _json_rows writes as exactly `data`, or
+    None when no matrix does.
+
+    One np.fromstring reads the cells with the brackets removed, and
+    _json_rows then re-encodes them block by block against `data`.  Bytes
+    that the writer gives for a matrix are JSON rows holding exactly its
+    values, so anything else (whitespace, a leading zero, `-0`, a cell that
+    int32 wrapped, another row shape) is refused.
     """
-    width = len(_ROW_FIELDS)
-    if data == b",":
-        return np.empty((0, width), dtype=np.int32)
-    if not _is_row_layout(np.frombuffer(data, dtype=np.uint8), width):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # older numpy warns, not raises, where it stops early
+        try:
+            cells = np.fromstring(data.translate(None, b"[]"), dtype=np.int32, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if cells.size % len(_ROW_FIELDS):
         return None
-    return np.fromstring(data.translate(None, b"[]"), dtype=np.int32, sep=",").reshape(-1, width)
-
-
-def _is_row_layout(buf: np.ndarray, width: int) -> bool:
-    """Whether the bytes `buf` are rows `[c,...,c],` of `width` cells, each
-    cell a JSON integer `-?(0|[1-9][0-9]*)` of at most 9 digits, so that it
-    fits int32 (an index of 10 digits, q^2 > 10^9, is left to json.loads).
-
-    Each row runs from one `[` to the next, ends in `],` and holds
-    width + 2 marks (bytes other than digits and `-`) and no other `[` or
-    `]`; with every mark a bracket or a `,`, its marks are then the row
-    skeleton in order.  Checks on adjacent bytes put one cell between
-    marks inside a row.  The masks are freed on return, before the caller
-    parses the values.
-    """
-    digit = (buf >= ord("0")) & (buf <= ord("9"))
-    minus = buf == ord("-")
-    mark = ~(digit | minus)
-    opens = np.flatnonzero(buf == ord("["))
-    rows = len(opens)
-    ends = np.append(opens[1:], len(buf))
-    if rows == 0 or opens[0] != 0 or (buf[ends - 1] != ord(",")).any() or (buf[ends - 2] != ord("]")).any():
-        return False
-    counts = (np.count_nonzero(buf == ord("]")), np.count_nonzero(buf == ord(",")), np.count_nonzero(mark))
-    if counts != (rows, width * rows, (width + 2) * rows):
-        return False
-    # Marks per row, summed mod 256: a row holds at least the 3 marks `[],`,
-    # so a row that sums to width + 2 holds at least that many, and the
-    # total above leaves none over.
-    if (np.add.reduceat(mark.view(np.uint8), opens, dtype=np.uint8) != width + 2).any():
-        return False
-    this, after = buf[:-1], buf[1:]
-    if (mark[:-1] & mark[1:] & (this != ord("]")) & (after != ord("["))).any():
-        return False  # an empty cell
-    if (minus[1:] & ~mark[:-1]).any() or (minus[:-1] & ~digit[1:]).any():
-        return False  # a `-` that does not open a cell or is not followed by a digit
-    if ((this[1:] == ord("0")) & ~digit[:-2] & digit[2:]).any():
-        return False  # a leading zero
-    run = digit[9:].copy()
-    for k in range(1, 10):
-        run &= digit[9 - k : len(digit) - k]
-    return not run.any()  # no cell of 10 digits or more
+    rows = cells.reshape(-1, len(_ROW_FIELDS))
+    pos = 0
+    for block in _json_rows(rows):
+        if not data.startswith(block, pos):
+            return None
+        pos += len(block)
+    return rows if pos == len(data) else None
 
 
 def _effective_budget(max_q: int | None) -> int:
@@ -582,9 +557,16 @@ def _json_blocks(report: ScanReport) -> Iterator[bytes]:
     # seed, set_equalities and wall_time follow it
     head, _, tail = text.rpartition('"rows": null')
     yield (head + '"rows": [').encode()
-    for i, block in enumerate(_encode_rows(report.rows, ",[", ",", "]", str)):
-        yield block[1:] if i == 0 else block  # no comma before the first row
+    yield from _json_rows(report.rows)
     yield ("]" + tail).encode()
+
+
+def _json_rows(rows: np.ndarray) -> Iterator[bytes]:
+    """The rows `[c,...,c]` of a JSON report joined by `,`, in _encode_rows
+    blocks: the one definition of the row layout, which _parse_rows reads
+    back by re-encoding."""
+    for i, block in enumerate(_encode_rows(rows, ",[", ",", "]", str)):
+        yield block[1:] if i == 0 else block  # no comma before the first row
 
 
 def report_blocks(report: ScanReport, fmt: str) -> Iterator[bytes]:

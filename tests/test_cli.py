@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from permtri import cli, exhaustive_scan, ff, scan
 from permtri.cli import main
-from permtri.scan import to_csv_text
+from permtri.scan import report_from_json, to_csv_text, to_json_text
 
 HUGE_PRIME = "1000000000000000003"
 
@@ -64,6 +65,23 @@ class TestScanCommand:
         assert main(argv) == 0
         stdout = capsys.readouterr().out.encode()
         assert stdout == out.read_bytes() + (b"\n" if fmt == "json" else b"")
+
+    def test_stdout_json_reads_like_the_file(self, tmp_path, capsys, monkeypatch):
+        """The JSON on stdout ends in a newline; report_from_json still reads
+        its rows through numpy, and gives the file's report."""
+        rep = exhaustive_scan(5, 1)
+        monkeypatch.setattr(cli, "exhaustive_scan", lambda *args, **kwargs: rep)
+        out = tmp_path / "r.json"
+        argv = ["scan", "--p", "5", "--h", "1", "--format", "json", "--out"]
+        assert main(argv + [str(out)]) == 0 and main(argv + ["-"]) == 0
+        stdout, text = capsys.readouterr().out, out.read_text()
+        assert stdout == text + "\n"
+        loaded, real_loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kw: loaded.append(s) or real_loads(s, **kw))
+        got = report_from_json(stdout)
+        assert stdout not in loaded  # the rows went through numpy
+        assert got.rows.dtype == np.int32 and np.array_equal(got.rows, report_from_json(text).rows)
+        assert to_json_text(got) == text
 
     def test_threads_flag(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

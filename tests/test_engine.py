@@ -95,7 +95,10 @@ def _assert_screen_exact(eng, kernel, a, b):
         assert (screened(ca, cb) == full(ca, cb)).all()
 
 
-@pytest.mark.parametrize("kernel,p,h", [(k, p, h) for k in _KERNELS for p, h in _SCREEN_FIELDS] + [("mu", 5, 2)])
+_SCREEN_CASES = [(k, p, h) for k in _KERNELS for p, h in _SCREEN_FIELDS] + [("mu", 11, 1), ("mu", 5, 2)]
+
+
+@pytest.mark.parametrize("kernel,p,h", _SCREEN_CASES)
 def test_screened_verdicts_equal_the_full_test(tower, kernel, p, h):
     eng = ScanEngine(tower(p, h))
     _assert_screen_exact(eng, kernel, *pair_grid(eng.n))
@@ -114,8 +117,8 @@ def test_screened_pp_direct_exact_on_samples(tower, p, h):
 @pytest.mark.parametrize("p,h", _SCREEN_FIELDS)
 def test_full_test_sees_only_the_screen_survivors(tower, monkeypatch, kernel, p, h):
     """The full test runs once on the prefix of K columns, then once more, on
-    all columns, on exactly the pairs the prefix left; where K >= the width
-    (q = 3, 4) it runs once on every pair."""
+    all columns, on exactly the pairs the prefix left; where K + 2 >= the
+    width (q <= 8 for mu, q <= 5 for direct) it runs once on every pair."""
     eng = ScanEngine(tower(p, h))
     width, k = (rule(eng.q) for rule in _KERNELS[kernel])
     full, calls = getattr(eng, "_pp_" + kernel), []
@@ -127,7 +130,7 @@ def test_full_test_sees_only_the_screen_survivors(tower, monkeypatch, kernel, p,
     monkeypatch.setattr(eng, "_pp_" + kernel, record)
     a, b = pair_grid(eng.n)
     verdict = getattr(eng, "pp_" + kernel)(a, b)
-    if k >= width:
+    if k + 2 >= width:
         assert len(calls) == 1
         assert (calls[0][0] == a).all() and (calls[0][1] == b).all() and calls[0][2] == slice(None)
         return

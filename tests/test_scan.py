@@ -333,6 +333,9 @@ _MALFORMED_ROWS = {
     "-2**31-1": "[" + _cells(-(2**31) - 1, 2, 0, 1, 0, 0, 0, 0, 2, 1) + "]",
     "11-digits": "[" + _cells(10**10, 2, 0, 1, 0, 0, 0, 0, 2, 1) + "]",
     "20-digits": "[" + _cells(10**19, 2, 0, 1, 0, 0, 0, 0, 2, 1) + "]",
+    "2**32+1": "[" + _cells(2**32 + 1, 2, 0, 1, 0, 0, 0, 0, 2, 1) + "]",  # int32 would read 1
+    "-2**32": "[" + _cells(-(2**32), 2, 0, 1, 0, 0, 0, 0, 2, 1) + "]",  # int32 would read 0
+    "2**32+10**9": "[" + _cells(2**32 + 10**9, 2, 0, 1, 0, 0, 0, 0, 2, 1) + "]",  # int32 would read 10**9, as long
     "stray-minus": "[[1,-,0,1,0,0,0,0,2,1]]",
     "inner-minus": "[[1-2,2,0,1,0,0,0,0,2,1]]",
     "double-minus": "[[--1,2,0,1,0,0,0,0,2,1]]",
@@ -342,6 +345,7 @@ _MALFORMED_ROWS = {
     "exponent": "[[1e0,2,0,1,0,0,0,0,2,1]]",
     "boolean": "[[true,2,0,1,0,0,0,0,2,1]]",
     "non-ascii-digit": "[[1,2,0,1,0,0,0,0,2,\u0661]]",  # ARABIC-INDIC DIGIT ONE
+    "lone-surrogate": "[[1,2,0,1,0,0,0,0,2,\ud800]]",  # a str that UTF-8 cannot encode
     "empty": "[]",
     "null": "null",
     "empty-row": "[[]]",
@@ -354,14 +358,20 @@ _MALFORMED_ROWS = {
 
 
 class TestJsonReader:
-    @pytest.mark.parametrize("name", list(_ENCODED_REPORTS))
-    def test_numpy_rows_equal_json_rows(self, monkeypatch, name):
+    @pytest.mark.parametrize(
+        "name, block",
+        [pytest.param(n, None, id=n) for n in _ENCODED_REPORTS]
+        + [pytest.param(n, 7, id=f"{n}-block-7") for n in _ENCODED_REPORTS],
+    )
+    def test_numpy_rows_equal_json_rows(self, monkeypatch, name, block):
+        if block is not None:  # the reader compares blocks that end in the middle of a-rows
+            monkeypatch.setattr(scan, "_ENCODE_ROWS", block)
         text = to_json_text(_ENCODED_REPORTS[name]())
         loaded = []
         real_loads = json.loads
-        monkeypatch.setattr(json, "loads", lambda s, **kw: loaded.append(s) or real_loads(s, **kw))
-        got = _read(text)
-        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            m.setattr(json, "loads", lambda s, **kw: loaded.append(s) or real_loads(s, **kw))
+            got = _read(text)
         assert text not in loaded  # the rows went through numpy
         _assert_same_read(text)
         assert to_json_text(report_from_json(text)) == text
@@ -385,13 +395,6 @@ class TestJsonReader:
         assert all('"rows": [' in c or "u0072" in c for c in cases)
         for case in cases:
             _assert_same_read(case)
-
-    def test_cells_of_10_digits_refused_before_parsing(self):
-        # np.fromstring would not raise on a cell outside int32
-        for cell in (b"2147483647", b"2147483648", b"-2147483649", b"99999999999999999999"):
-            data = b"[" + cell + b",2,0,1,0,0,0,0,2,1],"
-            assert not scan._is_row_layout(np.frombuffer(data, dtype=np.uint8), 10)
-            assert scan._is_row_layout(np.frombuffer(data.replace(cell, b"-999999999"), dtype=np.uint8), 10)
 
 
 class TestRowMatrix:
