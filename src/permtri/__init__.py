@@ -38,7 +38,6 @@ from .bipoly import (
     psi_point,
     resultant_vs_closed_form,
     verify_iso_identity,
-    verify_iso_identity_symbolic,
 )
 from .perm import TrinomialParams, Verdict, f_eval, g_eval, is_pp_direct, is_pp_mu
 from .conds import (

@@ -17,8 +17,7 @@ phi(X, Y) = (e(X+1)/(X-1), e(Y+1)/(Y-1)) satisfies
 
     (X-1)^2 (Y-1)^2 G(phi(X, Y)) = 16 e^4 F(X, Y)
 
-identically, which verify_iso_identity checks both numerically and by full
-expansion.  (phi's poles sit at +-1; sampling avoids both.)
+identically, which verify_iso_identity checks by full expansion.
 
 Factorisation-pattern witnesses search GF(q^2) only; a pattern whose
 constants live in a proper quadratic extension is reported as "none" with a
@@ -27,7 +26,6 @@ note to that effect.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .ff import Elem, FieldCtx, frobenius, is_prime_power, lift, project
@@ -44,9 +42,7 @@ __all__ = [
     "build_curves",
     "psi_point",
     "phi_point",
-    "iso_sample_points",
     "verify_iso_identity",
-    "verify_iso_identity_symbolic",
     "count_points_off_diag",
     "hasse_weil_ok",
     "resultant_vs_closed_form",
@@ -302,41 +298,9 @@ def phi_point(e: Elem, x: Elem, y: Elem) -> tuple[Elem, Elem]:
     return e * (x + one) / (x - one), e * (y + one) / (y - one)
 
 
-def iso_sample_points(ctx: FieldCtx, trials: int, seed: int) -> list[tuple[int, int]]:
-    """The `trials` points (x, y), as indices, at which the identity is
-    sampled for `seed`: drawn x then y from Random(seed), skipping every
-    point with a coordinate in {1, -1} (pole of phi resp. the documented
-    exclusion)."""
-    skip = {1, ctx.neg_i(1)}
-    rng = random.Random(seed)
-    points = []
-    while len(points) < trials:
-        xi = rng.randrange(ctx.order)
-        yi = rng.randrange(ctx.order)
-        if xi not in skip and yi not in skip:
-            points.append((xi, yi))
-    return points
-
-
-def verify_iso_identity(pair: CurvePair, trials: int = 50, seed: int = 0) -> bool:
-    """Spot-check (X-1)^2 (Y-1)^2 G(phi) = 16 e^4 F at the points of
-    iso_sample_points; True iff every one satisfies the identity."""
-    ctx = pair.params.tower.fq2
-    e = pair.e
-    G_l = pair.lift_G()
-    scale = 16 * e**4
-    one = ctx.one
-    for xi, yi in iso_sample_points(ctx, trials, seed):
-        x, y = ctx.elem(xi), ctx.elem(yi)
-        px, py = phi_point(e, x, y)
-        lhs = (x - one) ** 2 * (y - one) ** 2 * G_l(px, py)
-        if lhs != scale * pair.F(x, y):
-            return False
-    return True
-
-
-def verify_iso_identity_symbolic(pair: CurvePair) -> bool:
-    """Full expansion of both sides of the reverse-substitution identity."""
+def verify_iso_identity(pair: CurvePair) -> bool:
+    """Full expansion of both sides of the reverse-substitution identity
+    (X-1)^2 (Y-1)^2 G(phi(X, Y)) = 16 e^4 F(X, Y)."""
     ctx = pair.params.tower.fq2
     e = pair.e
     one = ctx.one

@@ -23,26 +23,29 @@ pairs for pp_mu's full test and 0.2-5% for pp_direct's.  pp_direct still
 evaluates f on GF(q^2) itself, so it stays independent of the reduced test
 on mu_(q+1).
 
-The collision-curve kernels (odd characteristic only) build, for a whole
-block of pairs at once, the quartic F = (N(X) D(Y) - D(X) N(Y)) / (X - Y)
-and its GF(q) form G as (3, 3, P) index arrays for P pairs, [i, j, k]
-holding the coefficient of X^i Y^j of the k-th pair.  They follow bipoly.build_curves step by
-step (exact division top X row first, the psi basis (T+e)^i (T-e)^(2-i),
-the Frobenius fixed-point check on G) and raise where it raises.  The
-transform identity (X-1)^2 (Y-1)^2 G(phi(X, Y)) = 16 e^4 F(X, Y) is checked
-exactly, by rebasing G on phi's basis e^i (T+1)^i (T-1)^(2-i) and comparing
-coefficients.  The psi constants and the off-diagonal GF(q) points are built
-on first use, so an engine that never touches a curve costs nothing more to
+The collision-curve kernels build, for a whole block of pairs at once, the
+quartic F = (N(X) D(Y) - D(X) N(Y)) / (X - Y) in every characteristic and,
+for odd p, its GF(q) form G, as (3, 3, P) index arrays for P pairs,
+[i, j, k] holding the coefficient of X^i Y^j of the k-th pair.  They follow
+bipoly.build_curves step by step (exact division top X row first, the psi
+basis (T+e)^i (T-e)^(2-i), the Frobenius fixed-point check on G) and raise
+where it raises.  The transform identity (X-1)^2 (Y-1)^2 G(phi(X, Y)) =
+16 e^4 F(X, Y) is checked exactly, by rebasing G on phi's basis
+e^i (T+1)^i (T-1)^(2-i) and comparing coefficients.  The psi constants, the
+off-diagonal GF(q) points and the root tables of quad_roots are built on
+first use, so an engine that never touches a curve costs nothing more to
 construct.
 
-The witness kernel (odd characteristic only) is bipoly.four_line_witness
-and conic_witnesses for a whole block of pairs, given their F.  Each
-candidate factorisation is built from the same closed-form or
-coefficient-matched constants, in the same order; where those are roots of
-a quadratic over GF(q^2), quad_roots finds both at once, taking the square
-root of the discriminant by the parity of its discrete log.  Each candidate
-is expanded and compared with F, and the first match of a pair is its
-witness, so the output equals the per-pair to_json() dicts exactly.
+The witness kernel is bipoly.four_line_witness and conic_witnesses for a
+whole block of pairs, given their F.  Each candidate factorisation is built
+from the same closed-form or coefficient-matched constants, in the same
+order; where those are roots of a quadratic over GF(q^2), quad_roots finds
+both at once.  It writes the quadratic as T^2 + sT + c and reads a root off
+one of two tables, the square roots for s = 0 and the roots of
+u^2 + u = -c/s^2 otherwise, so it never divides by 2 and serves every
+characteristic.  Each candidate is expanded and compared with F, and the
+first match of a pair is its witness, so the output equals the per-pair
+to_json() dicts exactly.
 
 The resultant kernel is upoly.resultant of the two cubics for a whole block
 of pairs: each pair's 6 x 6 Sylvester matrix, in upoly's layout, is one
@@ -311,15 +314,14 @@ class ScanEngine:
         off = x != y
         return x[off], y[off]
 
-    def curve_coeffs(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def curve_coeffs(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The collision quartic F over GF(q^2) and its GF(q) form G of every
         pair, as (3, 3, len(a)) index arrays ([i, j] is the X^i Y^j term).
+        G is None in characteristic 2, where no e has e^q = -e.
 
-        Raises ValueError in characteristic 2, ArithmeticError on a division
-        remainder, a degree overflow or a G coefficient outside GF(q).
+        Raises ArithmeticError on a division remainder, a degree overflow or
+        a G coefficient outside GF(q).
         """
-        if self.p == 2:
-            raise ValueError("curve construction requires odd characteristic")
         ctx = self.ctx
         one, zero = np.ones_like(a), np.zeros_like(a)
         num = np.stack([self.FROB[b], zero, one, self.FROB[a]])  # N, low power first
@@ -327,6 +329,8 @@ class ScanEngine:
         F = self._div_x_minus_y(
             ctx.vsub(ctx.vmul(num[:, None], den[None, :]), ctx.vmul(den[:, None], num[None, :]))
         )
+        if self.p == 2:
+            return F, None
         G = self._rebase(F, self._psi_basis)
         if (self.FROB[G] != G).any():
             raise ArithmeticError("curve coefficient escaped GF(q)")
@@ -369,20 +373,34 @@ class ScanEngine:
 
     # ------------------------------------------------ factorisation witnesses
 
+    @functools.cached_property
+    def _root_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two n-entry tables, -1 where there is no root: a square root of
+        each x (x^2 -> x) and an Artin-Schreier root, u with u^2 + u = x
+        (x^2 + x -> x)."""
+        ctx, x = self.ctx, self.XALL
+        sqrt, as_root = np.full(self.n, -1, dtype=np.int32), np.full(self.n, -1, dtype=np.int32)
+        x2 = ctx.vmul(x, x)
+        sqrt[x2] = x
+        as_root[ctx.vadd(x2, x)] = x
+        return sqrt, as_root
+
     def quad_roots(self, c0, c1, c2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Roots of c2 T^2 + c1 T + c0 (c2 nonzero, odd characteristic) as
-        (lo, hi, ok).  Where ok, lo <= hi are the roots ascending by index
-        with multiplicity, as upoly.roots lists them (lo == hi for a zero
-        discriminant); where not, the discriminant is a non-square and both
-        are junk.  A nonzero x = g^k is a square iff k is even, with root g^(k/2)."""
+        """Roots of c2 T^2 + c1 T + c0 (c2 nonzero) as (lo, hi, ok).  Where
+        ok, lo <= hi are the roots ascending by index with multiplicity, as
+        upoly.roots lists them (lo == hi for a double root); where not, the
+        quadratic has no root in GF(q^2) and both are junk.  As T^2 + sT + c,
+        one root is r with r^2 = -c if s = 0, else s u with u^2 + u = -c/s^2;
+        the other is -s minus it."""
         ctx = self.ctx
-        disc = ctx.vsub(ctx.vmul(c1, c1), ctx.vmul(self._k(4), ctx.vmul(c2, c0)))
-        lg = ctx.np_log[disc]
-        ok = (disc == 0) | (lg % 2 == 0)
-        s = np.where(disc == 0, 0, ctx.np_exp2[lg // 2])
-        inv_2c2, neg_c1 = self.INV[ctx.vmul(self._k(2), c2)], self.NEG[c1]
-        r1 = ctx.vmul(ctx.vadd(neg_c1, s), inv_2c2)
-        r2 = ctx.vmul(ctx.vsub(neg_c1, s), inv_2c2)
+        sqrt, as_root = self._root_tables
+        inv_c2 = self.INV[c2]
+        s, neg_c = ctx.vmul(c1, inv_c2), self.NEG[ctx.vmul(c0, inv_c2)]
+        u = np.where(s == 0, sqrt[neg_c], as_root[ctx.vmul(neg_c, self.INV[ctx.vmul(s, s)])])
+        ok = u >= 0
+        u = np.where(ok, u, 0)
+        r1 = np.where(s == 0, u, ctx.vmul(s, u))
+        r2 = ctx.vsub(self.NEG[s], r1)
         return np.minimum(r1, r2), np.maximum(r1, r2), ok
 
     def _is_F(self, b, f1: dict, f2: dict, F: np.ndarray) -> np.ndarray:

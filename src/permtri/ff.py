@@ -400,7 +400,6 @@ class FieldCtx:
         self.np_norm = self.vmul(idx, self.np_frob).astype(np.int32)
         if not (self.np_norm < B).all():  # pragma: no cover
             raise RuntimeError("norm left the subfield")
-        self._norm = self.np_norm.tolist()
 
         # (q+1)-st roots of unity, ascending by index
         mu = sorted(int(self.np_exp2[k * (B - 1)]) for k in range(B + 1))

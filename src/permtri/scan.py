@@ -144,7 +144,8 @@ def classify_pair(params: TrinomialParams, diagnostics: bool = False) -> PairRec
     if diagnostics and verdict.is_pp:
         if params.tower.p != 2:
             diag["points_off_diag"] = count_points_off_diag(build_curves(params))
-        diag.update(_witnesses(params))
+        diag["four_line"] = four_line_witness(params).to_json()
+        diag["conic"] = conic_witnesses(params).to_json()
     return PairRecord(
         q=params.q,
         a_idx=params.a.i,
@@ -380,24 +381,17 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"threads must be at least 1, got {threads}")
 
 
-def _witnesses(params: TrinomialParams) -> dict:
-    """Factorisation-pattern witnesses of a permutation instance."""
-    return {"four_line": four_line_witness(params).to_json(), "conic": conic_witnesses(params).to_json()}
-
-
 def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> list[dict]:
-    """Point count and witnesses of each permutation instance (a, b).  In
-    odd characteristic the engine builds F and G once per pair_chunks slice,
-    counts points on G and finds the witnesses from F; for p = 2 there is
-    no point count and the witnesses come from bipoly pair by pair."""
-    if engine.p == 2:
-        pairs = zip(a.tolist(), b.tolist())
-        return [_witnesses(TrinomialParams.from_indices(engine.tower, ai, bi)) for ai, bi in pairs]
+    """Point count (odd characteristic) and witnesses of each permutation
+    instance (a, b).  The engine builds F, and G for odd p, once per
+    pair_chunks slice, counts points on G and finds the witnesses from F."""
     out = []
     for ca, cb in pair_chunks(a, b, engine.q**2):
         F, G = engine.curve_coeffs(ca, cb)
-        counts = engine.count_off_diag(G).tolist()
-        out += [{"points_off_diag": c, **w} for c, w in zip(counts, engine.witnesses(ca, cb, F))]
+        found = engine.witnesses(ca, cb, F)
+        if G is not None:
+            found = [{"points_off_diag": c, **w} for c, w in zip(engine.count_off_diag(G).tolist(), found)]
+        out += found
     return out
 
 

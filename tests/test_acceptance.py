@@ -11,7 +11,7 @@ pass at the stated scopes with no tolerance.
 import numpy as np
 import pytest
 
-from permtri import acceptance, bipoly
+from permtri import acceptance
 from permtri.acceptance import (
     CRITERIA,
     DEFAULT_MAX_Q,
@@ -78,15 +78,6 @@ def test_criterion_8_raises_on_a_division_remainder(monkeypatch):
     monkeypatch.setattr(ScanEngine, "_div_x_minus_y", leftover)
     with pytest.raises(ArithmeticError, match="remainder"):
         crit_curve_identities(5)
-
-
-def test_criterion_8_draws_no_sample_points(monkeypatch):
-    def drawn(*args):
-        raise AssertionError("criterion 8 drew sample points")
-
-    for module in (bipoly, acceptance):  # also where an import by name would look it up
-        monkeypatch.setattr(module, "iso_sample_points", drawn, raising=False)
-    assert crit_curve_identities(7)[0]
 
 
 def test_criterion_9_reports_points(monkeypatch):

@@ -1,6 +1,7 @@
 """Collision curves, the GF(q) companion form, witnesses, resultants."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,6 @@ from permtri import (
     resultant_vs_closed_form,
     roots,
     verify_iso_identity,
-    verify_iso_identity_symbolic,
 )
 from permtri.bipoly import _collision_poly, _exact_div_x_minus_y, _pair_from_sum_product
 
@@ -211,22 +211,35 @@ class TestTransforms:
                     assert (cp.G(xq, yq).i == 0) == (cp.F(u, v).i == 0)
 
 
+def _identity_at_points(cp, rng, count) -> bool:
+    """The transform identity evaluated at `count` seeded points off phi's
+    pole X, Y = 1: an oracle that expands nothing."""
+    ctx, e, G = cp.params.tower.fq2, cp.e, cp.lift_G()
+    one, scale = ctx.one, 16 * e**4
+    points = [i for i in range(ctx.order) if i != one.i]
+    for _ in range(count):
+        x, y = ctx.elem(rng.choice(points)), ctx.elem(rng.choice(points))
+        if (x - one) ** 2 * (y - one) ** 2 * G(*phi_point(e, x, y)) != scale * cp.F(x, y):
+            return False
+    return True
+
+
 class TestIsoIdentity:
     def test_symbolic_and_numeric_exhaustive_small(self, tower):
         t = tower(5, 1)
         rng = random.Random(23)
         for _ in range(30):
-            p = params(t, rng.randrange(1, 25), rng.randrange(1, 25))
-            cp = build_curves(p)
-            assert verify_iso_identity_symbolic(cp)
-            assert verify_iso_identity(cp, trials=50, seed=rng.randrange(10**6))
+            cp = build_curves(params(t, rng.randrange(1, 25), rng.randrange(1, 25)))
+            assert verify_iso_identity(cp) and _identity_at_points(cp, rng, 50)
+            bent = replace(cp, F=cp.F + BivarPoly(t.fq2, {(0, 0): 1}))
+            assert not verify_iso_identity(bent) and not _identity_at_points(bent, rng, 50)
 
     def test_numeric_across_fields(self, tower):
         for p_, h in ((7, 1), (3, 2), (11, 1)):
             t = tower(p_, h)
             rng = random.Random(t.q)
-            p = params(t, rng.randrange(1, t.fq2.order), rng.randrange(1, t.fq2.order))
-            assert verify_iso_identity(build_curves(p), trials=50, seed=1)
+            cp = build_curves(params(t, rng.randrange(1, t.fq2.order), rng.randrange(1, t.fq2.order)))
+            assert verify_iso_identity(cp) and _identity_at_points(cp, rng, 50)
 
 
 class TestPointCounting:

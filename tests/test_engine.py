@@ -15,7 +15,9 @@ from permtri import (
     build_curves,
     build_numden,
     condition_report,
+    conic_witnesses,
     count_points_off_diag,
+    four_line_witness,
     frobenius,
     gcd_degree,
     is_pp_direct,
@@ -24,10 +26,10 @@ from permtri import (
     resultant_vs_closed_form,
     roots,
     upoly,
-    verify_iso_identity_symbolic,
+    verify_iso_identity,
 )
 from permtri.engine import ScanEngine, _det
-from permtri.scan import _witnesses, pair_chunks, pair_grid, sample_pairs, sampled_scan
+from permtri.scan import pair_chunks, pair_grid, sample_pairs, sampled_scan
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 2), (3, 1)])
@@ -158,29 +160,38 @@ def test_curve_kernels_match_bipoly(tower, p, h, count):
         assert count_points_off_diag(cp) == points[i]
 
 
-def test_curve_kernels_refuse_char2(tower):
-    eng = ScanEngine(tower(2, 2))
-    a, b = np.array([1, 2]), np.array([3, 1])
-    with pytest.raises(ValueError, match="odd characteristic"):
-        eng.count_off_diag(eng.curve_coeffs(a, b)[1])
+def test_curve_kernels_build_F_at_char2(tower):
+    """F equals bipoly's collision quartic on every pair at q = 2 and 4;
+    there is no G (no e with e^q = -e)."""
+    for h in (1, 2):
+        t = tower(2, h)
+        a, b = pair_grid(t.fq2.order)
+        F, G = ScanEngine(t).curve_coeffs(a, b)
+        assert G is None
+        for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
+            assert bipoly._collision_poly(TrinomialParams.from_indices(t, ai, bi)).coeff_grid(3) == F[:, :, i].tolist()
 
 
 def test_curve_constants_built_on_first_use(tower):
     eng = ScanEngine(tower(7, 1))
-    assert "_psi_basis" not in vars(eng) and "_off_diag_points" not in vars(eng)
-    eng.count_off_diag(eng.curve_coeffs(np.array([1]), np.array([2]))[1])
-    assert "_psi_basis" in vars(eng) and "_off_diag_points" in vars(eng)
+    lazy = ("_psi_basis", "_off_diag_points", "_root_tables")
+    assert not any(name in vars(eng) for name in lazy)
+    a, b = np.array([1]), np.array([2])
+    F, G = eng.curve_coeffs(a, b)
+    eng.count_off_diag(G)
+    eng.witnesses(a, b, F)
+    assert all(name in vars(eng) for name in lazy)
 
 
 @pytest.mark.parametrize("p,h,count", [(5, 1, None), (7, 1, 200), (3, 2, 200), (5, 2, 200), (59, 1, 200)])
 def test_iso_identity_matches_symbolic_reference(tower, p, h, count):
-    """iso_identity equals verify_iso_identity_symbolic on every pair at
+    """iso_identity equals verify_iso_identity on every pair at
     q = 5 and on seeded pairs at q = 7, 9, 25 and, past the dense tables, 59."""
     t = tower(p, h)
     eng = ScanEngine(t)
     a, b = pair_grid(t.fq2.order) if count is None else sample_pairs(t.fq2.order, count, seed=t.q)
     pairs = zip(a.tolist(), b.tolist())
-    want = [verify_iso_identity_symbolic(build_curves(TrinomialParams.from_indices(t, ai, bi))) for ai, bi in pairs]
+    want = [verify_iso_identity(build_curves(TrinomialParams.from_indices(t, ai, bi))) for ai, bi in pairs]
     assert eng.iso_identity(*eng.curve_coeffs(a, b)).tolist() == want
     assert (t.fq2.np_mul is None) == (p == 59)
 
@@ -248,10 +259,13 @@ def _quad_roots_ref(ctx, c0, c1, c2):
     return (rts[0].i, rts[1].i) if rts else None
 
 
-@pytest.mark.parametrize("p,h,count", [(3, 1, None), (5, 1, None), (13, 1, 300)])
+@pytest.mark.parametrize(
+    "p,h,count", [(2, 1, None), (2, 2, None), (3, 1, None), (5, 1, None), (2, 4, 300), (13, 1, 300)]
+)
 def test_quad_roots_match_upoly_roots(tower, p, h, count):
-    """Every monic quadratic over GF(9) and GF(25), seeded ones (monic or
-    not) over GF(169): same roots, ascending, a double root twice."""
+    """Every monic quadratic over GF(4), GF(16), GF(9) and GF(25), seeded
+    ones (monic or not) over GF(256) and GF(169): same roots, ascending, a
+    double root twice."""
     t = tower(p, h)
     eng, ctx, n = ScanEngine(t), t.fq2, t.fq2.order
     if count is None:
@@ -266,14 +280,18 @@ def test_quad_roots_match_upoly_roots(tower, p, h, count):
     lo, hi, ok = eng.quad_roots(c0, c1, c2)
     want = [_quad_roots_ref(ctx, *c) for c in zip(c0.tolist(), c1.tolist(), c2.tolist())]
     assert [(x, y) if k else None for x, y, k in zip(lo.tolist(), hi.tolist(), ok.tolist())] == want
-    assert None in want  # a non-square discriminant
-    assert any(w is not None and w[0] == w[1] for w in want)  # a zero one
+    assert None in want  # no root in GF(q^2)
+    assert any(w is not None and w[0] == w[1] for w in want)  # a double root
     assert (c0 == 0).any()
 
 
 def _witnesses_ref(t, a, b) -> list:
     """bipoly's witnesses of the pairs (a, b), as `check` reports them."""
-    return [_witnesses(TrinomialParams.from_indices(t, ai, bi)) for ai, bi in zip(a.tolist(), b.tolist())]
+    out = []
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        prm = TrinomialParams.from_indices(t, ai, bi)
+        out.append({"four_line": four_line_witness(prm).to_json(), "conic": conic_witnesses(prm).to_json()})
+    return out
 
 
 def _assert_witnesses_match(eng, a, b):
@@ -282,7 +300,7 @@ def _assert_witnesses_match(eng, a, b):
     assert json.dumps(eng.witnesses(a, b, F)) == json.dumps(_witnesses_ref(eng.tower, a, b))
 
 
-@pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
+@pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (2, 2), (2, 3), (2, 4)])
 def test_witnesses_match_bipoly_on_every_instance(tower, p, h):
     eng = ScanEngine(tower(p, h))
     a, b = pair_grid(eng.n)
@@ -300,6 +318,17 @@ def test_witnesses_match_bipoly_on_samples_q25(tower):
     pp = np.flatnonzero(eng.pp_mu(ga, gb))
     pick = np.sort(np.random.default_rng(25).choice(pp, 30, replace=False))
     _assert_witnesses_match(eng, ga[pick], gb[pick])
+
+
+@pytest.mark.parametrize("h,count", [(5, 40), (6, 20)])
+def test_witnesses_match_bipoly_on_samples_char2(tower, h, count):
+    """Seeded pairs at q = 32 and 64, half of them permutation instances."""
+    eng = ScanEngine(tower(2, h))
+    a, b = sample_pairs(eng.n, 50 * eng.n, seed=eng.q)  # about 50 instances
+    pp = np.concatenate([eng.pp_mu(ca, cb) for ca, cb in pair_chunks(a, b, eng.q + 1)])
+    pick = np.sort(np.concatenate([np.flatnonzero(pp)[: count // 2], np.flatnonzero(~pp)[: count // 2]]))
+    assert pp[pick].sum() == count // 2
+    _assert_witnesses_match(eng, a[pick], b[pick])
 
 
 def test_witnesses_match_bipoly_past_the_dense_limit(tower):

@@ -17,7 +17,7 @@ from permtri import (
     main_predicate,
     sampled_scan,
 )
-from permtri import scan
+from permtri import bipoly, scan
 from permtri.engine import ScanEngine
 from permtri.scan import (
     CSV_COLUMNS,
@@ -128,16 +128,13 @@ class TestExhaustive:
         def per_pair(params):
             raise Called
 
-        with monkeypatch.context() as m:
+        for module in (scan, bipoly):
             for name in ("four_line_witness", "conic_witnesses"):
-                m.setattr(scan, name, per_pair)
-            rep = exhaustive_scan(5, 2, diagnostics=True, summary_only=True)
+                monkeypatch.setattr(module, name, per_pair)
+        rep = exhaustive_scan(5, 2, diagnostics=True, summary_only=True)
         assert len(rep.diagnostics) == rep.pp_count == 546
-        for name in ("four_line_witness", "conic_witnesses"):  # p = 2 stays on bipoly
-            with monkeypatch.context() as m:
-                m.setattr(scan, name, per_pair)
-                with pytest.raises(Called):
-                    exhaustive_scan(2, 2, diagnostics=True, summary_only=True)
+        rep = exhaustive_scan(2, 3, diagnostics=True, summary_only=True)  # p = 2 too
+        assert len(rep.diagnostics) == rep.pp_count == 63
 
     def test_instance_diagnostics_chunked(self, tower, monkeypatch):
         eng = ScanEngine(tower(7, 1))
