@@ -8,11 +8,33 @@ perm/conds/bipoly; the test suite pins them to those module paths
 exhaustively at small q and on samples elsewhere, so the scan can rely on
 them at speed.
 
+pp_mu tests the induced map g on the (q+1)-st roots of unity in its power
+form.  On mu_(q+1), x^q = 1/x, so g(x) = x h(x)^(q-1) = x^3 D(x)^(q-1) with
+D(x) = b x^3 + x + a.  Let zeta = gamma^(q-1) for the generator gamma of
+GF(q^2)* that the log tables use: the root MU[c] is zeta^(j_c), and
+d^(q-1) = zeta^(log d mod (q+1)) for d != 0, so g(MU[c]) is
+zeta^((3 j_c + log D(MU[c])) mod (q+1)).  The engine builds the (q+1) x q^2
+int16 table IMG once: IMG[c, y] is that exponent for y = b MU[c]^3 + a, so
+that D = y + MU[c], and the sentinel q+1 where y + MU[c] = 0, a pole.  A
+pair then costs one vmul, one vadd and one gather per root, and it permutes
+GF(q^2) iff its row of exponents holds no sentinel and no repeat.  Past
+_DENSE_TABLE_CELLS cells (q > 199) the table is not built, and the same
+exponents are computed per call with one vadd more.  The per-pair
+perm.is_pp_mu keeps the cubic fraction, so the two stay independent.
+
+The condition kernels (prima, seconda, prima_bis, seconda_bis and
+seconda_tris; char3 is prima) first evaluate their equation on every pair
+and then run the rest, the square test over GF(q) or seconda_tris' other
+two equations, only on the pairs where it holds, as the per-pair conds
+functions return early.  There every square-test operand is a function of
+norms, so it lies in GF(q); _sq_ok still checks each one it receives.
+
 The two permutation verdicts are screened.  pp_mu evaluates its map on the
 first K = floor(2.5 sqrt(q)) of the q+1 roots of unity and pp_direct
 evaluates f on the first K = floor(4.7 q) of the q^2 elements; a pair with a
 pole or a repeated image among those columns is rejected there, and the full
-test, the same code over every column, runs only on the pairs left.  The
+test, the same code over every column, runs only on the pairs left (through
+_refine, the helper that also runs the conditions' second steps).  The
 screen is exact: a pole, or two equal images, on any subset of the columns is
 already a pole or a collision of the full test, so it rejects nothing the
 full test would accept, and every survivor gets the full test's verdict.
@@ -66,7 +88,7 @@ import math
 
 import numpy as np
 
-from .ff import FieldTower
+from .ff import _DENSE_TABLE_CELLS, FieldTower, _flat_index, _take_in_place
 
 __all__ = ["ScanEngine"]
 
@@ -86,8 +108,22 @@ class ScanEngine:
         self.NORM = ctx.np_norm
         self.MU = ctx.np_mu
         self.XALL = np.arange(self.n, dtype=np.int64)
-        self.X2MU = ctx.vmul(self.MU, self.MU)
-        self.X3MU = ctx.vmul(self.X2MU, self.MU)
+        self.X3MU = ctx.vmul(ctx.vmul(self.MU, self.MU), self.MU)
+
+        # pp_mu's root images (module docstring): MU[c] = zeta^(j_c), and
+        # IMG[c, y] is the exponent of MU[c]^3 (y + MU[c])^(q-1) to base
+        # zeta, or the sentinel q+1 where y + MU[c] = 0
+        q1 = self.q + 1
+        self.ROOTS = np.arange(q1, dtype=np.int32)
+        self.J3 = 3 * (ctx.np_log[self.MU] // (self.q - 1)) % q1
+        self.CLASS = ctx.np_log % q1
+        self.IMG = None
+        if q1 * self.n <= _DENSE_TABLE_CELLS:
+            self.IMG = np.empty((q1, self.n), dtype=np.int16)
+            step = max(1, (1 << 20) // self.n)  # rows per block of about 1M cells
+            for lo in range(0, q1, step):
+                rows = self.ROOTS[lo : lo + step, None]
+                self.IMG[lo : lo + step] = self._root_images(rows, self.XALL[None, :])
 
         # x^(q-1), (x^(q-1))^q and x^(2(q-1)) for the direct test; the x = 0
         # entries are garbage but always masked by the outer factor x.
@@ -138,23 +174,31 @@ class ScanEngine:
         that show no pole and no repeated image on the first k columns."""
         if k + 2 >= width:
             return test(a, b)
-        out = test(a, b, slice(k))
-        live = np.flatnonzero(out)
-        if live.size:
-            out[live] = test(a[live], b[live])
-        return out
+        return _refine(test(a, b, slice(k)), test, a, b)
 
     def _pp_mu(self, a: np.ndarray, b: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """Whether the pairs map the roots of unity MU[cols] without a pole
         or a repeated image (all of them: the full test)."""
+        img = self._images(a, b, cols)
+        distinct = _distinct_rows(img)  # sorted: a pole's sentinel q+1, the largest entry, ends its row
+        return distinct & (img[:, -1] <= self.q)
+
+    def _images(self, a: np.ndarray, b: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+        """[i, k]: the exponent to base zeta of g(MU[cols][k]) for the pair
+        (a[i], b[i]), on the power form g(x) = x^3 (b x^3 + x + a)^(q-1);
+        q+1 at a pole."""
         ctx = self.ctx
-        aq = self.FROB[a]
-        bq = self.FROB[b]
-        mu, x2mu, x3mu = self.MU[cols], self.X2MU[cols], self.X3MU[cols]
-        num = ctx.vadd(ctx.vadd(ctx.vmul(aq[:, None], x3mu[None, :]), x2mu[None, :]), bq[:, None])
-        den = ctx.vadd(ctx.vadd(ctx.vmul(b[:, None], x3mu[None, :]), mu[None, :]), a[:, None])
-        pole = (den == 0).any(axis=1)
-        return ~pole & _distinct_rows(ctx.vmul(num, self.INV[den]))
+        y = ctx.vadd(ctx.vmul(b[:, None], self.X3MU[None, cols]), a[:, None])
+        rows = self.ROOTS[None, cols]
+        if self.IMG is None:
+            return self._root_images(rows, y)
+        return _take_in_place(self.IMG.ravel(), _flat_index(rows, y, self.n))
+
+    def _root_images(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """IMG[c, y] computed afresh (c, y broadcast): the exponent of
+        MU[c]^3 (y + MU[c])^(q-1) to base zeta, q+1 where y + MU[c] = 0."""
+        den = self.ctx.vadd(y, self.MU[c])
+        return np.where(den == 0, self.q + 1, (self.J3[c] + self.CLASS[den]) % (self.q + 1))
 
     def _pp_direct(self, a: np.ndarray, b: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """Whether f takes distinct values on the elements XALL[cols] (all of
@@ -232,42 +276,57 @@ class ScanEngine:
 
     # ----------------------------------------------------------- criteria
 
+    def _disc(self, a, b):
+        """1 - 4 (b/a)^(q+1), the discriminant of prima and seconda."""
+        ctx = self.ctx
+        return ctx.vsub(self._k(1), ctx.vmul(self._k(4), ctx.vmul(self.NORM[b], self.INV[self.NORM[a]])))
+
+    def _seconda_eq(self, a, b):
+        """a^q + 3ab = 0, the equation of seconda and seconda_bis."""
+        ctx = self.ctx
+        return ctx.vadd(self.FROB[a], ctx.vmul(self._k(3), ctx.vmul(a, b))) == 0
+
     def prima(self, a, b):
         ctx = self.ctx
         eq = ctx.vmul(self.FROB[a], self.FROB[b]) == ctx.vmul(a, ctx.vsub(self.NORM[b], self.NORM[a]))
-        val = ctx.vsub(self._k(1), ctx.vmul(self._k(4), ctx.vmul(self.NORM[b], self.INV[self.NORM[a]])))
-        return eq & self._sq_ok(val)
+        return _refine(eq, lambda a, b: self._sq_ok(self._disc(a, b)), a, b)
 
     def seconda(self, a, b):
-        ctx = self.ctx
-        eq = ctx.vadd(self.FROB[a], ctx.vmul(self._k(3), ctx.vmul(a, b))) == 0
-        inner = ctx.vsub(self._k(1), ctx.vmul(self._k(4), ctx.vmul(self.NORM[b], self.INV[self.NORM[a]])))
-        return eq & self._sq_ok(ctx.vmul(self._k(-3), inner))
+        return _refine(
+            self._seconda_eq(a, b), lambda a, b: self._sq_ok(self.ctx.vmul(self._k(-3), self._disc(a, b))), a, b
+        )
 
     def prima_bis(self, a, b):
         ctx = self.ctx
         v = ctx.vmul(b, ctx.vmul(a, a))
-        in_fq = (v != 0) & (v < self.q)
         na = self.NORM[a]
         quad = ctx.vsub(ctx.vsub(ctx.vmul(v, v), ctx.vmul(na, v)), ctx.vmul(na, ctx.vmul(na, na))) == 0
-        val = ctx.vadd(ctx.vmul(self._k(-3), ctx.vmul(na, na)), ctx.vmul(self._k(-4), v))
-        cand = in_fq & quad  # val lies in GF(q) only where v does
-        return cand & self._sq_ok(np.where(cand, val, 0))
+        eq = (v != 0) & (v < self.q) & quad  # the square test's operand lies in GF(q) only where v does
+
+        def sq(v, na):
+            return self._sq_ok(ctx.vadd(ctx.vmul(self._k(-3), ctx.vmul(na, na)), ctx.vmul(self._k(-4), v)))
+
+        return _refine(eq, sq, v, na)
 
     def seconda_bis(self, a, b):
         ctx = self.ctx
-        eq = ctx.vadd(self.FROB[a], ctx.vmul(self._k(3), ctx.vmul(a, b))) == 0
-        na = self.NORM[a]
-        val = ctx.vmul(self._k(3), ctx.vmul(na, ctx.vsub(self._k(4), ctx.vmul(self._k(9), na))))
-        return eq & self._sq_ok(val)
+
+        def sq(a):
+            na = self.NORM[a]
+            return self._sq_ok(ctx.vmul(self._k(3), ctx.vmul(na, ctx.vsub(self._k(4), ctx.vmul(self._k(9), na)))))
+
+        return _refine(self._seconda_eq(a, b), sq, a)
 
     def seconda_tris(self, a, b):
         ctx = self.ctx
-        aq = self.FROB[a]
-        c1 = ctx.vadd(ctx.vmul(self._k(3), a), self._k(2)) != 0
-        c2 = ctx.vmul(self._k(3), b) == ctx.vadd(ctx.vmul(self._k(3), aq), self._k(1))
-        c3 = ctx.vadd(ctx.vadd(ctx.vmul(self._k(3), self.NORM[a]), a), aq) == 0
-        return c1 & c2 & c3
+        c2 = ctx.vmul(self._k(3), b) == ctx.vadd(ctx.vmul(self._k(3), self.FROB[a]), self._k(1))
+
+        def rest(a):
+            c1 = ctx.vadd(ctx.vmul(self._k(3), a), self._k(2)) != 0
+            c3 = ctx.vadd(ctx.vadd(ctx.vmul(self._k(3), self.NORM[a]), a), self.FROB[a]) == 0
+            return c1 & c3
+
+        return _refine(c2, rest, a)
 
     def char2(self, a, b):
         ctx = self.ctx
@@ -514,6 +573,16 @@ class _FirstMatch:
                 consts = {name: v[i] for name, v in constants.items()}
                 out.append({"pattern": pattern, "constants": consts, "residual_check": True, "note": ""})
         return out
+
+
+def _refine(mask: np.ndarray, test, *args: np.ndarray) -> np.ndarray:
+    """mask with each True entry replaced by test's verdict on that pair:
+    test runs once, on the pairs' entries of args where mask holds and on no
+    others (mask is overwritten)."""
+    live = np.flatnonzero(mask)
+    if live.size:
+        mask[live] = test(*(x[live] for x in args))
+    return mask
 
 
 def _distinct_rows(img: np.ndarray) -> np.ndarray:

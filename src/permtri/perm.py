@@ -4,6 +4,12 @@ Two routes: the direct O(q^2) test on the whole field, and the O(q) test of
 the induced cubic fraction g(x) = (a^q x^3 + x^2 + b^q)/(b x^3 + x + a) on
 the (q+1)-st roots of unity.  The two verdicts agree for every parameter
 choice; the test suite enforces that equivalence.
+
+On the roots of unity x^q = 1/x, so g also has the power form
+x (1 + a x^q + b x^2)^(q-1) = x^3 (b x^3 + x + a)^(q-1).  The engine's
+pp_mu evaluates that form through a table of discrete-log exponents; the
+per-pair path here keeps the fraction, so the two stay independent, and
+_g_eval_power_form is the power form pair by pair, for the tests.
 """
 
 from __future__ import annotations
@@ -107,7 +113,8 @@ def g_eval(params: TrinomialParams, x: Elem) -> Elem | None:
 
 
 def _g_eval_power_form(params: TrinomialParams, x: Elem) -> Elem | None:
-    # Oracle form x * (1 + a x^q + b x^2)^(q-1); slower, kept for cross-checks.
+    # The power form x * (1 + a x^q + b x^2)^(q-1), which the engine's pp_mu
+    # evaluates in bulk; slower than the fraction, kept as its cross-check.
     u = x.ctx.one + params.a * frobenius(x) + params.b * x * x
     if u.i == 0:
         return None

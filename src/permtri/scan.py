@@ -292,18 +292,21 @@ def _effective_budget(max_q: int | None) -> int:
 
 
 def pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of GF(q^2)* x GF(q^2)* (n = q^2), in (a_idx, b_idx) order."""
-    nonzero = np.arange(1, n, dtype=np.int64)
+    """Every pair of GF(q^2)* x GF(q^2)* (n = q^2), in (a_idx, b_idx) order,
+    as int32 index arrays."""
+    nonzero = np.arange(1, n, dtype=np.int32)
     return np.repeat(nonzero, n - 1), np.tile(nonzero, n - 1)
 
 
 def sample_pairs(n: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """`count` seeded pairs drawn with replacement from GF(q^2)* x GF(q^2)*,
-    a then b for each pair, returned sorted by (a_idx, b_idx)."""
+    a then b for each pair, returned sorted by (a_idx, b_idx) as int32
+    index arrays."""
     rng = Random(seed)
-    pairs = sorted((rng.randrange(1, n), rng.randrange(1, n)) for _ in range(count))
-    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
-    return a, b
+    draws = np.array([rng.randrange(1, n) for _ in range(2 * count)], dtype=np.int32)
+    a, b = draws[0::2], draws[1::2]
+    order = np.lexsort((b, a))
+    return a[order], b[order]
 
 
 def pair_chunks(a: np.ndarray, b: np.ndarray, cells_per_pair: int):

@@ -19,15 +19,18 @@ from permtri import (
     count_points_off_diag,
     four_line_witness,
     frobenius,
+    g_eval,
     gcd_degree,
     is_pp_direct,
     is_pp_mu,
+    make_field,
     resultant,
     resultant_vs_closed_form,
     roots,
     upoly,
     verify_iso_identity,
 )
+from permtri import engine
 from permtri.engine import ScanEngine, _det
 from permtri.scan import pair_chunks, pair_grid, sample_pairs, sampled_scan
 
@@ -50,19 +53,30 @@ def test_exhaustive_agreement(tower, p, h):
             assert bool(cols[name][i]) == getattr(rep, name), name
 
 
-@pytest.mark.parametrize("p,h,count", [(2, 4, 150), (5, 2, 200), (3, 3, 150)])
+@pytest.mark.parametrize("p,h,count", [(2, 4, 150), (5, 2, 200), (3, 3, 150), (7, 2, 30)])
 def test_sampled_agreement_larger_fields(tower, p, h, count):
+    """Seeded pairs, and 40 seeded pairs on which some condition holds (the
+    first ones of a larger seeded sample): every column against the per-pair
+    path, at q = 16, 25, 27 and 49."""
     t = tower(p, h)
     eng = ScanEngine(t)
     a, b = sample_pairs(t.fq2.order, count, seed=t.q)
+    wa, wb = sample_pairs(t.fq2.order, 100_000, seed=t.q + 1)
+    wide = [eng.classify_bulk(ca, cb) for ca, cb in pair_chunks(wa, wb, eng.q + 1)]
+    conditions = [name for name in wide[0] if name not in ("is_pp", "gcd_deg", "main")]
+    hit = np.flatnonzero(np.concatenate([np.any([c[name] for name in conditions], axis=0) for c in wide]))[:40]
+    assert len(hit) == 40
+    a, b = np.concatenate([a, wa[hit]]), np.concatenate([b, wb[hit]])
     cols = eng.classify_bulk(a, b)
     direct = eng.pp_direct(a, b)
     for i in range(len(a)):
         prm = TrinomialParams.from_indices(t, int(a[i]), int(b[i]))
+        rep = condition_report(prm)
         assert bool(cols["is_pp"][i]) == is_pp_mu(prm).is_pp
         assert bool(direct[i]) == is_pp_direct(prm).is_pp
         assert int(cols["gcd_deg"][i]) == gcd_degree(prm)
-        assert bool(cols["main"][i]) == condition_report(prm).main
+        for name in conditions + ["main"]:
+            assert bool(cols[name][i]) == getattr(rep, name), name
 
 
 def test_direct_and_mu_grids_agree(tower):
@@ -141,6 +155,98 @@ def test_full_test_sees_only_the_screen_survivors(tower, monkeypatch, kernel, p,
     live = full(a, b, slice(k))
     assert (a1 == a[live]).all() and (b1 == b[live]).all()
     assert not (verdict & ~live).any() and live.sum() < len(a)  # every permutation passes a prefix that rejects
+
+
+@pytest.mark.parametrize(
+    "p,h,count", [(2, 2, None), (5, 1, None), (7, 1, None), (2, 3, None), (3, 2, None), (5, 2, 300), (59, 1, 200)]
+)
+def test_root_images_are_g_eval(tower, p, h, count):
+    """zeta^IMG equals perm.g_eval at every root of unity, and the sentinel
+    q+1 stands exactly where g_eval has a pole: on every pair at
+    q in {4, 5, 7, 8, 9}, on seeded pairs at q = 25 and, past the dense
+    tables, 59."""
+    t = tower(p, h)
+    eng, ctx = ScanEngine(t), t.fq2
+    a, b = pair_grid(eng.n) if count is None else sample_pairs(eng.n, count, seed=eng.q)
+    zeta = ctx.pow_i(ctx.generator_idx, eng.q - 1)
+    powers = [ctx.pow_i(zeta, k) for k in range(eng.q + 1)] + [None]  # the sentinel q+1 marks a pole
+    img = eng._images(a, b)
+    assert eng.IMG is not None and img.shape == (len(a), eng.q + 1)
+    roots = [ctx.elem(x) for x in eng.MU.tolist()]
+    poles = 0
+    for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
+        prm = TrinomialParams.from_indices(t, ai, bi)
+        want = [g_eval(prm, x) for x in roots]
+        assert [powers[k] for k in img[i].tolist()] == [None if w is None else w.i for w in want]
+        poles += want.count(None)
+    assert poles > 0
+    assert (ctx.np_mul is None) == (p == 59)
+
+
+@pytest.mark.parametrize("p,h,count", [(5, 1, None), (2, 3, None), (3, 2, None), (5, 2, 2000), (59, 1, 2000)])
+def test_root_images_without_the_table(tower, monkeypatch, p, h, count):
+    """Past _DENSE_TABLE_CELLS cells (q > 199) pp_mu computes IMG's entries
+    afresh; with the limit lowered to 0 the images and both verdicts equal
+    those read off the table."""
+    t = tower(p, h)
+    eng = ScanEngine(t)
+    monkeypatch.setattr(engine, "_DENSE_TABLE_CELLS", 0)
+    bare = ScanEngine(t)
+    assert eng.IMG is not None and bare.IMG is None
+    a, b = pair_grid(eng.n) if count is None else sample_pairs(eng.n, count, seed=eng.q)
+    assert (bare._images(a, b) == eng._images(a, b)).all()
+    assert (bare._images(a, b, slice(3)) == eng._images(a, b, slice(3))).all()
+    assert (bare.pp_mu(a, b) == eng.pp_mu(a, b)).all() and (bare._pp_mu(a, b) == eng._pp_mu(a, b)).all()
+
+
+def test_root_table_size():
+    """IMG holds (q+1) q^2 int16 cells up to _DENSE_TABLE_CELLS (q = 199) and
+    is not built past it."""
+    assert 200 * 199**2 <= engine._DENSE_TABLE_CELLS < 212 * 211**2
+    eng = ScanEngine(make_field(199, 1))
+    assert eng.IMG.shape == (200, 199**2) and eng.IMG.dtype == np.int16
+    assert ScanEngine(make_field(211, 1)).IMG is None
+
+
+# The square-class step of each condition kernel as the per-pair path states
+# it: the pair's equation, and the GF(q) operand of its square test.
+def _equation_and_operand(name, prm):
+    a, b, one = prm.a, prm.b, prm.a.ctx.one
+    aq, na, nb = frobenius(a), a * frobenius(a), b * frobenius(b)
+    if name == "prima":
+        return aq * frobenius(b) == a * (nb - na), one - 4 * nb * na.inv()
+    if name == "seconda":
+        return aq + 3 * a * b == 0, -3 * (one - 4 * nb * na.inv())
+    if name == "seconda_bis":
+        return aq + 3 * a * b == 0, 3 * na * (4 - 9 * na)
+    v = b * a * a  # prima_bis
+    return v != 0 and frobenius(v) == v and v * v - na * v - na**3 == 0, -3 * na * na - 4 * v
+
+
+@pytest.mark.parametrize("name", ["prima", "seconda", "prima_bis", "seconda_bis"])
+@pytest.mark.parametrize("p,h,count", [(5, 1, None), (7, 1, None), (13, 1, None), (5, 2, 20_000)])
+def test_square_test_sees_only_the_pairs_whose_equation_holds(tower, monkeypatch, name, p, h, count):
+    """Each condition kernel evaluates its equation on every pair and calls
+    _sq_ok once, on the operands of exactly the pairs where it holds, in
+    pair order."""
+    t = tower(p, h)
+    eng = ScanEngine(t)
+    a, b = pair_grid(eng.n) if count is None else sample_pairs(eng.n, count, seed=eng.q)
+    sq_ok, calls = eng._sq_ok, []
+
+    def record(val):
+        calls.append(val.tolist())
+        return sq_ok(val)
+
+    monkeypatch.setattr(eng, "_sq_ok", record)
+    got = getattr(eng, name)(a, b)
+    want = []
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        eq, val = _equation_and_operand(name, TrinomialParams.from_indices(t, ai, bi))
+        if eq:
+            want.append(val.i)
+    assert calls == [want] and 0 < len(want) < len(a)
+    assert got.sum() <= len(want)
 
 
 @pytest.mark.parametrize("p,h,count", [(5, 1, None), (7, 1, 200), (3, 2, 200), (11, 1, 200), (13, 1, 200), (5, 2, 200)])

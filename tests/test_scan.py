@@ -4,6 +4,7 @@ import json
 import os
 import tracemalloc
 from dataclasses import replace
+from random import Random
 
 import numpy as np
 import pytest
@@ -162,6 +163,21 @@ class TestSampled:
         rep = sampled_scan(7, 1, 300, seed=2)
         keys = rep.rows[:, 0].astype(np.int64) * 10**6 + rep.rows[:, 1]
         assert (np.diff(keys) >= 0).all()  # duplicates allowed
+
+    @pytest.mark.parametrize("n,count,seed", [(9, 0, 1), (9, 1, 2), (9, 500, 3), (625, 2000, 4), (3481, 20_000, 0)])
+    def test_sample_pairs_sort_the_seeded_draws(self, n, count, seed):
+        """The same Random(seed) draws, a then b per pair, sorted as tuples
+        (n = 9: 64 distinct pairs, so duplicates are heavy)."""
+        rng = Random(seed)
+        want = sorted((rng.randrange(1, n), rng.randrange(1, n)) for _ in range(count))
+        a, b = sample_pairs(n, count, seed)
+        assert a.dtype == b.dtype == np.int32
+        assert list(zip(a.tolist(), b.tolist())) == want
+
+    def test_pair_grid_is_int32(self):
+        a, b = pair_grid(16)
+        assert a.dtype == b.dtype == np.int32
+        assert list(zip(a.tolist(), b.tolist())) == [(x, y) for x in range(1, 16) for y in range(1, 16)]
 
     def test_large_field_sample_has_no_violations(self, tower):
         rep = sampled_scan(7, 2, 100_000, seed=7, summary_only=True)
