@@ -13,14 +13,16 @@ form.  On mu_(q+1), x^q = 1/x, so g(x) = x h(x)^(q-1) = x^3 D(x)^(q-1) with
 D(x) = b x^3 + x + a.  Let zeta = gamma^(q-1) for the generator gamma of
 GF(q^2)* that the log tables use: the root MU[c] is zeta^(j_c), and
 d^(q-1) = zeta^(log d mod (q+1)) for d != 0, so g(MU[c]) is
-zeta^((3 j_c + log D(MU[c])) mod (q+1)).  The engine builds the (q+1) x q^2
-int16 table IMG once: IMG[c, y] is that exponent for y = b MU[c]^3 + a, so
+zeta^((3 j_c + log D(MU[c])) mod (q+1)).  The (q+1) x q^2 int16 table
+IMG holds these exponents: IMG[c, y] is the one for y = b MU[c]^3 + a, so
 that D = y + MU[c], and the sentinel q+1 where y + MU[c] = 0, a pole.  A
 pair then costs one vmul, one vadd and one gather per root, and it permutes
-GF(q^2) iff its row of exponents holds no sentinel and no repeat.  Past
-_DENSE_TABLE_CELLS cells (q > 199) the table is not built, and the same
-exponents are computed per call with one vadd more.  The per-pair
-perm.is_pp_mu keeps the cubic fraction, so the two stay independent.
+GF(q^2) iff its row of exponents holds no sentinel and no repeat.  The
+table is built on first use, once pp_mu has been given enough pairs to pay
+for it (_ROOT_TABLE_PAYBACK); until then, and past _ROOT_TABLE_CELLS cells
+(q > 317), the same exponents are computed per call with one vadd more.
+The per-pair perm.is_pp_mu keeps the cubic fraction, so the two stay
+independent.
 
 The condition kernels (prima, seconda, prima_bis, seconda_bis and
 seconda_tris; char3 is prima) first evaluate their equation on every pair
@@ -88,9 +90,20 @@ import math
 
 import numpy as np
 
-from .ff import _DENSE_TABLE_CELLS, FieldTower, _flat_index, _take_in_place
+from .ff import FieldTower, _flat_index, _take_in_place
 
 __all__ = ["ScanEngine"]
+
+# pp_mu's root-image table IMG (module docstring) holds (q+1) q^2 int16
+# cells: at most this many, 64 MiB (q <= 317).  Past it pp_mu computes the
+# images per call at any pair count.
+_ROOT_TABLE_CELLS = 32 << 20
+
+# Building IMG costs about 20 ns a cell and saves pp_mu 0.2-0.7 us a pair
+# (q = 25..289), so it pays for itself after 0.03-0.09 pairs per cell.
+# pp_mu computes the images per call until it has been given cells/25
+# pairs in all, then builds the table and reads it from then on.
+_ROOT_TABLE_PAYBACK = 25
 
 
 class ScanEngine:
@@ -117,13 +130,9 @@ class ScanEngine:
         self.ROOTS = np.arange(q1, dtype=np.int32)
         self.J3 = 3 * (ctx.np_log[self.MU] // (self.q - 1)) % q1
         self.CLASS = ctx.np_log % q1
-        self.IMG = None
-        if q1 * self.n <= _DENSE_TABLE_CELLS:
-            self.IMG = np.empty((q1, self.n), dtype=np.int16)
-            step = max(1, (1 << 20) // self.n)  # rows per block of about 1M cells
-            for lo in range(0, q1, step):
-                rows = self.ROOTS[lo : lo + step, None]
-                self.IMG[lo : lo + step] = self._root_images(rows, self.XALL[None, :])
+        cells = q1 * self.n
+        self._img_after = cells // _ROOT_TABLE_PAYBACK if cells <= _ROOT_TABLE_CELLS else math.inf
+        self._mu_pairs = 0  # pairs given to pp_mu so far
 
         # x^(q-1), (x^(q-1))^q and x^(2(q-1)) for the direct test; the x = 0
         # entries are garbage but always masked by the outer factor x.
@@ -162,6 +171,7 @@ class ScanEngine:
     def pp_mu(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Permutation verdict through the (q+1)-st roots of unity, screened
         on the first K = floor(2.5 sqrt(q)) of the q+1 roots."""
+        self._mu_pairs += len(a)
         return self._screened(self._pp_mu, a, b, self.q + 1, math.isqrt(25 * self.q // 4))
 
     def pp_direct(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,13 +196,24 @@ class ScanEngine:
     def _images(self, a: np.ndarray, b: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """[i, k]: the exponent to base zeta of g(MU[cols][k]) for the pair
         (a[i], b[i]), on the power form g(x) = x^3 (b x^3 + x + a)^(q-1);
-        q+1 at a pole."""
+        q+1 at a pole.  Read off IMG once pp_mu has been given enough pairs
+        to pay for it, computed afresh before."""
         ctx = self.ctx
         y = ctx.vadd(ctx.vmul(b[:, None], self.X3MU[None, cols]), a[:, None])
         rows = self.ROOTS[None, cols]
-        if self.IMG is None:
+        if self._mu_pairs < self._img_after:
             return self._root_images(rows, y)
         return _take_in_place(self.IMG.ravel(), _flat_index(rows, y, self.n))
+
+    @functools.cached_property
+    def IMG(self) -> np.ndarray:
+        """The (q+1) x q^2 int16 table of _root_images, filled in blocks of
+        about 1M cells."""
+        img = np.empty((self.q + 1, self.n), dtype=np.int16)
+        step = max(1, (1 << 20) // self.n)
+        for lo in range(0, self.q + 1, step):
+            img[lo : lo + step] = self._root_images(self.ROOTS[lo : lo + step, None], self.XALL[None, :])
+        return img
 
     def _root_images(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
         """IMG[c, y] computed afresh (c, y broadcast): the exponent of

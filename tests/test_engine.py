@@ -55,19 +55,19 @@ def test_exhaustive_agreement(tower, p, h):
 
 @pytest.mark.parametrize("p,h,count", [(2, 4, 150), (5, 2, 200), (3, 3, 150), (7, 2, 30)])
 def test_sampled_agreement_larger_fields(tower, p, h, count):
-    """Seeded pairs, and 40 seeded pairs on which some condition holds (the
-    first ones of a larger seeded sample): every column against the per-pair
-    path, at q = 16, 25, 27 and 49."""
+    """Seeded pairs, and 40 seeded permutation pairs (the first ones of a
+    larger seeded sample, picked by pp_mu, not by the condition kernels;
+    main holds exactly on them): every column against the per-pair path, at
+    q = 16, 25, 27 and 49."""
     t = tower(p, h)
     eng = ScanEngine(t)
     a, b = sample_pairs(t.fq2.order, count, seed=t.q)
     wa, wb = sample_pairs(t.fq2.order, 100_000, seed=t.q + 1)
-    wide = [eng.classify_bulk(ca, cb) for ca, cb in pair_chunks(wa, wb, eng.q + 1)]
-    conditions = [name for name in wide[0] if name not in ("is_pp", "gcd_deg", "main")]
-    hit = np.flatnonzero(np.concatenate([np.any([c[name] for name in conditions], axis=0) for c in wide]))[:40]
+    hit = np.flatnonzero(np.concatenate([eng.pp_mu(ca, cb) for ca, cb in pair_chunks(wa, wb, eng.q + 1)]))[:40]
     assert len(hit) == 40
     a, b = np.concatenate([a, wa[hit]]), np.concatenate([b, wb[hit]])
     cols = eng.classify_bulk(a, b)
+    conditions = [name for name in cols if name not in ("is_pp", "gcd_deg", "main")]
     direct = eng.pp_direct(a, b)
     for i in range(len(a)):
         prm = TrinomialParams.from_indices(t, int(a[i]), int(b[i]))
@@ -167,11 +167,12 @@ def test_root_images_are_g_eval(tower, p, h, count):
     tables, 59."""
     t = tower(p, h)
     eng, ctx = ScanEngine(t), t.fq2
+    eng._img_after = 0  # read IMG from the first call
     a, b = pair_grid(eng.n) if count is None else sample_pairs(eng.n, count, seed=eng.q)
     zeta = ctx.pow_i(ctx.generator_idx, eng.q - 1)
     powers = [ctx.pow_i(zeta, k) for k in range(eng.q + 1)] + [None]  # the sentinel q+1 marks a pole
     img = eng._images(a, b)
-    assert eng.IMG is not None and img.shape == (len(a), eng.q + 1)
+    assert "IMG" in vars(eng) and img.shape == (len(a), eng.q + 1)
     roots = [ctx.elem(x) for x in eng.MU.tolist()]
     poles = 0
     for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
@@ -185,27 +186,36 @@ def test_root_images_are_g_eval(tower, p, h, count):
 
 @pytest.mark.parametrize("p,h,count", [(5, 1, None), (2, 3, None), (3, 2, None), (5, 2, 2000), (59, 1, 2000)])
 def test_root_images_without_the_table(tower, monkeypatch, p, h, count):
-    """Past _DENSE_TABLE_CELLS cells (q > 199) pp_mu computes IMG's entries
-    afresh; with the limit lowered to 0 the images and both verdicts equal
-    those read off the table."""
+    """Past _ROOT_TABLE_CELLS cells pp_mu computes IMG's entries per call;
+    with the limit lowered to 0 the images and both verdicts equal those
+    read off the table, and the table is never built."""
     t = tower(p, h)
     eng = ScanEngine(t)
-    monkeypatch.setattr(engine, "_DENSE_TABLE_CELLS", 0)
+    eng._img_after = 0
+    monkeypatch.setattr(engine, "_ROOT_TABLE_CELLS", 0)
     bare = ScanEngine(t)
-    assert eng.IMG is not None and bare.IMG is None
     a, b = pair_grid(eng.n) if count is None else sample_pairs(eng.n, count, seed=eng.q)
     assert (bare._images(a, b) == eng._images(a, b)).all()
     assert (bare._images(a, b, slice(3)) == eng._images(a, b, slice(3))).all()
     assert (bare.pp_mu(a, b) == eng.pp_mu(a, b)).all() and (bare._pp_mu(a, b) == eng._pp_mu(a, b)).all()
+    assert "IMG" in vars(eng) and "IMG" not in vars(bare)
 
 
-def test_root_table_size():
-    """IMG holds (q+1) q^2 int16 cells up to _DENSE_TABLE_CELLS (q = 199) and
-    is not built past it."""
-    assert 200 * 199**2 <= engine._DENSE_TABLE_CELLS < 212 * 211**2
-    eng = ScanEngine(make_field(199, 1))
-    assert eng.IMG.shape == (200, 199**2) and eng.IMG.dtype == np.int16
-    assert ScanEngine(make_field(211, 1)).IMG is None
+def test_root_table_pays_back():
+    """IMG is built on the pp_mu call that brings the pairs given to pp_mu
+    to (q+1) q^2 / _ROOT_TABLE_PAYBACK, and read from then on; the size
+    limit admits q = 317 and not 331."""
+    assert 318 * 317**2 <= engine._ROOT_TABLE_CELLS < 332 * 331**2
+    eng = ScanEngine(make_field(5, 2))
+    after = 26 * 625 // engine._ROOT_TABLE_PAYBACK
+    a, b = sample_pairs(eng.n, after, seed=1)
+    eng.pp_mu(a[:-1], b[:-1])
+    assert "IMG" not in vars(eng)
+    eng.pp_mu(a[-1:], b[-1:])
+    assert "IMG" in vars(eng) and eng.IMG.shape == (26, 625) and eng.IMG.dtype == np.int16
+    table = eng.IMG
+    eng.pp_mu(a, b)
+    assert eng.IMG is table
 
 
 # The square-class step of each condition kernel as the per-pair path states
