@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -133,6 +134,9 @@ class ScanEngine:
         cells = q1 * self.n
         self._img_after = cells // _ROOT_TABLE_PAYBACK if cells <= _ROOT_TABLE_CELLS else math.inf
         self._mu_pairs = 0  # pairs given to pp_mu so far
+        # sweep threads that reach IMG together build it once: from Python
+        # 3.12 on, functools.cached_property no longer locks
+        self._img_lock = threading.Lock()
 
         # x^(q-1), (x^(q-1))^q and x^(2(q-1)) for the direct test; the x = 0
         # entries are garbage but always masked by the outer factor x.
@@ -203,7 +207,9 @@ class ScanEngine:
         rows = self.ROOTS[None, cols]
         if self._mu_pairs < self._img_after:
             return self._root_images(rows, y)
-        return _take_in_place(self.IMG.ravel(), _flat_index(rows, y, self.n))
+        with self._img_lock:
+            table = self.IMG
+        return _take_in_place(table.ravel(), _flat_index(rows, y, self.n))
 
     @functools.cached_property
     def IMG(self) -> np.ndarray:

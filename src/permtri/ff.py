@@ -23,13 +23,20 @@ with e^q = -e.  For p = 2 the modulus is t^2 + t + c with c of absolute
 trace 1 and conjugation maps u + v t to (u + v) + v t.
 
 Every layer is built by one path, GF(p) being the degree-1 layer over no
-base.  On a layer of n elements the generator g is the least index >= 1 of
-multiplicative order n - 1 (1 on GF(2)); the exp/log tables are its powers,
-each product taken as x * y mod p on GF(p), else as the coefficient product
-reduced by the monic modulus.  Negation and inversion are read off the
-logs: -x = x g^((n-1)/2) for odd p, -x = x for p = 2, 1/x = g^(n-1-log x).
-The add table is built coordinate-wise through the layer below, and the
-top layer's Frobenius table conjugates coordinates as above.
+base.  _coord_mul, the twin of _coord_add, multiplies without the layer's
+own tables: x * y mod p on GF(p), else the product of the coefficient
+polynomials through the vector ops of the layer below, reduced by the monic
+modulus.  On a layer of n elements the generator g is the least index >= 1
+of multiplicative order n - 1 (1 on GF(2)).  One _coord_mul of every index
+by a candidate g gives the map x -> x g, and its cycle through 1 is the
+powers of g, so the cycle's length is g's order: the first candidate whose
+cycle has length n - 1 is g, the cycle is the exp table and log is its
+inverse.  The search starts at the order B of the layer below: every index
+below B lies in that subfield, so its order divides B - 1 < n - 1.
+Negation and inversion are read off the logs: -x = x g^((n-1)/2) for odd
+p, -x = x for p = 2, 1/x = g^(n-1-log x).  The add table is built
+coordinate-wise through the layer below, and the top layer's Frobenius
+table conjugates coordinates as above.
 
 Scalar ops run on discrete-log, exp and Zech tables held as plain lists.
 The vectorised ops (the v* methods) take numpy index arrays.  On a layer
@@ -125,17 +132,6 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
         n //= p
         k += 1
     return (p, k) if n == 1 else None
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n, ascending."""
-    out = []
-    while n > 1:
-        d = _least_factor(n)
-        out.append(d)
-        while n % d == 0:
-            n //= d
-    return out
 
 
 class SquareClass:
@@ -289,70 +285,27 @@ class FieldCtx:
                 return cand
         raise RuntimeError("no irreducible modulus found")  # pragma: no cover
 
-    def _find_generator(self) -> int:
-        """The least index >= 1 of multiplicative order n - 1 (1 on GF(2))."""
-        n1 = self.order - 1
-        fac = _prime_factors(n1)
-        for g in range(1, self.order):
-            if all(self._boot_pow(g, n1 // r) != 1 for r in fac):
-                return g
-        raise RuntimeError("no generator")  # pragma: no cover
-
-    # Bootstrap arithmetic, used only before the log tables exist: x * y mod p
-    # on GF(p), else the coefficient product reduced by the monic modulus.
-    def _boot_mul(self, x: int, y: int) -> int:
-        if self.base is None:
-            return x * y % self.p
-        if x == 1:  # every power starts from 1, and g = 1 is the first candidate
-            return y
-        base, d, B = self.base, self.degree, self.base.order
-        xv = [(x // B**k) % B for k in range(d)]
-        yv = [(y // B**k) % B for k in range(d)]
-        prod = [0] * (2 * d - 1)
-        for ix, cx in enumerate(xv):
-            if cx == 0:
-                continue
-            for iy, cy in enumerate(yv):
-                prod[ix + iy] = base.add_i(prod[ix + iy], base.mul_i(cx, cy))
-        # reduce modulo the monic modulus
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c == 0:
-                continue
-            prod[k] = 0
-            for j in range(d):
-                m = self.modulus[j]
-                if m:
-                    prod[k - d + j] = base.sub_i(prod[k - d + j], base.mul_i(c, m))
-        out = 0
-        for k in range(d - 1, -1, -1):
-            out = out * B + prod[k]
-        return out
-
-    def _boot_pow(self, x: int, k: int) -> int:
-        r = 1
-        while k:
-            if k & 1:
-                r = self._boot_mul(r, x)
-            x = self._boot_mul(x, x)
-            k >>= 1
-        return r
-
     def _finish_tables(self) -> None:
         n, p = self.order, self.p
-        gen = self.generator_idx = self._find_generator()
-        exp = [0] * (2 * (n - 1))
-        log = [0] * n
-        acc, mul = 1, self._boot_mul
-        for k in range(n - 1):
-            exp[k] = exp[k + n - 1] = acc
-            log[acc] = k
-            acc = mul(acc, gen)
-        if acc != 1:  # pragma: no cover
-            raise RuntimeError("generator order mismatch")
-        self._exp, self._log = exp, log
-        self.np_exp2 = np.array(exp, dtype=np.int32)
-        self.np_log = np.array(log, dtype=np.int32)
+        # the least g of order n - 1 and its powers: the cycle of x -> x g
+        # through 1 (module docstring), the walk bounded by n
+        x = np.arange(n)
+        for g in range(1 if self.base is None else self.base.order, n):
+            step = self._coord_mul(x, g).tolist()
+            exp, acc = [1], step[1]
+            while acc != 1 and len(exp) < n:
+                exp.append(acc)
+                acc = step[acc]
+            if acc == 1 and len(exp) == n - 1:
+                break
+        else:  # pragma: no cover
+            raise RuntimeError("no element of order n - 1")
+        self.generator_idx = g
+        exp += exp
+        self._exp, self.np_exp2 = exp, np.array(exp, dtype=np.int32)
+        self.np_log = np.zeros(n, dtype=np.int32)
+        self.np_log[self.np_exp2[: n - 1]] = np.arange(n - 1)
+        self._log = self.np_log.tolist()
 
         # -x = x g^((n-1)/2) (x itself when p = 2) and 1/x = g^(n-1-log x);
         # 0 maps to 0 in both (the scalar path raises on inverting it)
@@ -477,6 +430,24 @@ class FieldCtx:
         if self.base is None:
             return (x + y) % self.p
         return self._join([self.base._add(cx, cy) for cx, cy in zip(self._coords(x), self._coords(y))])
+
+    def _coord_mul(self, x, y):
+        """x * y without this layer's tables: mod p on the prime layer, else
+        the product of the coefficient polynomials over the layer below,
+        reduced by the monic modulus: t^d = -(m_0 + ... + m_(d-1) t^(d-1))."""
+        if self.base is None:
+            return x * y % self.p
+        base, d = self.base, self.degree
+        prod, yc = [None] * (2 * d - 1), self._coords(y)
+        for i, cx in enumerate(self._coords(x)):
+            for j, cy in enumerate(yc):
+                t = base.vmul(cx, cy)
+                prod[i + j] = t if prod[i + j] is None else base.vadd(prod[i + j], t)
+        for k in range(2 * d - 2, d - 1, -1):
+            for j, m in enumerate(self.modulus[:d]):
+                if m:
+                    prod[k - d + j] = base.vsub(prod[k - d + j], base.vmul(prod[k], m))
+        return self._join(prod[:d])
 
     def _add(self, x, y):
         """vadd on operands already known to lie in [0, order)."""

@@ -3,6 +3,10 @@
 import json
 import math
 import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -216,6 +220,41 @@ def test_root_table_pays_back():
     table = eng.IMG
     eng.pp_mu(a, b)
     assert eng.IMG is table
+
+
+def test_root_table_is_built_once_by_threads_that_reach_it_together():
+    """Sweep threads may call pp_mu while IMG is being built; they must wait
+    for that build, not start their own (functools.cached_property takes no
+    lock from Python 3.12 on)."""
+    eng = ScanEngine(make_field(5, 1))
+    eng._img_after = 0
+    a, b = pair_grid(eng.n)
+    want = ScanEngine(make_field(5, 1)).pp_mu(a, b)  # per-call images
+    builds, root_images = [], eng._root_images
+
+    def counting(c, y):
+        if y.base is eng.XALL:  # the table's one block at q = 5, not a per-call image
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # hold the build open while the other threads arrive
+        return root_images(c, y)
+
+    eng._root_images = counting
+    workers = 4
+    barrier = threading.Barrier(workers, timeout=10)
+
+    def call():
+        barrier.wait()
+        return eng.pp_mu(a, b)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            verdicts = [f.result(timeout=30) for f in [pool.submit(call) for _ in range(workers)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1 and "IMG" in vars(eng)
+    assert all((v == want).all() for v in verdicts)
 
 
 # The square-class step of each condition kernel as the per-pair path states

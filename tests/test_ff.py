@@ -341,8 +341,6 @@ def test_trial_division_against_the_definitions():
     powers = {p**k: (p, k) for p in primes for k in range(1, 13) if p**k <= 5000}
     assert [n for n in range(5001) if ff.is_prime(n)] == primes
     assert all(is_prime_power(n) == powers.get(n) for n in range(5001))
-    for n in range(1, 2001):
-        assert ff._prime_factors(n) == [p for p in primes if p <= n and n % p == 0]
     # the first factor ends the search: no trial division up to sqrt(n)
     assert ff.is_prime(2 * 1000000000000000003) is False
     assert ff.is_prime(3 * 1000000000000000003) is False
@@ -389,6 +387,21 @@ class TestTablesAgainstOracles:
             assert not ctx._coord_add(x, ctx.np_neg[x]).any()
             assert not ctx.vadd(x, ctx.np_neg[x]).any()
             assert ctx._neg == ctx.np_neg.tolist()
+
+    @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
+    def test_coord_mul_is_the_polynomial_product(self, tower, p, h):
+        # every pair on layers of at most 256 elements, 2 000 seeded pairs
+        # on GF(625) and on GF(59^2) past the dense limit: the oracle costs
+        # 20-35 us a pair, so every pair of GF(625) would take 8-13 s
+        rng = np.random.default_rng(100 * p + h)
+        for ctx in _layers(tower(p, h)):
+            n = ctx.order
+            if n <= 256:
+                x, y = np.divmod(np.arange(n * n), n)
+            else:
+                x, y = rng.integers(0, n, size=(2, 2000))
+            want = [_oracle_mul(ctx, i, j) for i, j in zip(x.tolist(), y.tolist())]
+            assert ctx._coord_mul(x, y).tolist() == want
 
     @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
     def test_exp_steps_by_the_generator(self, tower, p, h):
