@@ -30,6 +30,10 @@ and then run the rest, the square test over GF(q) or seconda_tris' other
 two equations, only on the pairs where it holds, as the per-pair conds
 functions return early.  There every square-test operand is a function of
 norms, so it lies in GF(q); _sq_ok still checks each one it receives.
+seconda and seconda_bis share one equation, a^q + 3ab = 0: classify_bulk
+evaluates it once and hands it to both.  prima_bis' equation counts only
+where v = b a^2 lies in GF(q)*, about one pair in q+1, so its quadratic in
+v runs on those pairs alone.
 
 The two permutation verdicts are screened.  pp_mu evaluates its map on the
 first K = floor(2.5 sqrt(q)) of the q+1 roots of unity and pp_direct
@@ -318,31 +322,43 @@ class ScanEngine:
         eq = ctx.vmul(self.FROB[a], self.FROB[b]) == ctx.vmul(a, ctx.vsub(self.NORM[b], self.NORM[a]))
         return _refine(eq, lambda a, b: self._sq_ok(self._disc(a, b)), a, b)
 
-    def seconda(self, a, b):
-        return _refine(
-            self._seconda_eq(a, b), lambda a, b: self._sq_ok(self.ctx.vmul(self._k(-3), self._disc(a, b))), a, b
-        )
+    def seconda(self, a, b, eq=None):
+        """eq: _seconda_eq(a, b), if the caller has it (overwritten)."""
+
+        def sq(a, b):
+            return self._sq_ok(self.ctx.vmul(self._k(-3), self._disc(a, b)))
+
+        return _refine(self._seconda_eq(a, b) if eq is None else eq, sq, a, b)
+
+    def _prima_bis_eq(self, v, na):
+        """v^2 - a^(q+1) v - a^(3(q+1)) = 0 for v = b a^2, the equation of
+        prima_bis."""
+        ctx = self.ctx
+        return ctx.vsub(ctx.vsub(ctx.vmul(v, v), ctx.vmul(na, v)), ctx.vmul(na, ctx.vmul(na, na))) == 0
 
     def prima_bis(self, a, b):
         ctx = self.ctx
         v = ctx.vmul(b, ctx.vmul(a, a))
-        na = self.NORM[a]
-        quad = ctx.vsub(ctx.vsub(ctx.vmul(v, v), ctx.vmul(na, v)), ctx.vmul(na, ctx.vmul(na, na))) == 0
-        eq = (v != 0) & (v < self.q) & quad  # the square test's operand lies in GF(q) only where v does
 
         def sq(v, na):
             return self._sq_ok(ctx.vadd(ctx.vmul(self._k(-3), ctx.vmul(na, na)), ctx.vmul(self._k(-4), v)))
 
-        return _refine(eq, sq, v, na)
+        def quad(v, a):
+            na = self.NORM[a]
+            return _refine(self._prima_bis_eq(v, na), sq, v, na)
 
-    def seconda_bis(self, a, b):
+        # the square test's operand lies in GF(q) only where v does
+        return _refine((v != 0) & (v < self.q), quad, v, a)
+
+    def seconda_bis(self, a, b, eq=None):
+        """eq: _seconda_eq(a, b), if the caller has it (overwritten)."""
         ctx = self.ctx
 
         def sq(a):
             na = self.NORM[a]
             return self._sq_ok(ctx.vmul(self._k(3), ctx.vmul(na, ctx.vsub(self._k(4), ctx.vmul(self._k(9), na)))))
 
-        return _refine(self._seconda_eq(a, b), sq, a)
+        return _refine(self._seconda_eq(a, b) if eq is None else eq, sq, a)
 
     def seconda_tris(self, a, b):
         ctx = self.ctx
@@ -558,16 +574,30 @@ class ScanEngine:
 
     # ---------------------------------------------------------- assembly
 
-    def classify_bulk(self, a: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
+    def classify_bulk(self, a: np.ndarray, b: np.ndarray, summary: bool = False) -> dict[str, np.ndarray]:
         """All per-pair scan columns at once; missing-characteristic
-        condition columns are simply absent from the dict."""
-        out = {"is_pp": self.pp_mu(a, b), "gcd_deg": self.gcd_deg(a, b)}
+        condition columns are simply absent from the dict.
+
+        summary=True leaves out what a summary sweep does not read:
+        gcd_deg is computed only on the is_pp pairs and holds 255, which is
+        no degree, on the others, and seconda_tris is absent."""
+        pp = self.pp_mu(a, b)
+        if summary:
+            gcd = np.full(len(a), 255, dtype=np.uint8)
+            live = np.flatnonzero(pp)
+            if live.size:
+                gcd[live] = self.gcd_deg(a[live], b[live])
+        else:
+            gcd = self.gcd_deg(a, b)
+        out = {"is_pp": pp, "gcd_deg": gcd}
         if self.p > 3:
             out["prima"] = self.prima(a, b)
-            out["seconda"] = self.seconda(a, b)
+            eq = self._seconda_eq(a, b)
+            out["seconda"] = self.seconda(a, b, eq.copy())
             out["prima_bis"] = self.prima_bis(a, b)
-            out["seconda_bis"] = self.seconda_bis(a, b)
-            out["seconda_tris"] = self.seconda_tris(a, b)
+            out["seconda_bis"] = self.seconda_bis(a, b, eq)
+            if not summary:
+                out["seconda_tris"] = self.seconda_tris(a, b)
             out["main"] = out["prima"] | out["seconda"]
         elif self.p == 2:
             out["char2"] = self.char2(a, b)

@@ -406,7 +406,7 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
     def tally(lo: int, hi: int) -> _Tally:
         part = _Tally(tower.p, None if rows is None else rows[lo:hi], diagnostics)
         for ca, cb in pair_chunks(a[lo:hi], b[lo:hi], tower.q + 1):
-            part.add(ca, cb, engine.classify_bulk(ca, cb))
+            part.add(ca, cb, engine.classify_bulk(ca, cb, summary=rows is None))
         return part
 
     bounds = np.linspace(0, len(a), min(threads, len(a)) + 1).astype(int).tolist()

@@ -162,6 +162,66 @@ def test_full_test_sees_only_the_screen_survivors(tower, monkeypatch, kernel, p,
 
 
 @pytest.mark.parametrize(
+    "p,h,count", [(2, 3, None), (3, 2, None), (5, 1, None), (7, 1, None), (13, 1, None), (5, 2, 20_000)]
+)
+def test_summary_mode_runs_only_what_the_tally_reads(tower, monkeypatch, p, h, count):
+    """classify_bulk(summary=True): gcd_deg runs once, on exactly the is_pp
+    pairs, and the column holds 255 elsewhere; seconda_tris never runs; the
+    seconda equation is evaluated once, and seconda and seconda_bis each
+    receive it whole; prima_bis' quadratic sees exactly the pairs whose
+    v = b a^2 lies in GF(q)*.  Every other column equals the full mode's."""
+    t = tower(p, h)
+    eng = ScanEngine(t)
+    a, b = pair_grid(eng.n) if count is None else sample_pairs(eng.n, count, seed=eng.q)
+    full = eng.classify_bulk(a, b)
+    calls = {name: [] for name in ("gcd_deg", "_seconda_eq", "seconda", "seconda_bis", "_prima_bis_eq")}
+
+    def recorder(name):
+        original = getattr(eng, name)
+
+        def record(*args):
+            calls[name].append([x.copy() for x in args])
+            return original(*args)
+
+        return record
+
+    def never(a, b):
+        raise AssertionError("seconda_tris ran in summary mode")
+
+    for name in calls:
+        monkeypatch.setattr(eng, name, recorder(name))
+    monkeypatch.setattr(eng, "seconda_tris", never)
+    cols = eng.classify_bulk(a, b, summary=True)
+
+    pp = full["is_pp"]
+    [(ga, gb)] = calls["gcd_deg"]
+    assert (ga == a[pp]).all() and (gb == b[pp]).all() and 0 < pp.sum() < len(a)
+    assert (cols["gcd_deg"][pp] == full["gcd_deg"][pp]).all() and (cols["gcd_deg"][~pp] == 255).all()
+    assert "seconda_tris" not in cols and set(cols) == set(full) - {"seconda_tris"}
+    for name in set(cols) - {"gcd_deg"}:
+        assert (cols[name] == full[name]).all(), name
+    if p <= 3:
+        assert all(not calls[name] for name in calls if name != "gcd_deg")
+        return
+
+    [eq_args] = calls["_seconda_eq"]
+    assert (eq_args[0] == a).all() and (eq_args[1] == b).all()
+    eq = ScanEngine._seconda_eq(eng, a, b)
+    for name in ("seconda", "seconda_bis"):
+        [(_a, _b, got)] = calls[name]
+        assert (got == eq).all(), name
+    assert (eq & ~full["seconda"]).any()  # seconda overwrites its mask: an alias would reach seconda_bis changed
+
+    in_fq = []
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        prm = TrinomialParams.from_indices(t, ai, bi)
+        v = prm.b * prm.a * prm.a
+        if v.i != 0 and frobenius(v) == v:
+            in_fq.append(v.i)
+    [(v, _na)] = calls["_prima_bis_eq"]
+    assert v.tolist() == in_fq and 0 < len(in_fq) < len(a) // eng.q
+
+@pytest.mark.parametrize(
     "p,h,count", [(2, 2, None), (5, 1, None), (7, 1, None), (2, 3, None), (3, 2, None), (5, 2, 300), (59, 1, 200)]
 )
 def test_root_images_are_g_eval(tower, p, h, count):

@@ -522,4 +522,35 @@ class TestVectorOps:
         assert past.np_add is None and past.np_mul is None
 
 
+class TestTakeInPlace:
+    """_take_in_place is table[idx]: one np.take up to _GATHER_BLOCK cells,
+    past it one per block, written over idx."""
+
+    BLOCK = ff._GATHER_BLOCK
+
+    @pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("table_dtype", [np.int32, np.int16])
+    def test_equals_fancy_indexing(self, size, table_dtype):
+        rng = np.random.default_rng(size)
+        table = rng.integers(-(1 << 14), 1 << 14, 5000).astype(table_dtype)
+        idx = rng.integers(0, len(table), size, dtype=np.int32)
+        idx[:2] = 0, len(table) - 1
+        want = table[idx]
+        got = ff._take_in_place(table, idx)
+        assert got.shape == want.shape and (got == want).all()
+        strided = rng.integers(0, len(table), 2 * size, dtype=np.int32)[::2]
+        assert not strided.flags.c_contiguous
+        want = table[strided]
+        assert (ff._take_in_place(table, strided) == want).all()
+
+    @pytest.mark.parametrize("size", [BLOCK, 3 * BLOCK + 5])
+    def test_out_of_range_index_raises(self, size):
+        table = np.arange(5000, dtype=np.int32)
+        for bad in (len(table), 1 << 30):
+            idx = np.zeros(size, dtype=np.int32)
+            idx[-1] = bad  # in the last block past one block
+            with pytest.raises(IndexError):
+                ff._take_in_place(table, idx)
+
+
 _T49 = make_field(7, 1)

@@ -83,6 +83,21 @@ class TestExhaustive:
         rep = exhaustive_scan(5, 1, summary_only=True)
         assert rep.rows is None and rep.pp_count == 18
 
+    @pytest.mark.parametrize(
+        "p,h",
+        [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]
+        + [(2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)],
+    )
+    def test_summary_aggregates_equal_the_full_rows(self, p, h):
+        # every prime power q <= 27: the summary sweep runs gcd_deg only on
+        # the permutation instances and skips seconda_tris
+        full, summary = exhaustive_scan(p, h), exhaustive_scan(p, h, summary_only=True)
+        assert full.rows is not None and summary.rows is None
+        keys = ("pair_count", "pp_count", "attribution", "gcd_histogram", "set_equalities", "equivalence_violations")
+        for key in keys:
+            assert getattr(summary, key) == getattr(full, key), key
+        assert (summary.set_equalities is None) == (p <= 3)
+
     def test_char2_scan(self, tower):
         rep = exhaustive_scan(2, 2)
         assert rep.pair_count == 225
@@ -465,6 +480,8 @@ class TestDeterminism:
             lambda t: exhaustive_scan(3, 2, threads=t),
             lambda t: exhaustive_scan(3, 2, threads=t, diagnostics=True),  # engine witnesses, no conic-swap
             lambda t: sampled_scan(7, 1, 500, seed=5, threads=t, diagnostics=True),
+            lambda t: exhaustive_scan(3, 2, threads=t, summary_only=True),
+            lambda t: exhaustive_scan(5, 2, threads=t, summary_only=True),
         )
         for sweep in sweeps:
             reports = [sweep(t) for t in (1, 2, 5, 8)]
