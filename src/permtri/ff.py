@@ -531,11 +531,12 @@ def _flat_index(x, y, n: int) -> np.ndarray:
 
 def _take_in_place(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """table[idx] for an int32 index array idx, through np.take, which
-    raises IndexError on an index outside the table.  Past one block, idx is
-    overwritten with the result a block at a time, so that the result and
-    a full-size index never coexist."""
+    raises IndexError on an index outside the table.  The result is int32
+    whatever the table's dtype, so its width does not depend on idx.size.
+    Past one block, idx is overwritten with the result a block at a time,
+    so that the result and a full-size index never coexist."""
     if idx.size <= _GATHER_BLOCK:
-        return table.take(idx)
+        return table.take(idx).astype(np.int32, copy=False)
     flat = idx.reshape(-1)  # a copy only if idx is not C-contiguous
     for lo in range(0, flat.size, _GATHER_BLOCK):
         blk = flat[lo : lo + _GATHER_BLOCK]

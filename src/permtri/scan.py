@@ -1,16 +1,23 @@
 """Exhaustive and sampled verification sweeps, reports, and persistence.
 
-A sweep walks parameter pairs (a, b) over GF(q^2)* x GF(q^2)*, classifies
-each pair (permutation verdict, closed-form conditions, GCD degree) through
-the vectorised engine, and aggregates a ScanReport.  Any disagreement
-between the verdict and the closed-form criterion is collected as an
-equivalence violation, never silently dropped.
+A sweep covers parameter pairs (a, b) of GF(q^2)* x GF(q^2)*, classifies
+them (permutation verdict, closed-form conditions, GCD degree) through the
+vectorised engine, and aggregates a ScanReport.  Any disagreement between
+the verdict and the closed-form criterion is collected as an equivalence
+violation, never silently dropped.
 
-Both sweeps run one pipeline: a pair source (pair_grid or sample_pairs)
-yields the pairs sorted by (a_idx, b_idx), pair_chunks slices them for the
-kernels, and a _Tally accumulates each slice.  A full-row sweep allocates
-its (pairs, 10) int32 row matrix once; each tally writes its slices'
-rows straight into its own range of it.
+Every sweep runs one pipeline: a pair source yields the pairs sorted by
+(a_idx, b_idx), pair_chunks slices them for the kernels, and a _Tally
+accumulates each slice.  A full-row sweep classifies every pair
+(pair_grid) and allocates its (pairs, 10) int32 row matrix once; each
+tally writes its slices' rows straight into its own range of it.  A
+sampled sweep classifies seeded pairs (sample_pairs).  An exhaustive
+summary sweep classifies one pair per orbit (pair_orbits): X -> cX takes
+f_(a,b) to c f_(a w^-1, b w^2) with w = c^(q-1) in mu_(q+1), so the q+1
+pairs of an orbit share every column a summary reads.  After the merge
+its counts are scaled by q+1, and each violation and permutation instance
+is listed for every pair of its orbit (_spread_orbits), so the report
+equals the one of classifying every pair.
 
 Parallelism contract: the sorted pair list is split into contiguous index
 ranges, one per requested thread (a split may fall inside an a-row).  A pool
@@ -71,6 +78,7 @@ __all__ = [
     "to_json_text",
     "report_from_json",
     "pair_grid",
+    "pair_orbits",
     "sample_pairs",
     "pair_chunks",
 ]
@@ -298,6 +306,27 @@ def pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(nonzero, n - 1), np.tile(nonzero, n - 1)
 
 
+def pair_orbits(tower) -> tuple[np.ndarray, np.ndarray]:
+    """One pair of each orbit {(a w^-1, b w^2) : w in mu_(q+1)} of
+    GF(q^2)* x GF(q^2)*, in (a_idx, b_idx) order, as int32 index arrays:
+    a runs over g^k for 0 <= k < q-1, one element of each coset of
+    mu_(q+1) = <g^(q-1)>, and b over every nonzero element."""
+    n = tower.fq2.order
+    reps = np.sort(tower.fq2.np_exp2[: tower.q - 1])
+    return np.repeat(reps, n - 1), np.tile(np.arange(1, n, dtype=np.int32), tower.q - 1)
+
+
+def _orbit_members(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The q+1 members (a w^-1, b w^2), w in MU, of the orbit of each pair
+    (a, b), in (a_idx, b_idx) order, and the position in (a, b) of the pair
+    whose orbit each member is."""
+    ctx, mu = engine.ctx, engine.MU
+    ea = ctx.vmul(a[:, None], engine.INV[mu][None, :]).ravel()
+    eb = ctx.vmul(b[:, None], ctx.vmul(mu, mu)[None, :]).ravel()
+    order = np.lexsort((eb, ea))
+    return ea[order], eb[order], order // len(mu)
+
+
 def sample_pairs(n: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """`count` seeded pairs drawn with replacement from GF(q^2)* x GF(q^2)*,
     a then b for each pair, returned sorted by (a_idx, b_idx) as int32
@@ -398,8 +427,31 @@ def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> l
     return out
 
 
-def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
-    """Classify the sorted pairs (a, b) and aggregate them into a report."""
+def _spread_orbits(total: _Tally, engine: ScanEngine) -> None:
+    """Turn the tally of pair_orbits into the tally of every pair (module
+    docstring): the counts scale by q+1, and each violation and kept
+    permutation instance is listed for every pair of its orbit, in
+    (a_idx, b_idx) order."""
+    k = engine.q + 1
+    total.pair_count *= k
+    total.pp_count *= k
+    for counter in (total.attribution, total.gcd_histogram):
+        for key in counter:
+            counter[key] *= k
+    viol = np.array(total.violations, dtype=np.int64).reshape(-1, 4)
+    va, vb, src = _orbit_members(engine, viol[:, 0], viol[:, 1])
+    flags = [v[2:] for v in total.violations]
+    total.violations = [(x, y, *flags[i]) for x, y, i in zip(va.tolist(), vb.tolist(), src.tolist())]
+    pp = np.array(total.pp_pairs, dtype=np.int64).reshape(-1, 2)
+    pa, pb, _ = _orbit_members(engine, pp[:, 0], pp[:, 1])
+    total.pp_pairs = list(zip(pa.tolist(), pb.tolist()))
+
+
+def _sweep(
+    tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=None, seed=None, orbits=False
+) -> ScanReport:
+    """Classify the sorted pairs (a, b) and aggregate them into a report;
+    with orbits, (a, b) is pair_orbits(tower) and stands for every pair."""
     engine = ScanEngine(tower)
     rows = None if summary_only else np.empty((len(a), len(_ROW_FIELDS)), dtype=np.int32)
 
@@ -419,6 +471,8 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
     total = _Tally(tower.p, None, diagnostics)
     for part in parts:  # range order
         total.merge(part)
+    if orbits:
+        _spread_orbits(total, engine)
 
     diag = None
     if diagnostics:
@@ -438,7 +492,7 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
         p=tower.p,
         h=tower.h,
         mode=mode,
-        pair_count=len(a),
+        pair_count=total.pair_count,
         pp_count=total.pp_count,
         attribution=dict(total.attribution),
         gcd_histogram=dict(total.gcd_histogram),
@@ -463,6 +517,10 @@ def exhaustive_scan(
 ) -> ScanReport:
     """Classify every pair (a, b) in GF(q^2)* x GF(q^2)*.
 
+    A full-row sweep classifies each pair.  A summary sweep classifies one
+    pair of each mu_(q+1) orbit (pair_orbits) and counts it q+1 times; its
+    violations and diagnostics still list every pair of an orbit.
+
     Refuses to run when q exceeds the exhaustion budget (argument, else the
     TRINOMIAL_BUDGET_Q environment variable, else 31); use sampled_scan
     beyond that.  The budget and the thread count are checked before the
@@ -477,8 +535,8 @@ def exhaustive_scan(
             "use sampled_scan (or raise the budget)"
         )
     tower = make_field(p, h)
-    a, b = pair_grid(tower.fq2.order)
-    return _sweep(tower, "exhaustive", a, b, t0, threads, summary_only, diagnostics)
+    a, b = pair_orbits(tower) if summary_only else pair_grid(tower.fq2.order)
+    return _sweep(tower, "exhaustive", a, b, t0, threads, summary_only, diagnostics, orbits=summary_only)
 
 
 def sampled_scan(

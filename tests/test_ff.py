@@ -543,6 +543,16 @@ class TestTakeInPlace:
         want = table[strided]
         assert (ff._take_in_place(table, strided) == want).all()
 
+    @pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_result_is_int32_on_both_paths(self, size):
+        # an int16 table (pp_mu's IMG) must not give int16 rows from small
+        # gathers and int32 rows from blocked ones
+        table = np.arange(-2500, 2500, dtype=np.int16)
+        idx = np.arange(size, dtype=np.int32) % len(table)
+        got = ff._take_in_place(table, idx)
+        assert got.dtype == np.int32
+        assert (got == table[np.arange(size) % len(table)]).all()
+
     @pytest.mark.parametrize("size", [BLOCK, 3 * BLOCK + 5])
     def test_out_of_range_index_raises(self, size):
         table = np.arange(5000, dtype=np.int32)

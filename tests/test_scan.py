@@ -23,6 +23,7 @@ from permtri.engine import ScanEngine
 from permtri.scan import (
     CSV_COLUMNS,
     pair_grid,
+    pair_orbits,
     report_from_json,
     sample_pairs,
     to_csv_text,
@@ -89,8 +90,9 @@ class TestExhaustive:
         + [(2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)],
     )
     def test_summary_aggregates_equal_the_full_rows(self, p, h):
-        # every prime power q <= 27: the summary sweep runs gcd_deg only on
-        # the permutation instances and skips seconda_tris
+        # every prime power q <= 27: the summary sweep classifies one pair
+        # per mu_(q+1) orbit, runs gcd_deg only on its permutation instances
+        # and skips seconda_tris; the full-row sweep classifies every pair
         full, summary = exhaustive_scan(p, h), exhaustive_scan(p, h, summary_only=True)
         assert full.rows is not None and summary.rows is None
         keys = ("pair_count", "pp_count", "attribution", "gcd_histogram", "set_equalities", "equivalence_violations")
@@ -159,6 +161,70 @@ class TestExhaustive:
         monkeypatch.setattr(scan, "_CHUNK_CELLS", 7 * 49)  # 7 pairs per slice
         assert scan._instance_diagnostics(eng, a, b) == whole
         assert scan._instance_diagnostics(eng, a[:0], b[:0]) == []
+
+
+class TestOrbits:
+    """Summary sweeps classify pair_orbits, one pair of each orbit
+    {(a w^-1, b w^2) : w in mu_(q+1)}, and spread each result over its orbit."""
+
+    @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+    def test_transversal_meets_each_orbit_once(self, tower, p, h):
+        t = tower(p, h)
+        ctx, q, n = t.fq2, t.q, t.fq2.order
+        mu = [x for x in range(1, n) if ctx.pow_i(x, q + 1) == 1]
+        assert mu == list(ctx.mu_indices)
+        orbit = {}  # pair -> its orbit, by scalar arithmetic over every w in mu
+        for a in range(1, n):
+            for b in range(1, n):
+                orbit[a, b] = min((ctx.mul_i(a, ctx.inv_i(w)), ctx.mul_i(b, ctx.mul_i(w, w))) for w in mu)
+        a, b = pair_orbits(t)
+        assert a.dtype == b.dtype == np.int32
+        assert len(a) == (q - 1) * (n - 1)
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert pairs == sorted(pairs)
+        hit = [orbit[pair] for pair in pairs]
+        assert sorted(hit) == sorted(set(orbit.values()))  # every orbit, each once
+        assert len(hit) * (q + 1) == (n - 1) ** 2
+
+    def test_summary_classifies_only_the_transversal(self, tower, monkeypatch):
+        seen = []
+        classify = ScanEngine.classify_bulk
+
+        def spy(self, a, b, summary=False):
+            seen.extend(zip(a.tolist(), b.tolist()))
+            return classify(self, a, b, summary)
+
+        monkeypatch.setattr(ScanEngine, "classify_bulk", spy)
+        rep = exhaustive_scan(7, 1, threads=3, summary_only=True)
+        a, b = pair_orbits(tower(7, 1))
+        assert sorted(seen) == list(zip(a.tolist(), b.tolist()))  # the workers' slices interleave
+        assert rep.pair_count == 48 * 48
+
+    @pytest.mark.parametrize("p,h", [(5, 1), (2, 3), (3, 2)])
+    def test_violations_spread_in_row_order(self, monkeypatch, p, h):
+        # flip the criterion where N(a) = 1, a set the orbits respect since
+        # N(w) = 1 on mu_(q+1): every pair with a in mu_(q+1) is a violation
+        classify = ScanEngine.classify_bulk
+
+        def flipped(self, a, b, summary=False):
+            cols = classify(self, a, b, summary)
+            cols["main"] = cols["main"] ^ (self.NORM[a] == 1)
+            return cols
+
+        monkeypatch.setattr(ScanEngine, "classify_bulk", flipped)
+        full = exhaustive_scan(p, h)
+        q = full.q
+        assert len(full.equivalence_violations) == (q + 1) * (q * q - 1)
+        for threads in (1, 2, 5):
+            summary = exhaustive_scan(p, h, threads=threads, summary_only=True)
+            assert summary.equivalence_violations == full.equivalence_violations
+
+    @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 3), (3, 2)])
+    def test_diagnostics_cover_every_instance(self, p, h):
+        full = exhaustive_scan(p, h, diagnostics=True)
+        summary = exhaustive_scan(p, h, summary_only=True, diagnostics=True)
+        assert len(summary.diagnostics) == full.pp_count
+        assert summary.diagnostics == full.diagnostics
 
 
 class TestSampled:
@@ -482,6 +548,8 @@ class TestDeterminism:
             lambda t: sampled_scan(7, 1, 500, seed=5, threads=t, diagnostics=True),
             lambda t: exhaustive_scan(3, 2, threads=t, summary_only=True),
             lambda t: exhaustive_scan(5, 2, threads=t, summary_only=True),
+            # 5 threads split the 288 orbit representatives inside an a-row
+            lambda t: exhaustive_scan(7, 1, threads=t, summary_only=True, diagnostics=True),
         )
         for sweep in sweeps:
             reports = [sweep(t) for t in (1, 2, 5, 8)]
