@@ -36,15 +36,17 @@ text at a time.  The bytes equal those of formatting each row with str():
 CSV rows are `q,` and the cells joined by `,` with -1 as an empty cell;
 JSON is exactly
 json.dumps(report.to_json(), sort_keys=True, separators=(",", ": ")).
-report_from_json reads the top-level rows with numpy when re-encoding the
-parsed matrix reproduces their text exactly, and any other text through
-json.loads.
+report_from_json reads the top-level rows with numpy and the rest with
+json.loads, and keeps that reading only when report_blocks writes it back
+as exactly the text (JSON whitespace around it aside); any other text is
+read whole by json.loads.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import time
 import warnings
 from collections import Counter
@@ -105,6 +107,7 @@ BUDGET_ENV_VAR = "TRINOMIAL_BUDGET_Q"
 _ROW_FIELDS = CSV_COLUMNS[1:]  # rows store everything but the constant q
 _CHUNK_CELLS = 1 << 20  # kernel grid cells per pair_chunks slice
 _ENCODE_ROWS = 1 << 15  # rows per _encode_rows block
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")  # what json.loads skips around a value
 
 
 class BudgetExceededError(ValueError):
@@ -211,8 +214,24 @@ class ScanReport:
 
 
 def report_from_json(text: str) -> ScanReport:
-    """The report that to_json_text(report) wrote as `text`."""
-    d = _loads_report(text)
+    """The report that to_json_text(report) wrote as `text`.
+
+    One np.fromstring parses the top-level rows span and one json.loads the
+    text around it.  That reading is kept only when report_blocks writes it
+    back as exactly `text`, JSON whitespace around it aside: the writer's
+    output is json.dumps(report.to_json()), so json.loads would read the
+    same report.  Any other text is read whole by json.loads.
+    """
+    report = _numpy_reading(text)
+    if report is not None and _writes(report, text):
+        return report
+    d = json.loads(text)
+    return _report(d, d["rows"])
+
+
+def _report(d: dict, rows) -> ScanReport:
+    """The report of the JSON object `d`, with `rows` (nested lists or a
+    flat int32 array of the cells) as its rows."""
     return ScanReport(
         q=d["q"],
         p=d["p"],
@@ -227,64 +246,38 @@ def report_from_json(text: str) -> ScanReport:
         wall_time=d["wall_time"],
         samples=d["samples"],
         seed=d["seed"],
-        rows=None if d["rows"] is None else np.asarray(d["rows"], dtype=np.int32).reshape(-1, len(_ROW_FIELDS)),
+        rows=None if rows is None else np.asarray(rows, dtype=np.int32).reshape(-1, len(_ROW_FIELDS)),
         diagnostics=d["diagnostics"],
     )
 
 
-def _loads_report(text: str) -> dict:
-    """json.loads(text), with a top-level "rows" array laid out as
-    to_json_text writes it returned as an int32 matrix parsed by numpy.
-
-    The rows span runs from `"rows": [` to the `],"samples": ` that follows
-    it.  The text before it, closed by `"rows": null}`, and the text after
-    it, opened by `{`, must each load as an object, which holds only when
-    the span sits at the top level.  Any other text, or a span that
-    _parse_rows refuses, is loaded whole by json.loads, so malformed text
-    raises what json.loads raises.
-    """
-    key = '"rows": ['
-    start = text.find(key) if isinstance(text, str) else -1
-    end = text.find('],"samples": ', start) if start >= 0 else -1
-    if end < 0:
-        return json.loads(text)
+def _numpy_reading(text: str) -> ScanReport | None:
+    """`text` read as the writer lays out a full-row report, or None where
+    that reading fails; report_from_json keeps it only if _writes holds."""
     try:
-        head = json.loads(text[:start] + '"rows": null}')
-        tail = json.loads("{" + text[end + 2 :])
-    except ValueError:  # JSONDecodeError: the span is nested, or the text is malformed
-        return json.loads(text)
-    # the writer's bytes are ASCII, so a `?` for any other character refuses the span
-    rows = None if "rows" in tail else _parse_rows(text[start + len(key) : end].encode("ascii", "replace"))
-    if rows is None:
-        return json.loads(text)
-    return {**head, **tail, "rows": rows}
+        key = '"rows": ['
+        start = text.index(key)
+        end = text.rindex('],"samples": ', start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy warns, not raises, where it stops early
+            # as bytes: from the str span np.fromstring took 0.7 s longer at q = 43 (2-vCPU Xeon)
+            span = text[start + len(key) : end].encode("ascii").translate(None, b"[]")
+            cells = np.fromstring(span, dtype=np.int32, sep=",")
+        return _report(json.loads(text[:start] + '"rows": null' + text[end + 1 :]), cells)
+    except (ValueError, TypeError, KeyError, AttributeError, DeprecationWarning):
+        return None  # text the writer did not lay out can fail at any step
 
 
-def _parse_rows(data: bytes) -> np.ndarray | None:
-    """The int32 row matrix that _json_rows writes as exactly `data`, or
-    None when no matrix does.
-
-    One np.fromstring reads the cells with the brackets removed, and
-    _json_rows then re-encodes them block by block against `data`.  Bytes
-    that the writer gives for a matrix are JSON rows holding exactly its
-    values, so anything else (whitespace, a leading zero, `-0`, a cell that
-    int32 wrapped, another row shape) is refused.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # older numpy warns, not raises, where it stops early
-        try:
-            cells = np.fromstring(data.translate(None, b"[]"), dtype=np.int32, sep=",")
-        except (ValueError, DeprecationWarning):
-            return None
-    if cells.size % len(_ROW_FIELDS):
-        return None
-    rows = cells.reshape(-1, len(_ROW_FIELDS))
-    pos = 0
-    for block in _json_rows(rows):
-        if not data.startswith(block, pos):
-            return None
+def _writes(report: ScanReport, text: str) -> bool:
+    """Whether report_blocks(report, "json") is exactly `text`, JSON
+    whitespace around it aside, compared block by block."""
+    pos = _JSON_SPACE.match(text).end()
+    for block in report_blocks(report, "json"):
+        block = block.decode("ascii")
+        if not text.startswith(block, pos):
+            return False
         pos += len(block)
-    return rows if pos == len(data) else None
+    return _JSON_SPACE.fullmatch(text, pos) is not None
 
 
 def _effective_budget(max_q: int | None) -> int:
@@ -604,24 +597,19 @@ def _csv_blocks(report: ScanReport) -> Iterator[bytes]:
 
 
 def _json_blocks(report: ScanReport) -> Iterator[bytes]:
-    text = json.dumps(replace(report, rows=None).to_json(), sort_keys=True, separators=(",", ": "))
+    payload = replace(report, rows=None).to_json()
+    text = json.dumps(payload, sort_keys=True, separators=(",", ": "))
     if report.rows is None:
         yield text.encode()
         return
-    # keys sort, so the top-level "rows" is the last one: only samples,
-    # seed, set_equalities and wall_time follow it
-    head, _, tail = text.rpartition('"rows": null')
-    yield (head + '"rows": [').encode()
-    yield from _json_rows(report.rows)
-    yield ("]" + tail).encode()
-
-
-def _json_rows(rows: np.ndarray) -> Iterator[bytes]:
-    """The rows `[c,...,c]` of a JSON report joined by `,`, in _encode_rows
-    blocks: the one definition of the row layout, which _parse_rows reads
-    back by re-encoding."""
-    for i, block in enumerate(_encode_rows(rows, ",[", ",", "]", str)):
+    # keys sort, so the top-level "rows": null is followed by exactly the
+    # keys after "rows"; a nested "rows" in their values cannot move the cut
+    after = json.dumps({k: v for k, v in payload.items() if k > "rows"}, sort_keys=True, separators=(",", ": "))
+    cut = len(text) - len(after) - len("null")
+    yield (text[:cut] + "[").encode()
+    for i, block in enumerate(_encode_rows(report.rows, ",[", ",", "]", str)):
         yield block[1:] if i == 0 else block  # no comma before the first row
+    yield ("]" + text[cut + len("null") :]).encode()
 
 
 def report_blocks(report: ScanReport, fmt: str) -> Iterator[bytes]:

@@ -3,11 +3,14 @@
 import json
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import cache
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permtri import (
     BudgetExceededError,
@@ -22,6 +25,7 @@ from permtri import bipoly, scan
 from permtri.engine import ScanEngine
 from permtri.scan import (
     CSV_COLUMNS,
+    ScanReport,
     pair_grid,
     pair_orbits,
     report_from_json,
@@ -374,10 +378,14 @@ def _read_reference(text):
     text, and the rows through Python lists."""
     try:
         d = json.loads(text)
-        rows = None if d["rows"] is None else np.array(d["rows"], dtype=np.int32).reshape(-1, len(CSV_COLUMNS) - 1)
+        kw = {f.name: d[f.name] for f in fields(ScanReport)}
+        kw["gcd_histogram"] = {int(k): v for k, v in kw["gcd_histogram"].items()}
+        kw["equivalence_violations"] = [tuple(v) for v in kw["equivalence_violations"]]
+        rows = kw.pop("rows")
+        rows = None if rows is None else np.array(rows, dtype=np.int32).reshape(-1, len(CSV_COLUMNS) - 1)
     except Exception as exc:  # any error, as in _read
         return type(exc)
-    return {**d, "rows": None}, rows
+    return ScanReport(**kw).to_json(), rows
 
 
 def _assert_same_read(text):
@@ -451,6 +459,21 @@ _MALFORMED_ROWS = {
 }
 
 
+def _whole_text_loaded(monkeypatch, text):
+    """Whether report_from_json(text) calls json.loads on all of `text`,
+    that is, reads its rows without numpy."""
+    loaded, real_loads = [], json.loads
+    with monkeypatch.context() as m:
+        m.setattr(json, "loads", lambda s, **kw: loaded.append(s) or real_loads(s, **kw))
+        _read(text)
+    return text in loaded
+
+
+@cache
+def _small_json():
+    return to_json_text(exhaustive_scan(3, 1))  # p = 3: -1 cells
+
+
 class TestJsonReader:
     @pytest.mark.parametrize(
         "name, block",
@@ -461,15 +484,44 @@ class TestJsonReader:
         if block is not None:  # the reader compares blocks that end in the middle of a-rows
             monkeypatch.setattr(scan, "_ENCODE_ROWS", block)
         text = to_json_text(_ENCODED_REPORTS[name]())
-        loaded = []
-        real_loads = json.loads
-        with monkeypatch.context() as m:
-            m.setattr(json, "loads", lambda s, **kw: loaded.append(s) or real_loads(s, **kw))
-            got = _read(text)
-        assert text not in loaded  # the rows went through numpy
-        _assert_same_read(text)
-        assert to_json_text(report_from_json(text)) == text
-        assert got[1].shape == (report_from_json(text).pair_count, 10)
+        for form in (text, text + "\n"):  # the file, and what scan --out - prints
+            assert not _whole_text_loaded(monkeypatch, form)
+            _assert_same_read(form)
+            got = report_from_json(form)
+            assert to_json_text(got) == text
+            assert got.rows.shape == (got.pair_count, 10)
+
+    def test_header_bytes_the_writer_never_writes(self, monkeypatch):
+        text = to_json_text(sampled_scan(7, 1, 30, seed=2))
+        diag = ',"diagnostics": null'
+        assert diag in text and '"wall_time": ' in text
+        unbalanced = _with_rows(text, f"[{_ROW}],[{_ROW}]")  # not JSON, but with null for its rows it is
+        cases = {
+            "missing-key-unbalanced-rows": unbalanced.replace('"q": 7,', "", 1),
+            "histogram-list-unbalanced-rows": unbalanced.replace('"gcd_histogram": {}', '"gcd_histogram": []', 1),
+            "keys-out-of-order": text.replace(diag, "", 1)[:-1] + diag + "}",
+            "colon-without-space": text.replace('"q": ', '"q":', 1),
+            "wall-time-0.10": text[: text.index('"wall_time": ')] + '"wall_time": 0.10}',
+            "extra-top-level-key": text[:-1] + ',"extra": [[1,2]]}',
+            "duplicate-key": text.replace('{"attribution": ', '{"q": 11,"attribution": ', 1),
+            "trailing-data": text + "]",
+            "bytes": text.encode(),
+        }
+        assert len({text, unbalanced, *cases.values()}) == len(cases) + 2  # every edit applied
+        for name, case in cases.items():
+            _assert_same_read(case)
+            assert _whole_text_loaded(monkeypatch, case), name
+        for case in ("\r\n" + text + "\r\n", "  " + text, text + " \t\n"):
+            _assert_same_read(case)  # JSON whitespace around the text: still numpy
+            assert not _whole_text_loaded(monkeypatch, case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_changed_character_reads_as_json_loads_reads_it(self, data):
+        text = _small_json()
+        pos = data.draw(st.integers(0, len(text) - 1), label="pos")
+        char = data.draw(st.sampled_from("0123456789[],- "), label="char")
+        _assert_same_read(text[:pos] + char + text[pos + 1 :])
 
     @pytest.mark.parametrize("name", list(_MALFORMED_ROWS))
     def test_other_rows_read_as_json_loads_reads_them(self, name):
@@ -483,7 +535,14 @@ class TestJsonReader:
             _with_rows(text, "null").replace('"attribution": {', nested, 1),  # nested only
             text[:-1] + ',"rows": null}',  # a later top-level duplicate wins
             text[:-1] + ',"\\u0072ows": null}',  # the same key, escaped
+            # a "rows" key after the top-level one, with its keys sorted as the writer sorts them
+            _with_rows(text, "null").replace(
+                '"seconda_eq_seconda_bis"', '"rows": [' + _ROW + '],"samples": 1,"seconda_eq_seconda_bis"', 1
+            ),
             '{"wrapped": ' + text + "}",
+            # nested rows where cutting out the span up to the top-level
+            # `],"samples": ` leaves an object without the report's keys
+            text.replace('"attribution": {', '"attribution": {"rows": [1],', 1) + "}",
             "[" + text + "]",
         ]
         assert all('"rows": [' in c or "u0072" in c for c in cases)
