@@ -25,7 +25,7 @@ from .conds import check_char2, check_char3, check_prima_bis
 from .engine import ScanEngine
 from .ff import is_prime_power, make_field
 from .perm import TrinomialParams, is_pp_direct, is_pp_mu
-from .scan import exhaustive_scan, pair_chunks, pair_grid, sample_pairs, to_csv_text
+from .scan import exhaustive_scan, pair_grid, sample_pairs, to_csv_text
 
 __all__ = ["run_all", "CRITERIA", "DEFAULT_MAX_Q"]
 
@@ -63,7 +63,7 @@ def _pairs(n: int, count: int | None, seed: int):
 def _mismatches(eng: ScanEngine, kernel, a, b, spot: int, seed: int, reference) -> int:
     """Pairs of (a, b) where kernel disagrees with eng.pp_direct, plus `spot`
     seeded pairs where reference(params) disagrees with is_pp_direct."""
-    bad = sum(int((eng.pp_direct(ca, cb) != kernel(ca, cb)).sum()) for ca, cb in pair_chunks(a, b, eng.n))
+    bad = int((eng.pp_direct(a, b) != kernel(a, b)).sum())
     for a_idx, b_idx in zip(*sample_pairs(eng.n, spot, seed)):
         prm = _params(eng.tower, a_idx, b_idx)
         bad += reference(prm) != is_pp_direct(prm).is_pp
@@ -159,23 +159,22 @@ def crit_gcd_structure(max_q: int):
 
     def check(p, h):
         eng = _engine(p, h)
-        gcd_vals = set()
         bad_bis = 0
         bad_impl = {"prima_bis": 0, "seconda_bis": 0, "seconda_tris": 0}
-        for a, b in pair_chunks(*pair_grid(eng.n), eng.q + 1):
-            cols = eng.classify_bulk(a, b)
-            pp = cols["is_pp"]
-            gcd_vals.update(np.unique(cols["gcd_deg"][pp]).tolist())
-            if eng.p > 3:
-                pr, se = cols["prima"], cols["seconda"]
-                bad_impl["prima_bis"] += int((cols["prima_bis"] & ~pr).sum())
-                bad_impl["seconda_bis"] += int((cols["seconda_bis"] & ~se).sum())
-                bad_impl["seconda_tris"] += int((cols["seconda_tris"] & ~se).sum())
-                deg2 = pp & (cols["gcd_deg"] == 2)
-                bad_bis += int((deg2 & ~cols["prima_bis"]).sum())
-                for ai, bi in zip(a[deg2].tolist(), b[deg2].tolist()):
-                    holds, _v = check_prima_bis(_params(eng.tower, ai, bi))
-                    bad_bis += not holds
+        a, b = pair_grid(eng.n)
+        cols = eng.classify_bulk(a, b)
+        pp = cols["is_pp"]
+        gcd_vals = set(np.unique(cols["gcd_deg"][pp]).tolist())
+        if eng.p > 3:
+            pr, se = cols["prima"], cols["seconda"]
+            bad_impl["prima_bis"] = int((cols["prima_bis"] & ~pr).sum())
+            bad_impl["seconda_bis"] = int((cols["seconda_bis"] & ~se).sum())
+            bad_impl["seconda_tris"] = int((cols["seconda_tris"] & ~se).sum())
+            deg2 = pp & (cols["gcd_deg"] == 2)
+            bad_bis += int((deg2 & ~cols["prima_bis"]).sum())
+            for ai, bi in zip(a[deg2].tolist(), b[deg2].tolist()):
+                holds, _v = check_prima_bis(_params(eng.tower, ai, bi))
+                bad_bis += not holds
         ok = gcd_vals <= {0, 2} and bad_bis == 0 and not any(bad_impl.values())
         impl_txt = ", ".join(f"{k}: {v}" for k, v in bad_impl.items() if v)
         return ok, (

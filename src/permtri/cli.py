@@ -51,6 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_scan(args) -> int:
+    if args.diagnostics and args.format == "csv":
+        raise ValueError("--diagnostics needs --format json: the CSV has no column for witnesses or point counts")
     if args.sample is not None:
         report = sampled_scan(
             args.p,

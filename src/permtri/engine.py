@@ -82,9 +82,12 @@ each with its own pivot rows.  resultant_inner evaluates the closed-form
 inner factor Phi(a, b) of bipoly.resultant_vs_closed_form.  The two are
 computed independently of each other, so comparing them is a real check.
 
-Callers are expected to chunk their (a, b) arrays; a kernel call allocates
-grids of shape (len(a), q+1), (len(a), q^2) or, for count_off_diag,
-(len(a), q^2 - q) depending on the test.
+Every kernel accepts any number of pairs.  The grid kernels, pp_mu and
+pp_direct (through _screened) and count_off_diag, cut the pairs they are
+given into consecutive slices of at most _GRID_CELLS grid cells, one pair at
+least, with q+1, q^2 or q^2 - q cells a pair, and join the verdicts in
+order.  Every other kernel costs O(pairs), so a caller slices only to bound
+what it keeps per pair.
 """
 
 from __future__ import annotations
@@ -98,6 +101,9 @@ import numpy as np
 from .ff import FieldTower, _flat_index, _take_in_place
 
 __all__ = ["ScanEngine"]
+
+# Grid cells per slice of a grid kernel's pairs (module docstring).
+_GRID_CELLS = 1 << 20
 
 # pp_mu's root-image table IMG (module docstring) holds (q+1) q^2 int16
 # cells: at most this many, 64 MiB (q <= 317).  Past it pp_mu computes the
@@ -189,10 +195,11 @@ class ScanEngine:
 
     def _screened(self, test, a: np.ndarray, b: np.ndarray, width: int, k: int) -> np.ndarray:
         """test(a, b) over all `width` columns, run in full only on the pairs
-        that show no pole and no repeated image on the first k columns."""
+        that show no pole and no repeated image on the first k columns;
+        slice by slice, as _sliced cuts the pairs."""
         if k + 2 >= width:
-            return test(a, b)
-        return _refine(test(a, b, slice(k)), test, a, b)
+            return _sliced(test, width, a, b)
+        return _sliced(lambda a, b: _refine(test(a, b, slice(k)), test, a, b), width, a, b)
 
     def _pp_mu(self, a: np.ndarray, b: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """Whether the pairs map the roots of unity MU[cols] without a pole
@@ -218,9 +225,9 @@ class ScanEngine:
     @functools.cached_property
     def IMG(self) -> np.ndarray:
         """The (q+1) x q^2 int16 table of _root_images, filled in blocks of
-        about 1M cells."""
+        at most _GRID_CELLS cells (one row at least)."""
         img = np.empty((self.q + 1, self.n), dtype=np.int16)
-        step = max(1, (1 << 20) // self.n)
+        step = max(1, _GRID_CELLS // self.n)
         for lo in range(0, self.q + 1, step):
             img[lo : lo + step] = self._root_images(self.ROOTS[lo : lo + step, None], self.XALL[None, :])
         return img
@@ -461,7 +468,8 @@ class ScanEngine:
     def count_off_diag(self, G: np.ndarray) -> np.ndarray:
         """Number of GF(q)-rational zeros (x, y), x != y, of each of the
         GF(q) curves G (as curve_coeffs gives them)."""
-        return (_eval_curve(self.tower.fq, G, *self._off_diag_points) == 0).sum(axis=1)
+        x, y = self._off_diag_points
+        return _sliced(lambda G: (_eval_curve(self.tower.fq, G, x, y) == 0).sum(axis=1), len(x), G)
 
     def iso_identity(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
         """Per pair, whether (X-1)^2 (Y-1)^2 G(phi(X, Y)) = 16 e^4 F(X, Y) as
@@ -630,6 +638,17 @@ class _FirstMatch:
                 consts = {name: v[i] for name, v in constants.items()}
                 out.append({"pattern": pattern, "constants": consts, "residual_check": True, "note": ""})
         return out
+
+
+def _sliced(kernel, width: int, *args: np.ndarray) -> np.ndarray:
+    """kernel(*args) for a kernel that allocates `width` grid cells a pair,
+    the pairs running along the last axis of each arg: run on consecutive
+    slices of at most _GRID_CELLS cells (one pair at least) and joined in
+    order."""
+    count, step = args[0].shape[-1], max(1, _GRID_CELLS // width)
+    if count <= step:
+        return kernel(*args)
+    return np.concatenate([kernel(*(x[..., lo : lo + step] for x in args)) for lo in range(0, count, step)])
 
 
 def _refine(mask: np.ndarray, test, *args: np.ndarray) -> np.ndarray:

@@ -501,19 +501,6 @@ class FieldCtx:
         """All elements in canonical index order."""
         return (Elem(self, i) for i in range(self.order))
 
-    def from_coeffs(self, coeffs) -> Elem:
-        """Inverse of Elem.coeffs(); accepts base-layer Elems or indices.
-        On GF(p) the one coefficient is an index in [0, p), as on the other
-        layers; ValueError when a coefficient is out of range."""
-        B = self.p if self.base is None else self.base.order
-        i = 0
-        for c in reversed(list(coeffs)):
-            ci = c.i if isinstance(c, Elem) else c
-            if not 0 <= ci < B:
-                raise ValueError("coefficient out of range")
-            i = i * B + ci
-        return Elem(self, i)
-
     def __repr__(self):
         return f"FieldCtx(GF({self.order}), {self.level})"
 

@@ -6,18 +6,19 @@ vectorised engine, and aggregates a ScanReport.  Any disagreement between
 the verdict and the closed-form criterion is collected as an equivalence
 violation, never silently dropped.
 
-Every sweep runs one pipeline: a pair source yields the pairs sorted by
-(a_idx, b_idx), pair_chunks slices them for the kernels, and a _Tally
-accumulates each slice.  A full-row sweep classifies every pair
+Every sweep runs one pipeline: a pair source gives the pairs sorted by
+(a_idx, b_idx), the sweep cuts them into slices of _SLICE_PAIRS pairs, and
+a _Tally accumulates the engine's columns of each slice; the engine slices
+its grid kernels itself.  A full-row sweep classifies every pair
 (pair_grid) and allocates its (pairs, 10) int32 row matrix once; each
 tally writes its slices' rows straight into its own range of it.  A
 sampled sweep classifies seeded pairs (sample_pairs).  An exhaustive
-summary sweep classifies one pair per orbit (pair_orbits): X -> cX takes
-f_(a,b) to c f_(a w^-1, b w^2) with w = c^(q-1) in mu_(q+1), so the q+1
-pairs of an orbit share every column a summary reads.  After the merge
-its counts are scaled by q+1, and each violation and permutation instance
-is listed for every pair of its orbit (_spread_orbits), so the report
-equals the one of classifying every pair.
+summary sweep classifies one pair per orbit (pair_grid over one a of each
+coset of mu_(q+1)): X -> cX takes f_(a,b) to c f_(a w^-1, b w^2) with
+w = c^(q-1) in mu_(q+1), so the q+1 pairs of an orbit share every column a
+summary reads.  After the merge its counts are scaled by q+1, and each
+violation and permutation instance is listed for every pair of its orbit
+(_spread_orbits), so the report equals the one of classifying every pair.
 
 Parallelism contract: the sorted pair list is split into contiguous index
 ranges, one per requested thread (a split may fall inside an a-row).  A pool
@@ -80,9 +81,7 @@ __all__ = [
     "to_json_text",
     "report_from_json",
     "pair_grid",
-    "pair_orbits",
     "sample_pairs",
-    "pair_chunks",
 ]
 
 CSV_COLUMNS = (
@@ -105,7 +104,7 @@ DEFAULT_BUDGET_Q = 31
 BUDGET_ENV_VAR = "TRINOMIAL_BUDGET_Q"
 
 _ROW_FIELDS = CSV_COLUMNS[1:]  # rows store everything but the constant q
-_CHUNK_CELLS = 1 << 20  # kernel grid cells per pair_chunks slice
+_SLICE_PAIRS = 1 << 15  # pairs per tally or diagnostics slice
 _ENCODE_ROWS = 1 << 15  # rows per _encode_rows block
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")  # what json.loads skips around a value
 
@@ -292,21 +291,12 @@ def _effective_budget(max_q: int | None) -> int:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of GF(q^2)* x GF(q^2)* (n = q^2), in (a_idx, b_idx) order,
-    as int32 index arrays."""
+def pair_grid(n: int, a_values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of A x GF(q^2)* (n = q^2), in (a_idx, b_idx) order, as
+    int32 index arrays; A is the sorted a_values, or GF(q^2)* without them."""
     nonzero = np.arange(1, n, dtype=np.int32)
-    return np.repeat(nonzero, n - 1), np.tile(nonzero, n - 1)
-
-
-def pair_orbits(tower) -> tuple[np.ndarray, np.ndarray]:
-    """One pair of each orbit {(a w^-1, b w^2) : w in mu_(q+1)} of
-    GF(q^2)* x GF(q^2)*, in (a_idx, b_idx) order, as int32 index arrays:
-    a runs over g^k for 0 <= k < q-1, one element of each coset of
-    mu_(q+1) = <g^(q-1)>, and b over every nonzero element."""
-    n = tower.fq2.order
-    reps = np.sort(tower.fq2.np_exp2[: tower.q - 1])
-    return np.repeat(reps, n - 1), np.tile(np.arange(1, n, dtype=np.int32), tower.q - 1)
+    a = nonzero if a_values is None else np.asarray(a_values, dtype=np.int32)
+    return np.repeat(a, n - 1), np.tile(nonzero, len(a))
 
 
 def _orbit_members(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -331,13 +321,10 @@ def sample_pairs(n: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]
     return a[order], b[order]
 
 
-def pair_chunks(a: np.ndarray, b: np.ndarray, cells_per_pair: int):
-    """Yield consecutive slices of the pairs (a, b), each small enough that
-    a kernel allocating `cells_per_pair` cells per pair stays near
-    _CHUNK_CELLS cells."""
-    step = max(1, _CHUNK_CELLS // cells_per_pair)
-    for lo in range(0, len(a), step):
-        yield a[lo : lo + step], b[lo : lo + step]
+def _slices(a: np.ndarray, b: np.ndarray):
+    """Consecutive slices of _SLICE_PAIRS pairs of (a, b)."""
+    for lo in range(0, len(a), _SLICE_PAIRS):
+        yield a[lo : lo + _SLICE_PAIRS], b[lo : lo + _SLICE_PAIRS]
 
 
 @dataclass
@@ -408,10 +395,10 @@ def _check_threads(threads: int) -> None:
 
 def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> list[dict]:
     """Point count (odd characteristic) and witnesses of each permutation
-    instance (a, b).  The engine builds F, and G for odd p, once per
-    pair_chunks slice, counts points on G and finds the witnesses from F."""
+    instance (a, b).  The engine builds F, and G for odd p, once per slice
+    of _SLICE_PAIRS pairs, counts points on G and finds the witnesses from F."""
     out = []
-    for ca, cb in pair_chunks(a, b, engine.q**2):
+    for ca, cb in _slices(a, b):
         F, G = engine.curve_coeffs(ca, cb)
         found = engine.witnesses(ca, cb, F)
         if G is not None:
@@ -421,8 +408,8 @@ def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> l
 
 
 def _spread_orbits(total: _Tally, engine: ScanEngine) -> None:
-    """Turn the tally of pair_orbits into the tally of every pair (module
-    docstring): the counts scale by q+1, and each violation and kept
+    """Turn the tally of one pair per orbit into the tally of every pair
+    (module docstring): the counts scale by q+1, and each violation and kept
     permutation instance is listed for every pair of its orbit, in
     (a_idx, b_idx) order."""
     k = engine.q + 1
@@ -440,17 +427,16 @@ def _spread_orbits(total: _Tally, engine: ScanEngine) -> None:
     total.pp_pairs = list(zip(pa.tolist(), pb.tolist()))
 
 
-def _sweep(
-    tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=None, seed=None, orbits=False
-) -> ScanReport:
-    """Classify the sorted pairs (a, b) and aggregate them into a report;
-    with orbits, (a, b) is pair_orbits(tower) and stands for every pair."""
+def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
+    """Classify the sorted pairs (a, b) and aggregate them into a report; an
+    exhaustive summary's (a, b) holds one pair per orbit and stands for
+    every pair."""
     engine = ScanEngine(tower)
     rows = None if summary_only else np.empty((len(a), len(_ROW_FIELDS)), dtype=np.int32)
 
     def tally(lo: int, hi: int) -> _Tally:
         part = _Tally(tower.p, None if rows is None else rows[lo:hi], diagnostics)
-        for ca, cb in pair_chunks(a[lo:hi], b[lo:hi], tower.q + 1):
+        for ca, cb in _slices(a[lo:hi], b[lo:hi]):
             part.add(ca, cb, engine.classify_bulk(ca, cb, summary=rows is None))
         return part
 
@@ -464,7 +450,7 @@ def _sweep(
     total = _Tally(tower.p, None, diagnostics)
     for part in parts:  # range order
         total.merge(part)
-    if orbits:
+    if mode == "exhaustive" and summary_only:
         _spread_orbits(total, engine)
 
     diag = None
@@ -511,8 +497,8 @@ def exhaustive_scan(
     """Classify every pair (a, b) in GF(q^2)* x GF(q^2)*.
 
     A full-row sweep classifies each pair.  A summary sweep classifies one
-    pair of each mu_(q+1) orbit (pair_orbits) and counts it q+1 times; its
-    violations and diagnostics still list every pair of an orbit.
+    pair of each mu_(q+1) orbit and counts it q+1 times; its violations and
+    diagnostics still list every pair of an orbit.
 
     Refuses to run when q exceeds the exhaustion budget (argument, else the
     TRINOMIAL_BUDGET_Q environment variable, else 31); use sampled_scan
@@ -528,8 +514,10 @@ def exhaustive_scan(
             "use sampled_scan (or raise the budget)"
         )
     tower = make_field(p, h)
-    a, b = pair_orbits(tower) if summary_only else pair_grid(tower.fq2.order)
-    return _sweep(tower, "exhaustive", a, b, t0, threads, summary_only, diagnostics, orbits=summary_only)
+    # an a of each coset of mu_(q+1) = <g^(q-1)>: g^k for 0 <= k < q-1
+    reps = np.sort(tower.fq2.np_exp2[: tower.q - 1]) if summary_only else None
+    a, b = pair_grid(tower.fq2.order, reps)
+    return _sweep(tower, "exhaustive", a, b, t0, threads, summary_only, diagnostics)
 
 
 def sampled_scan(

@@ -102,6 +102,12 @@ class TestScanCommand:
                 ["--p", HUGE_PRIME, "--h", "1", "--sample", "3"], None, f"{HUGE_PRIME}^2 exceeds", id="huge-prime"
             ),
             pytest.param(["--p", "3", "--h", "10000000"], None, "q = 3^10000000 exceeds", id="huge-h"),
+            # the CSV has no column for witnesses or point counts
+            pytest.param(["--p", "5", "--h", "1", "--diagnostics"], None, "--format json", id="diagnostics-csv"),
+            pytest.param(
+                ["--p", "5", "--h", "1", "--sample", "9", "--summary-only", "--diagnostics", "--format", "csv"],
+                None, "--format json", id="diagnostics-sampled-csv",
+            ),
         ],
     )
     def test_usage_error(self, argv, budget_env, message, tmp_path, monkeypatch, capsys, no_big_primality):

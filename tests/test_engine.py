@@ -36,7 +36,7 @@ from permtri import (
 )
 from permtri import engine
 from permtri.engine import ScanEngine, _det
-from permtri.scan import pair_chunks, pair_grid, sample_pairs, sampled_scan
+from permtri.scan import pair_grid, sample_pairs, sampled_scan
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 2), (3, 1)])
@@ -67,7 +67,7 @@ def test_sampled_agreement_larger_fields(tower, p, h, count):
     eng = ScanEngine(t)
     a, b = sample_pairs(t.fq2.order, count, seed=t.q)
     wa, wb = sample_pairs(t.fq2.order, 100_000, seed=t.q + 1)
-    hit = np.flatnonzero(np.concatenate([eng.pp_mu(ca, cb) for ca, cb in pair_chunks(wa, wb, eng.q + 1)]))[:40]
+    hit = np.flatnonzero(eng.pp_mu(wa, wb))[:40]
     assert len(hit) == 40
     a, b = np.concatenate([a, wa[hit]]), np.concatenate([b, wb[hit]])
     cols = eng.classify_bulk(a, b)
@@ -110,9 +110,11 @@ _SCREEN_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 
 
 def _assert_screen_exact(eng, kernel, a, b):
-    screened, full = getattr(eng, "pp_" + kernel), getattr(eng, "_pp_" + kernel)
-    for ca, cb in pair_chunks(a, b, _KERNELS[kernel][0](eng.q)):
-        assert (screened(ca, cb) == full(ca, cb)).all()
+    """The screened verdict on all of (a, b) in one call against the full
+    test, which the engine does not slice, on 1000 pairs at a time."""
+    full = getattr(eng, "_pp_" + kernel)
+    want = np.concatenate([full(a[lo : lo + 1000], b[lo : lo + 1000]) for lo in range(0, len(a), 1000)])
+    assert np.array_equal(getattr(eng, "pp_" + kernel)(a, b), want)
 
 
 _SCREEN_CASES = [(k, p, h) for k in _KERNELS for p, h in _SCREEN_FIELDS] + [("mu", 11, 1), ("mu", 5, 2)]
@@ -136,9 +138,11 @@ def test_screened_pp_direct_exact_on_samples(tower, p, h):
 @pytest.mark.parametrize("kernel", ["mu", "direct"])
 @pytest.mark.parametrize("p,h", _SCREEN_FIELDS)
 def test_full_test_sees_only_the_screen_survivors(tower, monkeypatch, kernel, p, h):
-    """The full test runs once on the prefix of K columns, then once more, on
-    all columns, on exactly the pairs the prefix left; where K + 2 >= the
-    width (q <= 8 for mu, q <= 5 for direct) it runs once on every pair."""
+    """Per slice of the pairs, in order, the full test runs once on the
+    prefix of K columns, then once more, on all columns, on exactly the
+    pairs the prefix left, if any; where K + 2 >= the width (q <= 8 for mu,
+    q <= 5 for direct) it runs once per slice on every pair.  At q = 16 the
+    grid is cut into 2 (mu) and 16 (direct) slices."""
     eng = ScanEngine(tower(p, h))
     width, k = (rule(eng.q) for rule in _KERNELS[kernel])
     full, calls = getattr(eng, "_pp_" + kernel), []
@@ -150,15 +154,73 @@ def test_full_test_sees_only_the_screen_survivors(tower, monkeypatch, kernel, p,
     monkeypatch.setattr(eng, "_pp_" + kernel, record)
     a, b = pair_grid(eng.n)
     verdict = getattr(eng, "pp_" + kernel)(a, b)
-    if k + 2 >= width:
-        assert len(calls) == 1
-        assert (calls[0][0] == a).all() and (calls[0][1] == b).all() and calls[0][2] == slice(None)
-        return
-    (a0, b0, prefix), (a1, b1, rest) = calls
-    assert (a0 == a).all() and (b0 == b).all() and (prefix, rest) == (slice(k), slice(None))
-    live = full(a, b, slice(k))
-    assert (a1 == a[live]).all() and (b1 == b[live]).all()
-    assert not (verdict & ~live).any() and live.sum() < len(a)  # every permutation passes a prefix that rejects
+    screen = k + 2 < width
+    slices, live = [], []
+    while calls:
+        a0, b0, cols = calls.pop(0)
+        assert cols == (slice(k) if screen else slice(None))
+        slices.append((a0, b0))
+        if screen:
+            live.append(full(a0, b0, slice(k)))
+            if live[-1].any():
+                a1, b1, rest = calls.pop(0)
+                assert rest == slice(None) and (a1 == a0[live[-1]]).all() and (b1 == b0[live[-1]]).all()
+    assert len(slices) == {(2, 4, "mu"): 2, (2, 4, "direct"): 16}.get((p, h, kernel), 1)
+    assert np.array_equal(np.concatenate([s[0] for s in slices]), a)
+    assert np.array_equal(np.concatenate([s[1] for s in slices]), b)
+    if screen:
+        live = np.concatenate(live)
+        assert not (verdict & ~live).any() and live.sum() < len(a)  # every permutation passes a prefix that rejects
+
+
+def test_sliced_cuts_the_last_axis_to_the_cell_budget(monkeypatch):
+    """7 pairs along the last axis, at 3 cells a pair under a budget of 10:
+    slices of 3 pairs and a last slice of one; at 11 cells a pair, past the
+    budget, one pair a slice.  The results join in pair order."""
+    monkeypatch.setattr(engine, "_GRID_CELLS", 10)
+    seen = []
+
+    def kernel(x, y):
+        seen.append(y.tolist())
+        return x.sum(axis=0) * 10 + y
+
+    x, y = np.arange(14).reshape(2, 7), np.arange(7)
+    assert np.array_equal(engine._sliced(kernel, 3, x, y), x.sum(axis=0) * 10 + y)
+    assert seen == [[0, 1, 2], [3, 4, 5], [6]]
+    seen.clear()
+    assert np.array_equal(engine._sliced(kernel, 11, x, y), x.sum(axis=0) * 10 + y)
+    assert seen == [[v] for v in range(7)]
+
+
+@pytest.mark.parametrize("cells", [3, 200])
+@pytest.mark.parametrize("p,h", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_grid_kernels_equal_their_unsliced_results(tower, monkeypatch, p, h, cells):
+    """With the cell budget cut to 3 cells (one pair a slice, so slices end
+    inside a-rows and the last holds one pair) or 200 (a few pairs a
+    slice), the grid kernels and classify_bulk give what they give on one
+    slice, on every pair."""
+    eng = ScanEngine(tower(p, h))
+    a, b = pair_grid(eng.n)
+    G = eng.curve_coeffs(a, b)[1]
+    want = (eng.pp_mu(a, b), eng.pp_direct(a, b), eng.classify_bulk(a, b))
+    want_points = None if G is None else eng.count_off_diag(G)
+    monkeypatch.setattr(engine, "_GRID_CELLS", cells)
+    eng = ScanEngine(tower(p, h))
+    assert np.array_equal(eng.pp_mu(a, b), want[0])
+    assert np.array_equal(eng.pp_direct(a, b), want[1])
+    got = eng.classify_bulk(a, b)
+    assert got.keys() == want[2].keys() and all(np.array_equal(got[k], v) for k, v in want[2].items())
+    if G is not None:
+        seen, evaluate = [], engine._eval_curve  # (pairs, points) of each slice
+
+        def spy(ctx, C, x, y):
+            seen.append((C.shape[-1], len(x)))
+            return evaluate(ctx, C, x, y)
+
+        monkeypatch.setattr(engine, "_eval_curve", spy)
+        assert np.array_equal(eng.count_off_diag(G), want_points)
+        assert len(seen) > 1 and sum(k for k, _ in seen) == G.shape[-1]
+        assert all(k == 1 or k * width <= cells for k, width in seen)
 
 
 @pytest.mark.parametrize(
@@ -540,7 +602,7 @@ def test_witnesses_match_bipoly_on_samples_char2(tower, h, count):
     """Seeded pairs at q = 32 and 64, half of them permutation instances."""
     eng = ScanEngine(tower(2, h))
     a, b = sample_pairs(eng.n, 50 * eng.n, seed=eng.q)  # about 50 instances
-    pp = np.concatenate([eng.pp_mu(ca, cb) for ca, cb in pair_chunks(a, b, eng.q + 1)])
+    pp = eng.pp_mu(a, b)
     pick = np.sort(np.concatenate([np.flatnonzero(pp)[: count // 2], np.flatnonzero(~pp)[: count // 2]]))
     assert pp[pick].sum() == count // 2
     _assert_witnesses_match(eng, a[pick], b[pick])

@@ -27,7 +27,6 @@ from permtri.scan import (
     CSV_COLUMNS,
     ScanReport,
     pair_grid,
-    pair_orbits,
     report_from_json,
     sample_pairs,
     to_csv_text,
@@ -162,13 +161,18 @@ class TestExhaustive:
         eng = ScanEngine(tower(7, 1))
         a, b = sample_pairs(eng.n, 50, seed=3)
         whole = scan._instance_diagnostics(eng, a, b)
-        monkeypatch.setattr(scan, "_CHUNK_CELLS", 7 * 49)  # 7 pairs per slice
+        monkeypatch.setattr(scan, "_SLICE_PAIRS", 7)  # 7 pairs per slice, the last of one pair
         assert scan._instance_diagnostics(eng, a, b) == whole
         assert scan._instance_diagnostics(eng, a[:0], b[:0]) == []
 
 
+def _transversal(t):
+    """pair_grid over g^k, 0 <= k < q-1, one a of each coset of mu_(q+1)."""
+    return pair_grid(t.fq2.order, np.sort(t.fq2.np_exp2[: t.q - 1]))
+
+
 class TestOrbits:
-    """Summary sweeps classify pair_orbits, one pair of each orbit
+    """Summary sweeps classify _transversal, one pair of each orbit
     {(a w^-1, b w^2) : w in mu_(q+1)}, and spread each result over its orbit."""
 
     @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
@@ -181,7 +185,7 @@ class TestOrbits:
         for a in range(1, n):
             for b in range(1, n):
                 orbit[a, b] = min((ctx.mul_i(a, ctx.inv_i(w)), ctx.mul_i(b, ctx.mul_i(w, w))) for w in mu)
-        a, b = pair_orbits(t)
+        a, b = _transversal(t)
         assert a.dtype == b.dtype == np.int32
         assert len(a) == (q - 1) * (n - 1)
         pairs = list(zip(a.tolist(), b.tolist()))
@@ -200,7 +204,7 @@ class TestOrbits:
 
         monkeypatch.setattr(ScanEngine, "classify_bulk", spy)
         rep = exhaustive_scan(7, 1, threads=3, summary_only=True)
-        a, b = pair_orbits(tower(7, 1))
+        a, b = _transversal(tower(7, 1))
         assert sorted(seen) == list(zip(a.tolist(), b.tolist()))  # the workers' slices interleave
         assert rep.pair_count == 48 * 48
 
@@ -263,6 +267,9 @@ class TestSampled:
         a, b = pair_grid(16)
         assert a.dtype == b.dtype == np.int32
         assert list(zip(a.tolist(), b.tolist())) == [(x, y) for x in range(1, 16) for y in range(1, 16)]
+        a, b = pair_grid(16, np.array([3, 7]))
+        assert a.dtype == b.dtype == np.int32
+        assert list(zip(a.tolist(), b.tolist())) == [(x, y) for x in (3, 7) for y in range(1, 16)]
 
     def test_large_field_sample_has_no_violations(self, tower):
         rep = sampled_scan(7, 2, 100_000, seed=7, summary_only=True)
@@ -559,8 +566,8 @@ class TestRowMatrix:
         named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": cols["main"]}
         absent = np.full(len(a), -1)
         reference = np.column_stack([named.get(f, absent).astype(np.int32) for f in CSV_COLUMNS[1:]])
-        monkeypatch.setattr(scan, "_CHUNK_CELLS", 5 * (eng.q + 1))  # 5-pair slices end mid-a-row
-        for threads in (1, 2, 3):
+        monkeypatch.setattr(scan, "_SLICE_PAIRS", 5)  # 5-pair slices end mid-a-row
+        for threads in (1, 2, 5, 8):
             rows = exhaustive_scan(p, h, threads=threads).rows
             assert rows.dtype == np.int32 and rows.flags.c_contiguous and rows.shape == (len(a), 10)
             assert np.array_equal(rows, reference)
