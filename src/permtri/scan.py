@@ -46,6 +46,7 @@ read whole by json.loads.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -306,19 +307,46 @@ def _orbit_members(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> tuple[np
     ctx, mu = engine.ctx, engine.MU
     ea = ctx.vmul(a[:, None], engine.INV[mu][None, :]).ravel()
     eb = ctx.vmul(b[:, None], ctx.vmul(mu, mu)[None, :]).ravel()
-    order = np.lexsort((eb, ea))
+    order = np.argsort(ea.astype(np.int64) * engine.n + eb)  # the keys a n + b are distinct
     return ea[order], eb[order], order // len(mu)
 
 
+def _word_batch(need: int, width: int) -> int:
+    """Words to read for `need` draws below `width`: the expected number at
+    the acceptance rate width / 2^k, plus at least four standard deviations
+    and 32, so that sample_pairs rarely reads a second batch."""
+    expected = need * (1 << width.bit_length()) // width
+    return expected + 4 * math.isqrt(expected) + 32
+
+
 def sample_pairs(n: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """`count` seeded pairs drawn with replacement from GF(q^2)* x GF(q^2)*,
-    a then b for each pair, returned sorted by (a_idx, b_idx) as int32
-    index arrays."""
-    rng = Random(seed)
-    draws = np.array([rng.randrange(1, n) for _ in range(2 * count)], dtype=np.int32)
-    a, b = draws[0::2], draws[1::2]
-    order = np.lexsort((b, a))
-    return a[order], b[order]
+    """`count` seeded pairs of GF(q^2)* x GF(q^2)* (n = q^2), sorted by
+    (a_idx, b_idx), as int32 index arrays.
+
+    The pairs are the draws of Random(seed).randrange(1, n), a then b for
+    each pair, read in bulk.  randrange(1, n) keeps the top
+    k = (n-1).bit_length() bits of one 32-bit Mersenne Twister word and
+    draws again while they are >= n-1, and getrandbits(32 m) is the next m
+    words, least significant first.  So the draws are the words whose top
+    k bits are below n-1, plus 1, in stream order.  count <= 0 gives no
+    pairs; otherwise n must lie in [2, 2^31], where a draw is one word and
+    an index fits int32."""
+    if count <= 0:
+        return np.empty(0, np.int32), np.empty(0, np.int32)
+    if not 2 <= n <= 1 << 31:
+        raise ValueError(f"sample_pairs needs 2 <= n <= 2^31, got n = {n}")
+    width, k = n - 1, (n - 1).bit_length()
+    rng, kept, need = Random(seed), [], 2 * count
+    while need:
+        words = _word_batch(need, width)
+        top = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4") >> (32 - k)
+        kept.append(top[top < width][:need])
+        need -= len(kept[-1])
+    draws = np.concatenate(kept).astype(np.int64) + 1
+    key = draws[0::2] * n + draws[1::2]  # < n^2 <= 2^62
+    key.sort()
+    a, b = np.divmod(key, n)
+    return a.astype(np.int32), b.astype(np.int32)
 
 
 def _slices(a: np.ndarray, b: np.ndarray):

@@ -34,6 +34,13 @@ from permtri.scan import (
 )
 
 
+def _randrange_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
+    """The reference draw: `count` pairs of Random(seed).randrange(1, n),
+    a then b, sorted."""
+    rng = Random(seed)
+    return sorted((rng.randrange(1, n), rng.randrange(1, n)) for _ in range(count))
+
+
 class TestExhaustive:
     def test_q5_frozen_aggregates(self, tower):
         rep = exhaustive_scan(5, 1)
@@ -253,15 +260,55 @@ class TestSampled:
         keys = rep.rows[:, 0].astype(np.int64) * 10**6 + rep.rows[:, 1]
         assert (np.diff(keys) >= 0).all()  # duplicates allowed
 
-    @pytest.mark.parametrize("n,count,seed", [(9, 0, 1), (9, 1, 2), (9, 500, 3), (625, 2000, 4), (3481, 20_000, 0)])
+    @pytest.mark.parametrize(
+        "n,count,seed",
+        [
+            (9, 0, 1),
+            (9, 1, 2),
+            (9, 500, 3),
+            (625, 2000, 4),
+            (3481, 20_000, 0),
+            (2, 300, 5),  # one-bit draws, half of them rejected
+            (2**16, 5000, 1),  # 16-bit draws, one value in 2^16 rejected
+            (2**16 + 1, 5000, 2),  # 17-bit draws, half rejected
+            (2**16 + 2, 20_000, 3),  # 17-bit draws, about half rejected
+            (317**2, 20_000, 317),
+            (6_250_000, 20_000, 6),  # the largest field make_field builds
+            (3481, 2000, -5),
+            (3481, 2000, 2**40 + 3),
+        ],
+    )
     def test_sample_pairs_sort_the_seeded_draws(self, n, count, seed):
         """The same Random(seed) draws, a then b per pair, sorted as tuples
         (n = 9: 64 distinct pairs, so duplicates are heavy)."""
-        rng = Random(seed)
-        want = sorted((rng.randrange(1, n), rng.randrange(1, n)) for _ in range(count))
         a, b = sample_pairs(n, count, seed)
         assert a.dtype == b.dtype == np.int32
-        assert list(zip(a.tolist(), b.tolist())) == want
+        assert list(zip(a.tolist(), b.tolist())) == _randrange_pairs(n, count, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6_250_000), st.integers(0, 300), st.integers())
+    def test_sample_pairs_are_the_randrange_draws(self, n, count, seed):
+        a, b = sample_pairs(n, count, seed)
+        assert list(zip(a.tolist(), b.tolist())) == _randrange_pairs(n, count, seed)
+
+    def test_sample_pairs_refill_continues_the_stream(self, monkeypatch):
+        """Batches far too short for the rejection rate: each refill reads
+        on from where the last batch ended."""
+        batches = []
+        monkeypatch.setattr(scan, "_word_batch", lambda need, width: batches.append(need) or need // 3 + 1)
+        a, b = sample_pairs(2**16 + 2, 1000, 11)
+        assert list(zip(a.tolist(), b.tolist())) == _randrange_pairs(2**16 + 2, 1000, 11)
+        assert len(batches) > 3 and batches[0] == 2000
+
+    @pytest.mark.parametrize("n", [-3, 0, 1, 2**31 + 1, 2**32 + 1, 2**40])
+    def test_sample_pairs_refuses_n_it_cannot_draw_from(self, n):
+        """n < 2 has no nonzero index, and past 2^31 an index overflows
+        int32 (past 2^32 + 1, randrange also takes two words a draw).  The
+        error comes before any draw: 10^15 pairs would not fit in memory."""
+        with pytest.raises(ValueError, match=r"2 <= n <= 2\^31"):
+            sample_pairs(n, 10**15, 0)
+        for count in (0, -4):
+            assert all(x.shape == (0,) and x.dtype == np.int32 for x in sample_pairs(n, count, 0))
 
     def test_pair_grid_is_int32(self):
         a, b = pair_grid(16)
