@@ -12,17 +12,23 @@ pp_mu tests the induced map g on the (q+1)-st roots of unity in its power
 form.  On mu_(q+1), x^q = 1/x, so g(x) = x h(x)^(q-1) = x^3 D(x)^(q-1) with
 D(x) = b x^3 + x + a.  Let zeta = gamma^(q-1) for the generator gamma of
 GF(q^2)* that the log tables use: the root MU[c] is zeta^(j_c), and
-d^(q-1) = zeta^(log d mod (q+1)) for d != 0, so g(MU[c]) is
-zeta^((3 j_c + log D(MU[c])) mod (q+1)).  The (q+1) x q^2 int16 table
-IMG holds these exponents: IMG[c, y] is the one for y = b MU[c]^3 + a, so
-that D = y + MU[c], and the sentinel q+1 where y + MU[c] = 0, a pole.  A
-pair then costs one vmul, one vadd and one gather per root, and it permutes
-GF(q^2) iff its row of exponents holds no sentinel and no repeat.  The
-table is built on first use, once pp_mu has been given enough pairs to pay
-for it (_ROOT_TABLE_PAYBACK); until then, and past _ROOT_TABLE_CELLS cells
-(q > 317), the same exponents are computed per call with one vadd more.
-The per-pair perm.is_pp_mu keeps the cubic fraction, so the two stay
-independent.
+d^(q-1) = zeta^(log d mod (q+1)) for d != 0.  Every exponent is computed in
+the log domain, through ff's Zech table Z(k) = log(1 + gamma^k), -1 where
+1 + gamma^k = 0.  For nonzero a and b, y = b x^3 + a = a (1 + gamma^e) with
+e = log b - log a + 3 log x, so y = 0 where Z(e) = -1 and
+log y = log a + Z(e) elsewhere.  Then D = y + x = x (1 + gamma^(log y - log x)),
+and as x^3 x^(q-1) = x on mu_(q+1), g(x) = zeta^((j_c + W) mod (q+1)) with
+W = Z(log y - log x) mod (q+1): W = 0 where y = 0 (D = x), and D = 0, a
+pole, where that Z is -1.  Three gathers a cell read it: ZECH2, Z doubled,
+at e; ZECH_W, W on three copies of the Zech range, at
+log a + Z(e) - log x (ZECH2 sends y = 0 past them, to a run of zeros, and a
+pole reads the sentinel 2q+1); and MOD, which reduces j_c + W mod q+1 and
+maps every pole sum to the sentinel q+1.  Each gather overwrites its int32
+index (ff._take_in_place), so one full-size array is alive at a time.  A
+pair permutes GF(q^2) iff its row of exponents holds no sentinel and no
+repeat.  The tables hold O(q^2) integers at every q, and pp_mu keeps no
+state between calls.  The per-pair
+perm.is_pp_mu keeps the cubic fraction, so the two stay independent.
 
 The condition kernels (prima, seconda, prima_bis, seconda_bis and
 seconda_tris; char3 is prima) first evaluate their equation on every pair
@@ -94,27 +100,15 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 
 import numpy as np
 
-from .ff import FieldTower, _flat_index, _take_in_place
+from .ff import FieldTower, _take_in_place
 
 __all__ = ["ScanEngine"]
 
 # Grid cells per slice of a grid kernel's pairs (module docstring).
 _GRID_CELLS = 1 << 20
-
-# pp_mu's root-image table IMG (module docstring) holds (q+1) q^2 int16
-# cells: at most this many, 64 MiB (q <= 317).  Past it pp_mu computes the
-# images per call at any pair count.
-_ROOT_TABLE_CELLS = 32 << 20
-
-# Building IMG costs about 20 ns a cell and saves pp_mu 0.2-0.7 us a pair
-# (q = 25..289), so it pays for itself after 0.03-0.09 pairs per cell.
-# pp_mu computes the images per call until it has been given cells/25
-# pairs in all, then builds the table and reads it from then on.
-_ROOT_TABLE_PAYBACK = 25
 
 
 class ScanEngine:
@@ -132,21 +126,20 @@ class ScanEngine:
         self.NORM = ctx.np_norm
         self.MU = ctx.np_mu
         self.XALL = np.arange(self.n, dtype=np.int64)
-        self.X3MU = ctx.vmul(ctx.vmul(self.MU, self.MU), self.MU)
 
-        # pp_mu's root images (module docstring): MU[c] = zeta^(j_c), and
-        # IMG[c, y] is the exponent of MU[c]^3 (y + MU[c])^(q-1) to base
-        # zeta, or the sentinel q+1 where y + MU[c] = 0
-        q1 = self.q + 1
-        self.ROOTS = np.arange(q1, dtype=np.int32)
-        self.J3 = 3 * (ctx.np_log[self.MU] // (self.q - 1)) % q1
-        self.CLASS = ctx.np_log % q1
-        cells = q1 * self.n
-        self._img_after = cells // _ROOT_TABLE_PAYBACK if cells <= _ROOT_TABLE_CELLS else math.inf
-        self._mu_pairs = 0  # pairs given to pp_mu so far
-        # sweep threads that reach IMG together build it once: from Python
-        # 3.12 on, functools.cached_property no longer locks
-        self._img_lock = threading.Lock()
+        # pp_mu's log-domain tables (module docstring), with N = q^2 - 1:
+        # per root x = MU[c] = zeta^(J[c]), 3 log x and -log x mod N; per
+        # exponent, Z doubled (y = 0 -> 3N) and W on [0, 3N) (pole -> 2q+1)
+        # then 0 on [3N, 5N - 1); and j + W reduced mod q+1 (pole -> q+1)
+        q1, N, zech = self.q + 1, self.n - 1, ctx.np_zech
+        log_x = ctx.np_log[self.MU].astype(np.int64)
+        self.J = (log_x // (self.q - 1)).astype(np.int32)
+        self.LOG_X3 = (3 * log_x % N).astype(np.int32)
+        self.NEG_LOG_X = (-log_x % N).astype(np.int32)
+        self.ZECH2 = np.tile(np.where(zech < 0, 3 * N, zech), 2).astype(np.int32)
+        w = np.where(zech < 0, 2 * q1 - 1, zech % q1)
+        self.ZECH_W = np.concatenate([w, w, w, np.zeros(2 * N - 1, dtype=w.dtype)]).astype(np.int16)
+        self.MOD = np.append(np.arange(2 * q1 - 1) % q1, np.full(q1, q1)).astype(np.int32)
 
         # x^(q-1), (x^(q-1))^q and x^(2(q-1)) for the direct test; the x = 0
         # entries are garbage but always masked by the outer factor x.
@@ -184,8 +177,12 @@ class ScanEngine:
 
     def pp_mu(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Permutation verdict through the (q+1)-st roots of unity, screened
-        on the first K = floor(2.5 sqrt(q)) of the q+1 roots."""
-        self._mu_pairs += len(a)
+        on the first K = floor(2.5 sqrt(q)) of the q+1 roots.  a and b must
+        be nonzero indices of GF(q^2): IndexError outside [0, q^2),
+        ValueError on 0."""
+        a, b = self.ctx._in_range(a), self.ctx._in_range(b)
+        if not (a.all() and b.all()):
+            raise ValueError("pp_mu needs nonzero a and b")
         return self._screened(self._pp_mu, a, b, self.q + 1, math.isqrt(25 * self.q // 4))
 
     def pp_direct(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,33 +207,17 @@ class ScanEngine:
 
     def _images(self, a: np.ndarray, b: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """[i, k]: the exponent to base zeta of g(MU[cols][k]) for the pair
-        (a[i], b[i]), on the power form g(x) = x^3 (b x^3 + x + a)^(q-1);
-        q+1 at a pole.  Read off IMG once pp_mu has been given enough pairs
-        to pay for it, computed afresh before."""
-        ctx = self.ctx
-        y = ctx.vadd(ctx.vmul(b[:, None], self.X3MU[None, cols]), a[:, None])
-        rows = self.ROOTS[None, cols]
-        if self._mu_pairs < self._img_after:
-            return self._root_images(rows, y)
-        with self._img_lock:
-            table = self.IMG
-        return _take_in_place(table.ravel(), _flat_index(rows, y, self.n))
-
-    @functools.cached_property
-    def IMG(self) -> np.ndarray:
-        """The (q+1) x q^2 int16 table of _root_images, filled in blocks of
-        at most _GRID_CELLS cells (one row at least)."""
-        img = np.empty((self.q + 1, self.n), dtype=np.int16)
-        step = max(1, _GRID_CELLS // self.n)
-        for lo in range(0, self.q + 1, step):
-            img[lo : lo + step] = self._root_images(self.ROOTS[lo : lo + step, None], self.XALL[None, :])
-        return img
-
-    def _root_images(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """IMG[c, y] computed afresh (c, y broadcast): the exponent of
-        MU[c]^3 (y + MU[c])^(q-1) to base zeta, q+1 where y + MU[c] = 0."""
-        den = self.ctx.vadd(y, self.MU[c])
-        return np.where(den == 0, self.q + 1, (self.J3[c] + self.CLASS[den]) % (self.q + 1))
+        (a[i], b[i]) of nonzero indices, on the power form
+        g(x) = x^3 (b x^3 + x + a)^(q-1); q+1 at a pole.  In the log domain
+        (module docstring): three gathers a cell, no field op."""
+        log = self.ctx.np_log
+        log_a = log.take(a)
+        z = _take_in_place(self.ZECH2, ((log.take(b) - log_a) % (self.n - 1))[:, None] + self.LOG_X3[None, cols])
+        z += log_a[:, None]
+        z += self.NEG_LOG_X[None, cols]
+        w = _take_in_place(self.ZECH_W, z)
+        w += self.J[None, cols]
+        return _take_in_place(self.MOD, w)
 
     def _pp_direct(self, a: np.ndarray, b: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """Whether f takes distinct values on the elements XALL[cols] (all of

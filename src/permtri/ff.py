@@ -38,7 +38,8 @@ p, -x = x for p = 2, 1/x = g^(n-1-log x).  The add table is built
 coordinate-wise through the layer below, and the top layer's Frobenius
 table conjugates coordinates as above.
 
-Scalar ops run on discrete-log, exp and Zech tables held as plain lists.
+Scalar ops run on discrete-log, exp and Zech tables held as plain lists;
+the engine's pp_mu reads the same Zech table as the numpy array np_zech.
 The vectorised ops (the v* methods) take numpy index arrays.  On a layer
 with at most _DENSE_TABLE_CELLS cells in its order x order tables, vadd and
 vmul are one gather each, on the raveled table with an int32 flat index
@@ -333,10 +334,10 @@ class FieldCtx:
             mul[0] = mul[:, 0] = 0
             self.np_mul = mul
 
-        # Zech-style table: _zech[k] = log(1 + g^k), -1 when the sum is zero.
+        # Zech table: np_zech[k] = log(1 + g^k), -1 when the sum is zero.
         ones = self.vadd(np.ones(n - 1, dtype=np.int64), self.np_exp2[: n - 1])
-        zech = np.where(ones == 0, -1, self.np_log[ones])
-        self._zech = zech.tolist()
+        self.np_zech = np.where(ones == 0, -1, self.np_log[ones]).astype(np.int32)
+        self._zech = self.np_zech.tolist()
 
         if self.level == "Fq2":
             self._finish_top_tables()

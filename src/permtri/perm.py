@@ -7,7 +7,7 @@ choice; the test suite enforces that equivalence.
 
 On the roots of unity x^q = 1/x, so g also has the power form
 x (1 + a x^q + b x^2)^(q-1) = x^3 (b x^3 + x + a)^(q-1).  The engine's
-pp_mu evaluates that form through a table of discrete-log exponents; the
+pp_mu evaluates that form in the log domain, through the Zech table; the
 per-pair path here keeps the fraction, so the two stay independent, and
 _g_eval_power_form is the power form pair by pair, for the tests.
 """

@@ -3,10 +3,6 @@
 import json
 import math
 import random
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,7 +23,6 @@ from permtri import (
     gcd_degree,
     is_pp_direct,
     is_pp_mu,
-    make_field,
     resultant,
     resultant_vs_closed_form,
     roots,
@@ -284,21 +279,24 @@ def test_summary_mode_runs_only_what_the_tally_reads(tower, monkeypatch, p, h, c
     assert v.tolist() == in_fq and 0 < len(in_fq) < len(a) // eng.q
 
 @pytest.mark.parametrize(
-    "p,h,count", [(2, 2, None), (5, 1, None), (7, 1, None), (2, 3, None), (3, 2, None), (5, 2, 300), (59, 1, 200)]
+    "p,h,count",
+    [
+        (2, 2, None), (5, 1, None), (7, 1, None), (2, 3, None), (3, 2, None),
+        (5, 2, 300), (59, 1, 200), (2, 6, 300), (3, 4, 300),
+    ],
 )
 def test_root_images_are_g_eval(tower, p, h, count):
-    """zeta^IMG equals perm.g_eval at every root of unity, and the sentinel
-    q+1 stands exactly where g_eval has a pole: on every pair at
-    q in {4, 5, 7, 8, 9}, on seeded pairs at q = 25 and, past the dense
-    tables, 59."""
+    """zeta^(image exponent) equals perm.g_eval at every root of unity, and
+    the sentinel q+1 stands exactly where g_eval has a pole: on every pair
+    at q in {4, 5, 7, 8, 9}, on seeded pairs at q = 25 and, past the dense
+    tables, at q = 59, 64 and 81."""
     t = tower(p, h)
     eng, ctx = ScanEngine(t), t.fq2
-    eng._img_after = 0  # read IMG from the first call
     a, b = pair_grid(eng.n) if count is None else sample_pairs(eng.n, count, seed=eng.q)
     zeta = ctx.pow_i(ctx.generator_idx, eng.q - 1)
     powers = [ctx.pow_i(zeta, k) for k in range(eng.q + 1)] + [None]  # the sentinel q+1 marks a pole
     img = eng._images(a, b)
-    assert "IMG" in vars(eng) and img.shape == (len(a), eng.q + 1)
+    assert img.shape == (len(a), eng.q + 1) and img.dtype == np.int32
     roots = [ctx.elem(x) for x in eng.MU.tolist()]
     poles = 0
     for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
@@ -307,76 +305,22 @@ def test_root_images_are_g_eval(tower, p, h, count):
         assert [powers[k] for k in img[i].tolist()] == [None if w is None else w.i for w in want]
         poles += want.count(None)
     assert poles > 0
-    assert (ctx.np_mul is None) == (p == 59)
+    assert (ctx.np_mul is None) == (eng.q >= 59)
 
 
-@pytest.mark.parametrize("p,h,count", [(5, 1, None), (2, 3, None), (3, 2, None), (5, 2, 2000), (59, 1, 2000)])
-def test_root_images_without_the_table(tower, monkeypatch, p, h, count):
-    """Past _ROOT_TABLE_CELLS cells pp_mu computes IMG's entries per call;
-    with the limit lowered to 0 the images and both verdicts equal those
-    read off the table, and the table is never built."""
-    t = tower(p, h)
-    eng = ScanEngine(t)
-    eng._img_after = 0
-    monkeypatch.setattr(engine, "_ROOT_TABLE_CELLS", 0)
-    bare = ScanEngine(t)
-    a, b = pair_grid(eng.n) if count is None else sample_pairs(eng.n, count, seed=eng.q)
-    assert (bare._images(a, b) == eng._images(a, b)).all()
-    assert (bare._images(a, b, slice(3)) == eng._images(a, b, slice(3))).all()
-    assert (bare.pp_mu(a, b) == eng.pp_mu(a, b)).all() and (bare._pp_mu(a, b) == eng._pp_mu(a, b)).all()
-    assert "IMG" in vars(eng) and "IMG" not in vars(bare)
-
-
-def test_root_table_pays_back():
-    """IMG is built on the pp_mu call that brings the pairs given to pp_mu
-    to (q+1) q^2 / _ROOT_TABLE_PAYBACK, and read from then on; the size
-    limit admits q = 317 and not 331."""
-    assert 318 * 317**2 <= engine._ROOT_TABLE_CELLS < 332 * 331**2
-    eng = ScanEngine(make_field(5, 2))
-    after = 26 * 625 // engine._ROOT_TABLE_PAYBACK
-    a, b = sample_pairs(eng.n, after, seed=1)
-    eng.pp_mu(a[:-1], b[:-1])
-    assert "IMG" not in vars(eng)
-    eng.pp_mu(a[-1:], b[-1:])
-    assert "IMG" in vars(eng) and eng.IMG.shape == (26, 625) and eng.IMG.dtype == np.int16
-    table = eng.IMG
-    eng.pp_mu(a, b)
-    assert eng.IMG is table
-
-
-def test_root_table_is_built_once_by_threads_that_reach_it_together():
-    """Sweep threads may call pp_mu while IMG is being built; they must wait
-    for that build, not start their own (functools.cached_property takes no
-    lock from Python 3.12 on)."""
-    eng = ScanEngine(make_field(5, 1))
-    eng._img_after = 0
-    a, b = pair_grid(eng.n)
-    want = ScanEngine(make_field(5, 1)).pp_mu(a, b)  # per-call images
-    builds, root_images = [], eng._root_images
-
-    def counting(c, y):
-        if y.base is eng.XALL:  # the table's one block at q = 5, not a per-call image
-            builds.append(threading.get_ident())
-            time.sleep(0.05)  # hold the build open while the other threads arrive
-        return root_images(c, y)
-
-    eng._root_images = counting
-    workers = 4
-    barrier = threading.Barrier(workers, timeout=10)
-
-    def call():
-        barrier.wait()
-        return eng.pp_mu(a, b)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(workers) as pool:
-            verdicts = [f.result(timeout=30) for f in [pool.submit(call) for _ in range(workers)]]
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(builds) == 1 and "IMG" in vars(eng)
-    assert all((v == want).all() for v in verdicts)
+@pytest.mark.parametrize("p,h", [(5, 1), (2, 3), (59, 1)])
+def test_pp_mu_rejects_indices_outside_its_domain(tower, p, h):
+    """pp_mu takes nonzero indices of GF(q^2): -1 and q^2 are out of range
+    (np.take would wrap -1 silently), and 0 has no log."""
+    eng = ScanEngine(tower(p, h))
+    good = np.array([1, 2, eng.n - 1])
+    eng.pp_mu(good, good)
+    for bad, error in ((-1, IndexError), (eng.n, IndexError), (0, ValueError)):
+        x = good.copy()
+        x[1] = bad
+        for a, b in ((x, good), (good, x)):
+            with pytest.raises(error):
+                eng.pp_mu(a, b)
 
 
 # The square-class step of each condition kernel as the per-pair path states

@@ -412,6 +412,18 @@ class TestTablesAgainstOracles:
             assert [ctx._log[e] for e in exp[:n1]] == list(range(n1))
 
     @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
+    def test_zech_is_the_log_of_one_plus_each_power(self, tower, p, h):
+        # log(1 + g^k) through the coordinate add, not vadd or the table
+        # itself; -1 exactly where 1 + g^k = 0 (k = 0 when p = 2)
+        for ctx in _layers(tower(p, h)):
+            n1 = ctx.order - 1
+            ones = ctx._coord_add(np.ones(n1, dtype=np.int64), ctx.np_exp2[:n1])
+            want = np.where(ones == 0, -1, ctx.np_log[ones])
+            assert ctx.np_zech.tolist() == ctx._zech == want.tolist()
+            assert (ctx.np_zech == -1).sum() == 1
+            assert ctx._zech.index(-1) == (0 if p == 2 else n1 // 2)
+
+    @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
     def test_generator_is_the_least_index_of_full_order(self, tower, p, h):
         # The exp table is pinned to the powers of g above, so g has order
         # n - 1 iff they are distinct, and x = g^k has order (n-1)/gcd(k, n-1)
@@ -544,8 +556,8 @@ class TestTakeInPlace:
 
     @pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_result_is_int32_on_both_paths(self, size):
-        # an int16 table (pp_mu's IMG) must not give int16 rows from small
-        # gathers and int32 rows from blocked ones
+        # an int16 table (pp_mu's ZECH_W) must not give int16 results from
+        # small gathers and int32 results from blocked ones
         table = np.arange(-2500, 2500, dtype=np.int16)
         idx = np.arange(size, dtype=np.int32) % len(table)
         got = ff._take_in_place(table, idx)
