@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--p", type=int, required=True, help="characteristic (prime)")
     ps.add_argument("--h", type=int, required=True, help="extension degree, q = p^h")
     ps.add_argument("--sample", type=int, metavar="N", help="sample N pairs instead of exhausting")
-    ps.add_argument("--seed", type=int, default=0, help="seed for sampled mode")
+    ps.add_argument("--seed", type=int, help="seed for sampled mode (default 0)")
     ps.add_argument("--threads", type=int, default=1)
     ps.add_argument("--diagnostics", action="store_true", help="attach curve/witness diagnostics to permutation instances")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -53,12 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_scan(args) -> int:
     if args.diagnostics and args.format == "csv":
         raise ValueError("--diagnostics needs --format json: the CSV has no column for witnesses or point counts")
+    if args.seed is not None and args.sample is None:
+        raise ValueError("--seed needs --sample: an exhaustive scan draws no pairs")
     if args.sample is not None:
         report = sampled_scan(
             args.p,
             args.h,
             args.sample,
-            args.seed,
+            0 if args.seed is None else args.seed,
             threads=args.threads,
             summary_only=args.summary_only,
             diagnostics=args.diagnostics,

@@ -8,17 +8,22 @@ violation, never silently dropped.
 
 Every sweep runs one pipeline: a pair source gives the pairs sorted by
 (a_idx, b_idx), the sweep cuts them into slices of _SLICE_PAIRS pairs, and
-a _Tally accumulates the engine's columns of each slice; the engine slices
-its grid kernels itself.  A full-row sweep classifies every pair
-(pair_grid) and allocates its (pairs, 10) int32 row matrix once; each
-tally writes its slices' rows straight into its own range of it.  A
-sampled sweep classifies seeded pairs (sample_pairs).  An exhaustive
-summary sweep classifies one pair per orbit (pair_grid over one a of each
-coset of mu_(q+1)): X -> cX takes f_(a,b) to c f_(a w^-1, b w^2) with
-w = c^(q-1) in mu_(q+1), so the q+1 pairs of an orbit share every column a
-summary reads.  After the merge its counts are scaled by q+1, and each
-violation and permutation instance is listed for every pair of its orbit
-(_spread_orbits), so the report equals the one of classifying every pair.
+a _Tally folds in the engine's columns of each slice; the engine slices
+its grid kernels itself.  A tally keeps its pair count, whether prima or
+seconda ever differed from its bis form, and, in the CSV row layout, the
+rows of the pairs where the verdict or the criterion holds.  Every other
+count of the report (pp_count, attribution, gcd_histogram, the
+equivalence violations and the instances the diagnostics describe) is
+read off those kept rows after the merge.  A full-row sweep classifies
+every pair (pair_grid) and allocates its (pairs, 10) int32 row matrix
+once; each tally writes its slices' rows straight into its own range of
+it.  A sampled sweep classifies seeded pairs (sample_pairs).  An
+exhaustive summary sweep classifies one pair per orbit (pair_grid over one
+a of each coset of mu_(q+1)): X -> cX takes f_(a,b) to c f_(a w^-1, b w^2)
+with w = c^(q-1) in mu_(q+1), so the q+1 pairs of an orbit share every
+column a summary reads.  After the merge each kept row is copied to every
+pair of its orbit, in (a_idx, b_idx) order, so the counts read off them
+are those of classifying every pair; only pair_count is multiplied by q+1.
 
 Parallelism contract: the sorted pair list is split into contiguous index
 ranges, one per requested thread (a split may fall inside an a-row).  A pool
@@ -51,7 +56,6 @@ import os
 import re
 import time
 import warnings
-from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -357,60 +361,40 @@ def _slices(a: np.ndarray, b: np.ndarray):
 
 @dataclass
 class _Tally:
-    """Aggregates of a run of sorted pairs; tallies of consecutive runs
-    merge in order into the tally of their concatenation.  `rows` (full
-    mode only) is the run's slice of the sweep's row matrix, filled in
-    pair order as the pairs are added."""
+    """What a run of sorted pairs contributes to a report; tallies of
+    consecutive runs merge in order into the tally of their concatenation.
+    `kept` holds, in pair order and in the row layout, the rows of the
+    pairs where the verdict or the criterion holds: every count of the
+    report but pair_count is read off them.  `rows` (full mode only) is the
+    run's slice of the sweep's row matrix, filled in pair order as the
+    pairs are added."""
 
-    p: int
     rows: np.ndarray | None
-    keep_pairs: bool  # pp_pairs feed the diagnostics only
+    kept: np.ndarray = field(default_factory=lambda: np.empty((0, len(_ROW_FIELDS)), np.int32))
     pair_count: int = 0
-    pp_count: int = 0
-    attribution: Counter = field(default_factory=Counter)
-    gcd_histogram: Counter = field(default_factory=Counter)
-    violations: list = field(default_factory=list)
-    pp_pairs: list = field(default_factory=list)
     prima_mismatch: bool = False
     seconda_mismatch: bool = False
 
     def add(self, a: np.ndarray, b: np.ndarray, cols: dict[str, np.ndarray]) -> None:
         """Fold in one classify_bulk result for the pairs (a, b)."""
-        pp, main = cols["is_pp"], cols["main"]
-        self.pp_count += int(pp.sum())
-        for i in np.flatnonzero(pp != main).tolist():
-            self.violations.append((int(a[i]), int(b[i]), bool(pp[i]), bool(main[i])))
-        if self.keep_pairs:
-            self.pp_pairs.extend(zip(a[pp].tolist(), b[pp].tolist()))
-        vals, counts = np.unique(cols["gcd_deg"][pp], return_counts=True)
-        self.gcd_histogram.update(dict(zip(vals.tolist(), counts.tolist())))
-        if self.p > 3:
-            pr, se = cols["prima"], cols["seconda"]
-            self.attribution.update(
-                {
-                    "prima_only": int((pp & pr & ~se).sum()),
-                    "seconda_only": int((pp & se & ~pr).sum()),
-                    "both": int((pp & pr & se).sum()),
-                }
-            )
-            self.prima_mismatch |= bool((pr != cols["prima_bis"]).any())
-            self.seconda_mismatch |= bool((se != cols["seconda_bis"]).any())
+        keep = np.flatnonzero(cols["is_pp"] | cols["main"])
+        named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": cols["main"]}
+        if self.rows is None:  # a summary writes the kept rows only
+            named = {f: v[keep] for f, v in named.items()}
+            out = np.empty((len(keep), len(_ROW_FIELDS)), dtype=np.int32)
         else:
-            self.attribution.update({"char2" if self.p == 2 else "char3": int(pp.sum())})
-        if self.rows is not None:
-            named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": main}
             out = self.rows[self.pair_count : self.pair_count + len(a)]
-            for j, f in enumerate(_ROW_FIELDS):
-                out[:, j] = named.get(f, -1)
+        for j, f in enumerate(_ROW_FIELDS):
+            out[:, j] = named.get(f, -1)
+        self.kept = np.concatenate((self.kept, out if self.rows is None else out[keep]))
+        if "prima_bis" in cols:
+            self.prima_mismatch |= bool((cols["prima"] != cols["prima_bis"]).any())
+            self.seconda_mismatch |= bool((cols["seconda"] != cols["seconda_bis"]).any())
         self.pair_count += len(a)
 
     def merge(self, other: _Tally) -> None:
         """Append the tally of the run that follows this one."""
-        self.pp_count += other.pp_count
-        self.attribution.update(other.attribution)
-        self.gcd_histogram.update(other.gcd_histogram)
-        self.violations.extend(other.violations)
-        self.pp_pairs.extend(other.pp_pairs)
+        self.kept = np.concatenate((self.kept, other.kept))
         self.prima_mismatch |= other.prima_mismatch
         self.seconda_mismatch |= other.seconda_mismatch
         self.pair_count += other.pair_count
@@ -435,26 +419,6 @@ def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> l
     return out
 
 
-def _spread_orbits(total: _Tally, engine: ScanEngine) -> None:
-    """Turn the tally of one pair per orbit into the tally of every pair
-    (module docstring): the counts scale by q+1, and each violation and kept
-    permutation instance is listed for every pair of its orbit, in
-    (a_idx, b_idx) order."""
-    k = engine.q + 1
-    total.pair_count *= k
-    total.pp_count *= k
-    for counter in (total.attribution, total.gcd_histogram):
-        for key in counter:
-            counter[key] *= k
-    viol = np.array(total.violations, dtype=np.int64).reshape(-1, 4)
-    va, vb, src = _orbit_members(engine, viol[:, 0], viol[:, 1])
-    flags = [v[2:] for v in total.violations]
-    total.violations = [(x, y, *flags[i]) for x, y, i in zip(va.tolist(), vb.tolist(), src.tolist())]
-    pp = np.array(total.pp_pairs, dtype=np.int64).reshape(-1, 2)
-    pa, pb, _ = _orbit_members(engine, pp[:, 0], pp[:, 1])
-    total.pp_pairs = list(zip(pa.tolist(), pb.tolist()))
-
-
 def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
     """Classify the sorted pairs (a, b) and aggregate them into a report; an
     exhaustive summary's (a, b) holds one pair per orbit and stands for
@@ -463,7 +427,7 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
     rows = None if summary_only else np.empty((len(a), len(_ROW_FIELDS)), dtype=np.int32)
 
     def tally(lo: int, hi: int) -> _Tally:
-        part = _Tally(tower.p, None if rows is None else rows[lo:hi], diagnostics)
+        part = _Tally(None if rows is None else rows[lo:hi])
         for ca, cb in _slices(a[lo:hi], b[lo:hi]):
             part.add(ca, cb, engine.classify_bulk(ca, cb, summary=rows is None))
         return part
@@ -475,18 +439,39 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
     else:
         with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(lambda span: tally(*span), spans))
-    total = _Tally(tower.p, None, diagnostics)
+    total = _Tally(None)
     for part in parts:  # range order
         total.merge(part)
-    if mode == "exhaustive" and summary_only:
-        _spread_orbits(total, engine)
+    kept, pair_count = total.kept, total.pair_count
+    if mode == "exhaustive" and summary_only:  # each kept row stands for its orbit
+        a_idx, b_idx, src = _orbit_members(engine, kept[:, 0], kept[:, 1])
+        kept = kept[src]
+        kept[:, 0], kept[:, 1] = a_idx, b_idx
+        pair_count *= tower.q + 1
 
+    col = dict(zip(_ROW_FIELDS, kept.T))
+    pp, main = col["is_pp"] == 1, col["main_predicate"] == 1
+    inst = dict(zip(_ROW_FIELDS, kept[pp].T))
+    if not pair_count:  # no key before a pair is classified, a zero count after
+        attribution = {}
+    elif tower.p > 3:
+        pr, se = inst["prima"] == 1, inst["seconda"] == 1
+        attribution = {
+            "prima_only": int((pr & ~se).sum()),
+            "seconda_only": int((se & ~pr).sum()),
+            "both": int((pr & se).sum()),
+        }
+    else:
+        attribution = {f"char{tower.p}": int(pp.sum())}
+    degrees, counts = np.unique(inst["gcd_deg"], return_counts=True)
+    bad = pp != main
+    violations = list(zip(col["a_idx"][bad].tolist(), col["b_idx"][bad].tolist(), pp[bad].tolist(), main[bad].tolist()))
     diag = None
     if diagnostics:
-        pa, pb = np.array(total.pp_pairs, dtype=np.int64).reshape(-1, 2).T
+        pa, pb = inst["a_idx"], inst["b_idx"]
         diag = [
             {"a_idx": ai, "b_idx": bi, **extra}
-            for (ai, bi), extra in zip(total.pp_pairs, _instance_diagnostics(engine, pa, pb))
+            for ai, bi, extra in zip(pa.tolist(), pb.tolist(), _instance_diagnostics(engine, pa, pb))
         ]
     set_eq = None
     if tower.p > 3:
@@ -499,11 +484,11 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
         p=tower.p,
         h=tower.h,
         mode=mode,
-        pair_count=total.pair_count,
-        pp_count=total.pp_count,
-        attribution=dict(total.attribution),
-        gcd_histogram=dict(total.gcd_histogram),
-        equivalence_violations=total.violations,
+        pair_count=pair_count,
+        pp_count=int(pp.sum()),
+        attribution=attribution,
+        gcd_histogram=dict(zip(degrees.tolist(), counts.tolist())),
+        equivalence_violations=violations,
         set_equalities=set_eq,
         wall_time=time.perf_counter() - t0,
         samples=samples,

@@ -53,6 +53,12 @@ class TestScanCommand:
         data = json.loads(out.read_text())
         assert data["q"] == 7 and data["mode"] == "sampled"
 
+    def test_sample_seed_defaults_to_zero(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["scan", "--p", "7", "--h", "1", "--sample", "50", "--format", "json", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["seed"] == 0 and data["rows"] == scan.sampled_scan(7, 1, 50, 0).rows.tolist()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_bytes_equal_file_bytes(self, fmt, tmp_path, capsys, monkeypatch):
         rep = exhaustive_scan(5, 1)  # one report, so both carry the same wall_time
@@ -108,6 +114,8 @@ class TestScanCommand:
                 ["--p", "5", "--h", "1", "--sample", "9", "--summary-only", "--diagnostics", "--format", "csv"],
                 None, "--format json", id="diagnostics-sampled-csv",
             ),
+            # an exhaustive scan draws no pairs to seed
+            pytest.param(["--p", "5", "--h", "1", "--seed", "3"], None, "--sample", id="seed-exhaustive"),
         ],
     )
     def test_usage_error(self, argv, budget_env, message, tmp_path, monkeypatch, capsys, no_big_primality):

@@ -34,6 +34,20 @@ from permtri.scan import (
 )
 
 
+@pytest.fixture
+def tallies(monkeypatch):
+    """Every scan._Tally that sweeps construct, in construction order."""
+    made = []
+
+    class Spy(scan._Tally):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(scan, "_Tally", Spy)
+    return made
+
+
 def _randrange_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
     """The reference draw: `count` pairs of Random(seed).randrange(1, n),
     a then b, sorted."""
@@ -254,6 +268,27 @@ class TestSampled:
         assert rep.pair_count == 0 and rep.pp_count == 0
         assert rep.rows.shape == (0, 10)
         assert to_csv_text(rep).strip() == ",".join(CSV_COLUMNS)
+
+    @pytest.mark.parametrize(
+        "p,h,samples,seed,attribution",
+        [
+            (5, 1, 0, 1, {}),
+            (3, 1, 0, 0, {}),
+            (2, 1, 0, 0, {}),
+            (5, 1, 3, -5, {"prima_only": 0, "seconda_only": 0, "both": 0}),
+            (3, 1, 5, 0, {"char3": 0}),
+            (2, 2, 2, 0, {"char2": 0}),
+        ],
+    )
+    def test_aggregates_without_instances(self, p, h, samples, seed, attribution):
+        """No pair gives no attribution key; pairs but no permutation
+        instance keep each key of the characteristic at zero."""
+        rep = sampled_scan(p, h, samples, seed)
+        assert rep.pair_count == samples and rep.pp_count == 0
+        assert rep.attribution == attribution and list(rep.attribution) == list(attribution)
+        assert rep.gcd_histogram == {}
+        both = {"prima_eq_prima_bis": True, "seconda_eq_seconda_bis": True}
+        assert rep.set_equalities == (both if p > 3 else None)
 
     def test_rows_sorted(self, tower):
         rep = sampled_scan(7, 1, 300, seed=2)
@@ -620,35 +655,28 @@ class TestRowMatrix:
             assert np.array_equal(rows, reference)
         assert (reference[:, 3:8] == -1).all() == (p == 3)
 
-    def test_summary_mode_allocates_no_matrix(self, monkeypatch):
-        seen = []
-
-        class Spy(scan._Tally):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                seen.append(self.rows)
-
-        monkeypatch.setattr(scan, "_Tally", Spy)
+    def test_summary_mode_allocates_no_matrix(self, tallies):
         full = exhaustive_scan(7, 1, threads=2)
+        seen = [t.rows for t in tallies]
         assert [r is None for r in seen] == [False, False, True]  # two slices, then the total
         assert all(np.shares_memory(r, full.rows) for r in seen[:2])
-        seen.clear()
+        tallies.clear()
         assert exhaustive_scan(7, 1, threads=2, summary_only=True).rows is None
-        assert len(seen) == 3 and all(r is None for r in seen)
+        assert len(tallies) == 3 and all(t.rows is None for t in tallies)
 
 
 class TestTally:
-    def test_pairs_kept_only_for_diagnostics(self, tower):
-        eng = ScanEngine(tower(5, 1))
-        a, b = pair_grid(eng.n)
-        cols = eng.classify_bulk(a, b)
-        plain = scan._Tally(5, rows=None, keep_pairs=False)
-        plain.add(a, b, cols)
-        assert plain.pp_pairs == [] and plain.pp_count == 18
-        whole = scan._Tally(5, rows=None, keep_pairs=True)
-        whole.add(a, b, cols)
-        pp = cols["is_pp"]
-        assert whole.pp_pairs == list(zip(a[pp].tolist(), b[pp].tolist()))
+    @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 3), (3, 2)])  # p > 3, p = 2 and p = 3
+    def test_counts_are_read_off_the_kept_rows(self, tallies, p, h):
+        for diagnostics in (False, True):
+            tallies.clear()
+            rep = exhaustive_scan(p, h, threads=2, diagnostics=diagnostics)
+            kept = rep.rows[(rep.rows[:, 2] == 1) | (rep.rows[:, 9] == 1)]
+            assert np.array_equal(tallies[-1].kept, kept)  # the merged total
+            assert rep.pp_count > 0
+            assert rep.pp_count == sum(rep.attribution.values()) == sum(rep.gcd_histogram.values())
+            if diagnostics:
+                assert rep.pp_count == len(rep.diagnostics)
 
 
 class TestDeterminism:
