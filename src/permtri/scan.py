@@ -6,31 +6,32 @@ vectorised engine, and aggregates a ScanReport.  Any disagreement between
 the verdict and the closed-form criterion is collected as an equivalence
 violation, never silently dropped.
 
-Every sweep runs one pipeline: a pair source gives the pairs sorted by
-(a_idx, b_idx), the sweep cuts them into slices of _SLICE_PAIRS pairs, and
-a _Tally folds in the engine's columns of each slice; the engine slices
-its grid kernels itself.  A tally keeps its pair count, whether prima or
-seconda ever differed from its bis form, and, in the CSV row layout, the
-rows of the pairs where the verdict or the criterion holds.  Every other
-count of the report (pp_count, attribution, gcd_histogram, the
-equivalence violations and the instances the diagnostics describe) is
-read off those kept rows after the merge.  A full-row sweep classifies
-every pair (pair_grid) and allocates its (pairs, 10) int32 row matrix
-once; each tally writes its slices' rows straight into its own range of
-it.  A sampled sweep classifies seeded pairs (sample_pairs).  An
-exhaustive summary sweep classifies one pair per orbit (pair_grid over one
-a of each coset of mu_(q+1)): X -> cX takes f_(a,b) to c f_(a w^-1, b w^2)
-with w = c^(q-1) in mu_(q+1), so the q+1 pairs of an orbit share every
-column a summary reads.  After the merge each kept row is copied to every
-pair of its orbit, in (a_idx, b_idx) order, so the counts read off them
-are those of classifying every pair; only pair_count is multiplied by q+1.
+Every sweep runs one pipeline over index ranges: it takes a pair count
+and a pair source pairs(lo, hi), which gives the pairs lo ... hi-1 in
+(a_idx, b_idx) order, and asks it for one slice of _SLICE_PAIRS pairs at a
+time; the engine slices its grid kernels itself.  Of each slice the sweep
+keeps, in the CSV row layout, the rows where is_pp, main, prima_bis or
+seconda_bis holds.  Every count of the report but pair_count (pp_count,
+attribution, gcd_histogram, the equivalence violations, set_equalities and
+the instances the diagnostics describe) is read off those kept rows after
+the merge: off them, prima, seconda and both bis forms are 0.  A full-row
+sweep classifies every pair (pair_grid by window) and allocates its
+(pairs, 10) int32 row matrix once; each slice writes its rows straight into
+its own range of it.  A sampled sweep slices the seeded pairs that
+sample_pairs drew.  An exhaustive summary sweep classifies one pair per
+orbit (pair_grid over one a of each coset of mu_(q+1)): X -> cX takes
+f_(a,b) to c f_(a w^-1, b w^2) with w = c^(q-1) in mu_(q+1), so the q+1
+pairs of an orbit share every column a summary reads.  After the merge each
+kept row is copied to every pair of its orbit, in (a_idx, b_idx) order, so
+the counts read off them are those of classifying every pair; pair_count is
+the count passed in, times q+1.
 
-Parallelism contract: the sorted pair list is split into contiguous index
-ranges, one per requested thread (a split may fall inside an a-row).  A pool
-of at most os.cpu_count() workers tallies the ranges, and the tallies merge
-in range order.  Output is therefore byte-identical for any thread count.
-A sweep with a single range runs in the calling thread; fewer than one
-thread is a ValueError.
+Parallelism contract: the pair indices are split into contiguous ranges,
+one per requested thread (a split may fall inside an a-row).  A pool of at
+most os.cpu_count() workers classifies the ranges, and one concatenation
+merges their kept rows in range order.  Output is therefore byte-identical
+for any thread count.  A sweep with a single range runs in the calling
+thread; fewer than one thread is a ValueError.
 
 Serialisation contract: report_blocks is the one path from a report to
 text.  It yields the CSV or JSON as consecutive ASCII byte blocks:
@@ -58,7 +59,8 @@ import time
 import warnings
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -109,7 +111,7 @@ DEFAULT_BUDGET_Q = 31
 BUDGET_ENV_VAR = "TRINOMIAL_BUDGET_Q"
 
 _ROW_FIELDS = CSV_COLUMNS[1:]  # rows store everything but the constant q
-_SLICE_PAIRS = 1 << 15  # pairs per tally or diagnostics slice
+_SLICE_PAIRS = 1 << 15  # pairs per sweep or diagnostics slice
 _ENCODE_ROWS = 1 << 15  # rows per _encode_rows block
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")  # what json.loads skips around a value
 
@@ -296,12 +298,22 @@ def _effective_budget(max_q: int | None) -> int:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def pair_grid(n: int, a_values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of A x GF(q^2)* (n = q^2), in (a_idx, b_idx) order, as
-    int32 index arrays; A is the sorted a_values, or GF(q^2)* without them."""
-    nonzero = np.arange(1, n, dtype=np.int32)
-    a = nonzero if a_values is None else np.asarray(a_values, dtype=np.int32)
-    return np.repeat(a, n - 1), np.tile(nonzero, len(a))
+def pair_grid(
+    n: int, a_values: np.ndarray | None = None, lo: int = 0, hi: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs lo ... hi-1 (hi: the last pair, if None) of A x GF(q^2)*
+    (n = q^2), in (a_idx, b_idx) order, as int32 index arrays; A is the
+    sorted a_values, or GF(q^2)* without them.  Pair k is
+    (A[k // (n-1)], k % (n-1) + 1), so a window costs only its own pairs;
+    k counts in int32 from the start of pair lo's a-row."""
+    a = np.arange(1, n, dtype=np.int32) if a_values is None else np.asarray(a_values, dtype=np.int32)
+    first, start = divmod(lo, n - 1)
+    stop = start + (len(a) * (n - 1) if hi is None else hi) - lo
+    if stop > 1 << 31:
+        raise ValueError(f"a pair_grid window of {stop - start} pairs overflows its int32 count")
+    row, col = np.divmod(np.arange(start, stop, dtype=np.int32), n - 1)
+    col += 1
+    return a[first:][row], col
 
 
 def _orbit_members(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -353,53 +365,6 @@ def sample_pairs(n: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]
     return a.astype(np.int32), b.astype(np.int32)
 
 
-def _slices(a: np.ndarray, b: np.ndarray):
-    """Consecutive slices of _SLICE_PAIRS pairs of (a, b)."""
-    for lo in range(0, len(a), _SLICE_PAIRS):
-        yield a[lo : lo + _SLICE_PAIRS], b[lo : lo + _SLICE_PAIRS]
-
-
-@dataclass
-class _Tally:
-    """What a run of sorted pairs contributes to a report; tallies of
-    consecutive runs merge in order into the tally of their concatenation.
-    `kept` holds, in pair order and in the row layout, the rows of the
-    pairs where the verdict or the criterion holds: every count of the
-    report but pair_count is read off them.  `rows` (full mode only) is the
-    run's slice of the sweep's row matrix, filled in pair order as the
-    pairs are added."""
-
-    rows: np.ndarray | None
-    kept: np.ndarray = field(default_factory=lambda: np.empty((0, len(_ROW_FIELDS)), np.int32))
-    pair_count: int = 0
-    prima_mismatch: bool = False
-    seconda_mismatch: bool = False
-
-    def add(self, a: np.ndarray, b: np.ndarray, cols: dict[str, np.ndarray]) -> None:
-        """Fold in one classify_bulk result for the pairs (a, b)."""
-        keep = np.flatnonzero(cols["is_pp"] | cols["main"])
-        named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": cols["main"]}
-        if self.rows is None:  # a summary writes the kept rows only
-            named = {f: v[keep] for f, v in named.items()}
-            out = np.empty((len(keep), len(_ROW_FIELDS)), dtype=np.int32)
-        else:
-            out = self.rows[self.pair_count : self.pair_count + len(a)]
-        for j, f in enumerate(_ROW_FIELDS):
-            out[:, j] = named.get(f, -1)
-        self.kept = np.concatenate((self.kept, out if self.rows is None else out[keep]))
-        if "prima_bis" in cols:
-            self.prima_mismatch |= bool((cols["prima"] != cols["prima_bis"]).any())
-            self.seconda_mismatch |= bool((cols["seconda"] != cols["seconda_bis"]).any())
-        self.pair_count += len(a)
-
-    def merge(self, other: _Tally) -> None:
-        """Append the tally of the run that follows this one."""
-        self.kept = np.concatenate((self.kept, other.kept))
-        self.prima_mismatch |= other.prima_mismatch
-        self.seconda_mismatch |= other.seconda_mismatch
-        self.pair_count += other.pair_count
-
-
 def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -410,7 +375,8 @@ def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> l
     instance (a, b).  The engine builds F, and G for odd p, once per slice
     of _SLICE_PAIRS pairs, counts points on G and finds the witnesses from F."""
     out = []
-    for ca, cb in _slices(a, b):
+    for lo in range(0, len(a), _SLICE_PAIRS):
+        ca, cb = a[lo : lo + _SLICE_PAIRS], b[lo : lo + _SLICE_PAIRS]
         F, G = engine.curve_coeffs(ca, cb)
         found = engine.witnesses(ca, cb, F)
         if G is not None:
@@ -419,40 +385,51 @@ def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> l
     return out
 
 
-def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
-    """Classify the sorted pairs (a, b) and aggregate them into a report; an
-    exhaustive summary's (a, b) holds one pair per orbit and stands for
-    every pair."""
+def _sweep(tower, mode, count, pairs, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
+    """Classify the `count` sorted pairs that pairs(lo, hi) gives by index
+    range and aggregate them into a report; an exhaustive summary's pairs
+    hold one pair per orbit and stand for every pair."""
     engine = ScanEngine(tower)
-    rows = None if summary_only else np.empty((len(a), len(_ROW_FIELDS)), dtype=np.int32)
+    rows = None if summary_only else np.empty((count, len(_ROW_FIELDS)), dtype=np.int32)
 
-    def tally(lo: int, hi: int) -> _Tally:
-        part = _Tally(None if rows is None else rows[lo:hi])
-        for ca, cb in _slices(a[lo:hi], b[lo:hi]):
-            part.add(ca, cb, engine.classify_bulk(ca, cb, summary=rows is None))
-        return part
+    def kept_rows(lo: int, hi: int) -> list[np.ndarray]:
+        """The rows of pairs lo ... hi-1 that the keep mask selects, slice by
+        slice; a full-row sweep writes every row of them into `rows`."""
+        kept = []
+        for start in range(lo, hi, _SLICE_PAIRS):
+            a, b = pairs(start, min(start + _SLICE_PAIRS, hi))
+            cols = engine.classify_bulk(a, b, summary=rows is None)
+            bis = cols.get("prima_bis", False) | cols.get("seconda_bis", False)
+            keep = np.flatnonzero(cols["is_pp"] | cols["main"] | bis)
+            named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": cols["main"]}
+            if rows is None:  # a summary writes the kept rows only
+                named = {f: v[keep] for f, v in named.items()}
+                out = np.empty((len(keep), len(_ROW_FIELDS)), dtype=np.int32)
+            else:
+                out = rows[start : start + len(a)]
+            for j, f in enumerate(_ROW_FIELDS):
+                out[:, j] = named.get(f, -1)
+            kept.append(out if rows is None else out[keep])
+        return kept
 
-    bounds = np.linspace(0, len(a), min(threads, len(a)) + 1).astype(int).tolist()
+    bounds = np.linspace(0, count, min(threads, count) + 1).astype(int).tolist()
     spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     if len(spans) <= 1:  # inline: a worker thread would bring its own malloc arena
-        parts = [tally(lo, hi) for lo, hi in spans]
+        parts = [kept_rows(lo, hi) for lo, hi in spans]
     else:
         with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(lambda span: tally(*span), spans))
-    total = _Tally(None)
-    for part in parts:  # range order
-        total.merge(part)
-    kept, pair_count = total.kept, total.pair_count
+            parts = list(pool.map(lambda span: kept_rows(*span), spans))
+    kept = np.concatenate([np.empty((0, len(_ROW_FIELDS)), np.int32)] + [k for part in parts for k in part])
     if mode == "exhaustive" and summary_only:  # each kept row stands for its orbit
         a_idx, b_idx, src = _orbit_members(engine, kept[:, 0], kept[:, 1])
         kept = kept[src]
         kept[:, 0], kept[:, 1] = a_idx, b_idx
-        pair_count *= tower.q + 1
+        count *= tower.q + 1
 
     col = dict(zip(_ROW_FIELDS, kept.T))
     pp, main = col["is_pp"] == 1, col["main_predicate"] == 1
     inst = dict(zip(_ROW_FIELDS, kept[pp].T))
-    if not pair_count:  # no key before a pair is classified, a zero count after
+    if not count:  # no key before a pair is classified, a zero count after
         attribution = {}
     elif tower.p > 3:
         pr, se = inst["prima"] == 1, inst["seconda"] == 1
@@ -476,15 +453,15 @@ def _sweep(tower, mode, a, b, t0, threads, summary_only, diagnostics, samples=No
     set_eq = None
     if tower.p > 3:
         set_eq = {
-            "prima_eq_prima_bis": not total.prima_mismatch,
-            "seconda_eq_seconda_bis": not total.seconda_mismatch,
+            "prima_eq_prima_bis": bool((col["prima"] == col["prima_bis"]).all()),
+            "seconda_eq_seconda_bis": bool((col["seconda"] == col["seconda_bis"]).all()),
         }
     return ScanReport(
         q=tower.q,
         p=tower.p,
         h=tower.h,
         mode=mode,
-        pair_count=pair_count,
+        pair_count=count,
         pp_count=int(pp.sum()),
         attribution=attribution,
         gcd_histogram=dict(zip(degrees.tolist(), counts.tolist())),
@@ -528,9 +505,10 @@ def exhaustive_scan(
         )
     tower = make_field(p, h)
     # an a of each coset of mu_(q+1) = <g^(q-1)>: g^k for 0 <= k < q-1
+    n = tower.fq2.order
     reps = np.sort(tower.fq2.np_exp2[: tower.q - 1]) if summary_only else None
-    a, b = pair_grid(tower.fq2.order, reps)
-    return _sweep(tower, "exhaustive", a, b, t0, threads, summary_only, diagnostics)
+    count = (n - 1) * (n - 1 if reps is None else len(reps))
+    return _sweep(tower, "exhaustive", count, partial(pair_grid, n, reps), t0, threads, summary_only, diagnostics)
 
 
 def sampled_scan(
@@ -554,7 +532,10 @@ def sampled_scan(
     _check_threads(threads)
     tower = make_field(p, h)
     a, b = sample_pairs(tower.fq2.order, samples, seed)
-    return _sweep(tower, "sampled", a, b, t0, threads, summary_only, diagnostics, samples=samples, seed=seed)
+    return _sweep(
+        tower, "sampled", len(a), lambda lo, hi: (a[lo:hi], b[lo:hi]),
+        t0, threads, summary_only, diagnostics, samples, seed,
+    )
 
 
 def _cell_index(col: np.ndarray) -> tuple[list[int], np.ndarray]:

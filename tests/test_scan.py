@@ -34,20 +34,6 @@ from permtri.scan import (
 )
 
 
-@pytest.fixture
-def tallies(monkeypatch):
-    """Every scan._Tally that sweeps construct, in construction order."""
-    made = []
-
-    class Spy(scan._Tally):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(scan, "_Tally", Spy)
-    return made
-
-
 def _randrange_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
     """The reference draw: `count` pairs of Random(seed).randrange(1, n),
     a then b, sorted."""
@@ -359,6 +345,61 @@ class TestSampled:
         assert rep.equivalence_violations == []
 
 
+class TestPairSource:
+    @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+    def test_pair_grid_windows(self, tower, p, h):
+        """A window of pair_grid over every a, over the transversal and over
+        two a's is that slice of the whole grid: empty, one pair, across an
+        a-row, to the end and whole."""
+        t = tower(p, h)
+        n, m = t.fq2.order, t.fq2.order - 1
+        for a_values in (None, np.sort(t.fq2.np_exp2[: t.q - 1]), np.array([2, n - 1])):
+            whole = pair_grid(n, a_values)
+            total = len(whole[0])
+            values = range(1, n) if a_values is None else a_values.tolist()
+            assert list(zip(*(w.tolist() for w in whole))) == [(x, y) for x in values for y in range(1, n)]
+            windows = [(0, 0), (m, m), (total, total), (0, 1), (m - 1, m), (m, m + 1), (total - 1, total)]
+            windows += [(m - 1, m + 1), (1, 2 * m + 3), (m + 1, None), (0, total)]
+            for lo, hi in windows:
+                if (lo if hi is None else hi) > total:
+                    continue  # a window past the last pair (a single a-row)
+                a, b = pair_grid(n, a_values, lo, hi)
+                assert a.dtype == b.dtype == np.int32
+                assert np.array_equal(a, whole[0][lo:hi]) and np.array_equal(b, whole[1][lo:hi])
+
+    def test_pair_grid_windows_past_int32(self):
+        """Past 2^31 pairs a window still counts in int32 from its first
+        a-row; a window too long for that is refused before it is built."""
+        n = 50_000  # (n-1)^2 > 2^31 pairs
+        a, b = pair_grid(n, None, (n - 1) ** 2 - 3)
+        assert a.dtype == b.dtype == np.int32
+        assert list(zip(a.tolist(), b.tolist())) == [(n - 1, n - 3), (n - 1, n - 2), (n - 1, n - 1)]
+        with pytest.raises(ValueError, match="overflows its int32 count"):
+            pair_grid(n)
+
+    @pytest.mark.parametrize("summary_only", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweeps_ask_for_one_slice_at_a_time(self, monkeypatch, summary_only, threads):
+        """An exhaustive sweep never holds more than _SLICE_PAIRS pairs of
+        its grid: its windows tile the grid and none is longer."""
+        windows, grid = [], scan.pair_grid
+
+        def spy(n, a_values=None, *window):  # window: lo, hi
+            a, b = grid(n, a_values, *window)
+            lo = window[0] if window else 0
+            windows.append((lo, lo + len(a)))
+            return a, b
+
+        monkeypatch.setattr(scan, "pair_grid", spy)
+        monkeypatch.setattr(scan, "_SLICE_PAIRS", 40)
+        rep = exhaustive_scan(7, 1, threads=threads, summary_only=summary_only)
+        assert rep.pair_count == 48 * 48
+        assert max(hi - lo for lo, hi in windows) <= 40
+        starts, ends = zip(*sorted(windows))
+        assert starts[0] == 0 and list(starts[1:]) == list(ends[:-1])
+        assert ends[-1] == (6 if summary_only else 48) * 48
+
+
 class TestEmission:
     def test_csv_schema_and_row_count(self, tower, tmp_path):
         rep = exhaustive_scan(5, 1)
@@ -655,28 +696,79 @@ class TestRowMatrix:
             assert np.array_equal(rows, reference)
         assert (reference[:, 3:8] == -1).all() == (p == 3)
 
-    def test_summary_mode_allocates_no_matrix(self, tallies):
+    def test_summary_mode_allocates_no_matrix(self, monkeypatch):
+        """A full-row sweep allocates one (pairs, 10) matrix, which its
+        slices fill in place; a summary sweep allocates rows only for the
+        pairs it keeps, one slice at a time."""
+        matrices, empty = [], np.empty
+
+        def spy(shape, *args, **kwargs):
+            out = empty(shape, *args, **kwargs)
+            if out.ndim == 2 and out.shape[1] == 10:
+                matrices.append(out)
+            return out
+
+        monkeypatch.setattr(np, "empty", spy)
+        monkeypatch.setattr(scan, "_SLICE_PAIRS", 50)  # 50-pair slices on two threads
         full = exhaustive_scan(7, 1, threads=2)
-        seen = [t.rows for t in tallies]
-        assert [r is None for r in seen] == [False, False, True]  # two slices, then the total
-        assert all(np.shares_memory(r, full.rows) for r in seen[:2])
-        tallies.clear()
-        assert exhaustive_scan(7, 1, threads=2, summary_only=True).rows is None
-        assert len(tallies) == 3 and all(t.rows is None for t in tallies)
+        assert [m.shape for m in matrices] == [(2304, 10), (0, 10)]  # the matrix, then the empty merge start
+        assert matrices[0] is full.rows
+        matrices.clear()
+        summary = exhaustive_scan(7, 1, threads=2, summary_only=True)
+        assert summary.rows is None
+        assert all(len(m) <= 50 for m in matrices)
+        assert sum(len(m) for m in matrices) == summary.pp_count // 8  # the kept rows, one per orbit
 
 
 class TestTally:
     @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 3), (3, 2)])  # p > 3, p = 2 and p = 3
-    def test_counts_are_read_off_the_kept_rows(self, tallies, p, h):
+    def test_counts_are_read_off_the_kept_rows(self, p, h):
+        """Every count of a report is the one read off its full rows."""
         for diagnostics in (False, True):
-            tallies.clear()
             rep = exhaustive_scan(p, h, threads=2, diagnostics=diagnostics)
-            kept = rep.rows[(rep.rows[:, 2] == 1) | (rep.rows[:, 9] == 1)]
-            assert np.array_equal(tallies[-1].kept, kept)  # the merged total
-            assert rep.pp_count > 0
+            col = dict(zip(CSV_COLUMNS[1:], rep.rows.T))
+            pp, main = col["is_pp"] == 1, col["main_predicate"] == 1
+            assert rep.pp_count == pp.sum() > 0
             assert rep.pp_count == sum(rep.attribution.values()) == sum(rep.gcd_histogram.values())
+            degrees, counts = np.unique(col["gcd_deg"][pp], return_counts=True)
+            assert rep.gcd_histogram == dict(zip(degrees.tolist(), counts.tolist()))
+            assert rep.equivalence_violations == [] and (pp == main).all()
             if diagnostics:
                 assert rep.pp_count == len(rep.diagnostics)
+                instances = list(zip(col["a_idx"][pp].tolist(), col["b_idx"][pp].tolist()))
+                assert [(d["a_idx"], d["b_idx"]) for d in rep.diagnostics] == instances
+
+
+class TestSetEqualities:
+    @pytest.mark.parametrize("kernel", ["prima_bis", "seconda_bis"])
+    def test_one_mismatch_clears_its_flag(self, tower, monkeypatch, kernel):
+        """A bis column flipped on one pair where is_pp, main and prima are
+        all 0: the sweep keeps that pair for its bis column alone, and the
+        flag reads false in the full-row, summary and sampled sweeps."""
+        full = exhaustive_scan(7, 1)
+        col = dict(zip(CSV_COLUMNS[1:], full.rows.T))
+        quiet = (col["is_pp"] == 0) & (col["main_predicate"] == 0) & (col["prima"] == 0) & (col[kernel] == 0)
+        transversal = set(zip(*(x.tolist() for x in _transversal(tower(7, 1)))))
+        sampled = set(map(tuple, sampled_scan(7, 1, 500, seed=5).rows[:, :2].tolist()))
+        candidates = zip(col["a_idx"][quiet].tolist(), col["b_idx"][quiet].tolist())
+        pair = next(pr for pr in candidates if pr in transversal & sampled)
+        original = getattr(ScanEngine, kernel)
+
+        def flipped(self, a, b, *args):
+            return original(self, a, b, *args) ^ ((a == pair[0]) & (b == pair[1]))
+
+        monkeypatch.setattr(ScanEngine, kernel, flipped)
+        flags = {"prima_eq_prima_bis": kernel != "prima_bis", "seconda_eq_seconda_bis": kernel != "seconda_bis"}
+        sweeps = (
+            exhaustive_scan(7, 1, threads=2),
+            exhaustive_scan(7, 1, summary_only=True),
+            sampled_scan(7, 1, 500, seed=5),
+            sampled_scan(7, 1, 500, seed=5, summary_only=True),
+        )
+        for rep in sweeps:
+            assert rep.set_equalities == flags
+            assert rep.equivalence_violations == []
+        assert sweeps[0].pp_count == sweeps[1].pp_count == full.pp_count
 
 
 class TestDeterminism:
