@@ -6,38 +6,42 @@ vectorised engine, and aggregates a ScanReport.  Any disagreement between
 the verdict and the closed-form criterion is collected as an equivalence
 violation, never silently dropped.
 
-Every sweep runs one pipeline over index ranges: it takes a pair count
-and a pair source pairs(lo, hi), which gives the pairs lo ... hi-1 in
-(a_idx, b_idx) order, and asks it for one slice of _SLICE_PAIRS pairs at a
-time; the engine slices its grid kernels itself.  Of each slice the sweep
-keeps, in the CSV row layout, the rows where is_pp, main, prima_bis or
-seconda_bis holds.  Every count of the report but pair_count (pp_count,
-attribution, gcd_histogram, the equivalence violations, set_equalities and
-the instances the diagnostics describe) is read off those kept rows after
-the merge: off them, prima, seconda and both bis forms are 0.  A full-row
-sweep classifies every pair (pair_grid by window) and allocates its
-(pairs, 10) int32 row matrix once; each slice writes its rows straight into
-its own range of it.  A sampled sweep slices the seeded pairs that
-sample_pairs drew.  An exhaustive summary sweep classifies one pair per
-orbit (pair_grid over one a of each coset of mu_(q+1)): X -> cX takes
-f_(a,b) to c f_(a w^-1, b w^2) with w = c^(q-1) in mu_(q+1), so the q+1
-pairs of an orbit share every column a summary reads.  After the merge each
-kept row is copied to every pair of its orbit, in (a_idx, b_idx) order, so
-the counts read off them are those of classifying every pair; pair_count is
-the count passed in, times q+1.
+Every sweep runs one pipeline over slices: it takes a pair count and a
+pair source pairs(lo, hi), which gives the pairs lo ... hi-1 in
+(a_idx, b_idx) order, cuts [0, count) into consecutive slices of
+step = min(_SLICE_PAIRS, ceil(count / threads)) pairs (at least one), and
+maps one function over them; the engine slices its grid kernels itself.  Of
+each slice the sweep keeps, in the CSV row layout, the rows where is_pp,
+main, prima_bis or seconda_bis holds.  Every count of the report but
+pair_count (pp_count, attribution, gcd_histogram, the equivalence
+violations, set_equalities and the instances the diagnostics describe) is
+read off those kept rows after the merge: off them, prima, seconda and
+both bis forms are 0.  A full-row sweep classifies every pair (pair_grid
+by window) and allocates its (pairs, 10) int32 row matrix once; each slice
+writes its rows straight into its own range of it.  A sampled sweep slices
+the seeded pairs that sample_pairs drew.  An exhaustive summary sweep
+classifies one pair per orbit (pair_grid over one a of each coset of
+mu_(q+1)): X -> cX takes f_(a,b) to c f_(a w^-1, b w^2) with w = c^(q-1)
+in mu_(q+1), so the q+1 pairs of an orbit share every column a summary
+reads.  After the merge each kept row is copied to every pair of its
+orbit, in (a_idx, b_idx) order, so the counts read off them are those of
+classifying every pair; pair_count is the count passed in, times q+1.  The
+diagnostics describe every instance in one call of each engine kernel.
 
-Parallelism contract: the pair indices are split into contiguous ranges,
-one per requested thread (a split may fall inside an a-row).  A pool of at
-most os.cpu_count() workers classifies the ranges, and one concatenation
-merges their kept rows in range order.  Output is therefore byte-identical
-for any thread count.  A sweep with a single range runs in the calling
-thread; fewer than one thread is a ValueError.
+Parallelism contract: the slice is the only unit of work.  Where there
+are at least `threads` pairs there are at least `threads` slices, and a cut
+may fall inside an a-row.  With one worker (the least of threads, the
+slice count and os.cpu_count()) the slices run in the calling thread;
+otherwise ThreadPoolExecutor.map runs them and returns them in order.  One
+concatenation merges their kept rows.  Each pair's row depends on that pair
+alone, so output is byte-identical for any thread count.  Fewer than one
+thread is a ValueError.
 
 Serialisation contract: report_blocks is the one path from a report to
 text.  It yields the CSV or JSON as consecutive ASCII byte blocks:
 emit_report writes them to a binary file, the CLI writes them to stdout,
 and to_csv_text and to_json_text are their joins.  The rows go through
-_encode_rows, which formats blocks of _ENCODE_ROWS rows with array
+_encode_rows, which formats blocks of _SLICE_PAIRS rows with array
 operations and no Python loop per row, so a writer holds one block of
 text at a time.  The bytes equal those of formatting each row with str():
 CSV rows are `q,` and the cells joined by `,` with -1 as an empty cell;
@@ -59,7 +63,7 @@ import time
 import warnings
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from random import Random
@@ -111,8 +115,7 @@ DEFAULT_BUDGET_Q = 31
 BUDGET_ENV_VAR = "TRINOMIAL_BUDGET_Q"
 
 _ROW_FIELDS = CSV_COLUMNS[1:]  # rows store everything but the constant q
-_SLICE_PAIRS = 1 << 15  # pairs per sweep or diagnostics slice
-_ENCODE_ROWS = 1 << 15  # rows per _encode_rows block
+_SLICE_PAIRS = 1 << 15  # pairs per sweep slice, rows per encoded block
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")  # what json.loads skips around a value
 
 
@@ -135,21 +138,10 @@ class PairRecord:
     conic: dict | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "q": self.q,
-            "a_idx": self.a_idx,
-            "b_idx": self.b_idx,
-            "verdict": self.verdict.to_json(),
-            "conditions": self.conditions.to_json(),
-            "gcd_deg": self.gcd_deg,
-        }
-        if self.points_off_diag is not None:
-            out["points_off_diag"] = self.points_off_diag
-        if self.four_line is not None:
-            out["four_line"] = self.four_line
-        if self.conic is not None:
-            out["conic"] = self.conic
-        return out
+        """The fields, verdict and conditions through their own to_json,
+        without the diagnostics a record does not carry (None)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
+        return {**out, "verdict": self.verdict.to_json(), "conditions": self.conditions.to_json()}
 
 
 def classify_pair(params: TrinomialParams, diagnostics: bool = False) -> PairRecord:
@@ -200,22 +192,13 @@ class ScanReport:
     diagnostics: list[dict] | None = None
 
     def to_json(self) -> dict:
+        """The fields, with string histogram keys, violations as lists and
+        the rows as nested lists."""
         return {
-            "q": self.q,
-            "p": self.p,
-            "h": self.h,
-            "mode": self.mode,
-            "pair_count": self.pair_count,
-            "pp_count": self.pp_count,
-            "attribution": self.attribution,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "gcd_histogram": {str(k): v for k, v in self.gcd_histogram.items()},
             "equivalence_violations": [list(v) for v in self.equivalence_violations],
-            "set_equalities": self.set_equalities,
-            "wall_time": self.wall_time,
-            "samples": self.samples,
-            "seed": self.seed,
             "rows": None if self.rows is None else self.rows.tolist(),
-            "diagnostics": self.diagnostics,
         }
 
 
@@ -237,23 +220,15 @@ def report_from_json(text: str) -> ScanReport:
 
 def _report(d: dict, rows) -> ScanReport:
     """The report of the JSON object `d`, with `rows` (nested lists or a
-    flat int32 array of the cells) as its rows."""
+    flat int32 array of the cells) as its rows.  Every field is read as
+    d[name], so a missing key raises KeyError; other keys are ignored."""
     return ScanReport(
-        q=d["q"],
-        p=d["p"],
-        h=d["h"],
-        mode=d["mode"],
-        pair_count=d["pair_count"],
-        pp_count=d["pp_count"],
-        attribution=d["attribution"],
-        gcd_histogram={int(k): v for k, v in d["gcd_histogram"].items()},
-        equivalence_violations=[tuple(v) for v in d["equivalence_violations"]],
-        set_equalities=d["set_equalities"],
-        wall_time=d["wall_time"],
-        samples=d["samples"],
-        seed=d["seed"],
-        rows=None if rows is None else np.asarray(rows, dtype=np.int32).reshape(-1, len(_ROW_FIELDS)),
-        diagnostics=d["diagnostics"],
+        **{f.name: d[f.name] for f in fields(ScanReport)}
+        | {
+            "gcd_histogram": {int(k): v for k, v in d["gcd_histogram"].items()},
+            "equivalence_violations": [tuple(v) for v in d["equivalence_violations"]],
+            "rows": None if rows is None else np.asarray(rows, dtype=np.int32).reshape(-1, len(_ROW_FIELDS)),
+        }
     )
 
 
@@ -371,55 +346,50 @@ def _check_threads(threads: int) -> None:
 
 
 def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> list[dict]:
-    """Point count (odd characteristic) and witnesses of each permutation
-    instance (a, b).  The engine builds F, and G for odd p, once per slice
-    of _SLICE_PAIRS pairs, counts points on G and finds the witnesses from F."""
-    out = []
-    for lo in range(0, len(a), _SLICE_PAIRS):
-        ca, cb = a[lo : lo + _SLICE_PAIRS], b[lo : lo + _SLICE_PAIRS]
-        F, G = engine.curve_coeffs(ca, cb)
-        found = engine.witnesses(ca, cb, F)
-        if G is not None:
-            found = [{"points_off_diag": c, **w} for c, w in zip(engine.count_off_diag(G).tolist(), found)]
-        out += found
-    return out
+    """Indices, point count (odd characteristic) and witnesses of each
+    permutation instance (a, b).  The engine builds F, and G for odd p, once
+    for all instances, counts points on G (slicing that grid kernel itself)
+    and finds the witnesses from F."""
+    F, G = engine.curve_coeffs(a, b)
+    found = engine.witnesses(a, b, F)
+    if G is not None:
+        found = [{"points_off_diag": c, **w} for c, w in zip(engine.count_off_diag(G).tolist(), found)]
+    return [{"a_idx": ai, "b_idx": bi, **w} for ai, bi, w in zip(a.tolist(), b.tolist(), found)]
 
 
 def _sweep(tower, mode, count, pairs, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
-    """Classify the `count` sorted pairs that pairs(lo, hi) gives by index
-    range and aggregate them into a report; an exhaustive summary's pairs
+    """Classify the `count` sorted pairs that pairs(lo, hi) gives, slice by
+    slice, and aggregate them into a report; an exhaustive summary's pairs
     hold one pair per orbit and stand for every pair."""
     engine = ScanEngine(tower)
     rows = None if summary_only else np.empty((count, len(_ROW_FIELDS)), dtype=np.int32)
+    step = max(1, min(_SLICE_PAIRS, -(-count // threads)))
 
-    def kept_rows(lo: int, hi: int) -> list[np.ndarray]:
-        """The rows of pairs lo ... hi-1 that the keep mask selects, slice by
-        slice; a full-row sweep writes every row of them into `rows`."""
-        kept = []
-        for start in range(lo, hi, _SLICE_PAIRS):
-            a, b = pairs(start, min(start + _SLICE_PAIRS, hi))
-            cols = engine.classify_bulk(a, b, summary=rows is None)
-            bis = cols.get("prima_bis", False) | cols.get("seconda_bis", False)
-            keep = np.flatnonzero(cols["is_pp"] | cols["main"] | bis)
-            named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": cols["main"]}
-            if rows is None:  # a summary writes the kept rows only
-                named = {f: v[keep] for f, v in named.items()}
-                out = np.empty((len(keep), len(_ROW_FIELDS)), dtype=np.int32)
-            else:
-                out = rows[start : start + len(a)]
-            for j, f in enumerate(_ROW_FIELDS):
-                out[:, j] = named.get(f, -1)
-            kept.append(out if rows is None else out[keep])
-        return kept
+    def kept_rows(lo: int) -> np.ndarray:
+        """The rows of the slice from pair lo that the keep mask selects; a
+        full-row sweep writes every row of the slice into `rows`."""
+        a, b = pairs(lo, min(lo + step, count))
+        cols = engine.classify_bulk(a, b, summary=rows is None)
+        bis = cols.get("prima_bis", False) | cols.get("seconda_bis", False)
+        keep = np.flatnonzero(cols["is_pp"] | cols["main"] | bis)
+        named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": cols["main"]}
+        if rows is None:  # a summary writes the kept rows only
+            named = {f: v[keep] for f, v in named.items()}
+            out = np.empty((len(keep), len(_ROW_FIELDS)), dtype=np.int32)
+        else:
+            out = rows[lo : lo + len(a)]
+        for j, f in enumerate(_ROW_FIELDS):
+            out[:, j] = named.get(f, -1)
+        return out if rows is None else out[keep]
 
-    bounds = np.linspace(0, count, min(threads, count) + 1).astype(int).tolist()
-    spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if len(spans) <= 1:  # inline: a worker thread would bring its own malloc arena
-        parts = [kept_rows(lo, hi) for lo, hi in spans]
+    starts = range(0, count, step)
+    workers = min(threads, len(starts), os.cpu_count() or 1)
+    if workers <= 1:  # inline: a worker thread would bring its own malloc arena
+        parts = list(map(kept_rows, starts))
     else:
-        with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(lambda span: kept_rows(*span), spans))
-    kept = np.concatenate([np.empty((0, len(_ROW_FIELDS)), np.int32)] + [k for part in parts for k in part])
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(kept_rows, starts))
+    kept = np.concatenate([np.empty((0, len(_ROW_FIELDS)), np.int32), *parts])
     if mode == "exhaustive" and summary_only:  # each kept row stands for its orbit
         a_idx, b_idx, src = _orbit_members(engine, kept[:, 0], kept[:, 1])
         kept = kept[src]
@@ -443,13 +413,7 @@ def _sweep(tower, mode, count, pairs, t0, threads, summary_only, diagnostics, sa
     degrees, counts = np.unique(inst["gcd_deg"], return_counts=True)
     bad = pp != main
     violations = list(zip(col["a_idx"][bad].tolist(), col["b_idx"][bad].tolist(), pp[bad].tolist(), main[bad].tolist()))
-    diag = None
-    if diagnostics:
-        pa, pb = inst["a_idx"], inst["b_idx"]
-        diag = [
-            {"a_idx": ai, "b_idx": bi, **extra}
-            for ai, bi, extra in zip(pa.tolist(), pb.tolist(), _instance_diagnostics(engine, pa, pb))
-        ]
+    diag = _instance_diagnostics(engine, inst["a_idx"], inst["b_idx"]) if diagnostics else None
     set_eq = None
     if tower.p > 3:
         set_eq = {
@@ -550,7 +514,7 @@ def _cell_index(col: np.ndarray) -> tuple[list[int], np.ndarray]:
 
 
 def _encode_rows(rows: np.ndarray, lead: str, sep: str, end: str, cell) -> Iterator[bytes]:
-    """ASCII bytes of an int32 row matrix, one block per _ENCODE_ROWS rows:
+    """ASCII bytes of an int32 row matrix, one block per _SLICE_PAIRS rows:
     per row `lead`, the cells `cell(v)` joined by `sep`, then `end`.
 
     Each column of a block gathers its cells (with the `sep` or `end` that
@@ -559,14 +523,14 @@ def _encode_rows(rows: np.ndarray, lead: str, sep: str, end: str, cell) -> Itera
     bytes then drops the padding.  No output text may contain a NUL.
     """
     tails = [sep] * (rows.shape[1] - 1) + [end]
-    for lo in range(0, len(rows), _ENCODE_ROWS):
-        block = rows[lo : lo + _ENCODE_ROWS]
-        fields = [np.bytes_(lead.encode())]
+    for lo in range(0, len(rows), _SLICE_PAIRS):
+        block = rows[lo : lo + _SLICE_PAIRS]
+        pieces = [np.bytes_(lead.encode())]
         for col, tail in zip(block.T, tails):
             values, idx = _cell_index(col)
-            fields.append(np.array([(cell(v) + tail).encode() for v in values])[idx])
-        line = np.empty(len(block), [("", f.dtype) for f in fields])
-        for name, f in zip(line.dtype.names, fields):
+            pieces.append(np.array([(cell(v) + tail).encode() for v in values])[idx])
+        line = np.empty(len(block), [("", f.dtype) for f in pieces])
+        for name, f in zip(line.dtype.names, pieces):
             line[name] = f
         flat = line.view(np.uint8)
         yield flat[flat != 0].tobytes()

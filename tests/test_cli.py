@@ -63,7 +63,7 @@ class TestScanCommand:
     def test_stdout_bytes_equal_file_bytes(self, fmt, tmp_path, capsys, monkeypatch):
         rep = exhaustive_scan(5, 1)  # one report, so both carry the same wall_time
         monkeypatch.setattr(cli, "exhaustive_scan", lambda *args, **kwargs: rep)
-        monkeypatch.setattr(scan, "_ENCODE_ROWS", 100)  # several blocks
+        monkeypatch.setattr(scan, "_SLICE_PAIRS", 100)  # several blocks
         out = tmp_path / f"r.{fmt}"
         argv = ["scan", "--p", "5", "--h", "1", "--format", fmt]
         assert main(argv + ["--out", str(out)]) == 0

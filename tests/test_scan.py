@@ -164,14 +164,6 @@ class TestExhaustive:
         rep = exhaustive_scan(2, 3, diagnostics=True, summary_only=True)  # p = 2 too
         assert len(rep.diagnostics) == rep.pp_count == 63
 
-    def test_instance_diagnostics_chunked(self, tower, monkeypatch):
-        eng = ScanEngine(tower(7, 1))
-        a, b = sample_pairs(eng.n, 50, seed=3)
-        whole = scan._instance_diagnostics(eng, a, b)
-        monkeypatch.setattr(scan, "_SLICE_PAIRS", 7)  # 7 pairs per slice, the last of one pair
-        assert scan._instance_diagnostics(eng, a, b) == whole
-        assert scan._instance_diagnostics(eng, a[:0], b[:0]) == []
-
 
 def _transversal(t):
     """pair_grid over g^k, 0 <= k < q-1, one a of each coset of mu_(q+1)."""
@@ -230,6 +222,7 @@ class TestOrbits:
         full = exhaustive_scan(p, h)
         q = full.q
         assert len(full.equivalence_violations) == (q + 1) * (q * q - 1)
+        assert report_from_json(to_json_text(full)).equivalence_violations == full.equivalence_violations  # tuples
         for threads in (1, 2, 5):
             summary = exhaustive_scan(p, h, threads=threads, summary_only=True)
             assert summary.equivalence_violations == full.equivalence_violations
@@ -268,13 +261,16 @@ class TestSampled:
     )
     def test_aggregates_without_instances(self, p, h, samples, seed, attribution):
         """No pair gives no attribution key; pairs but no permutation
-        instance keep each key of the characteristic at zero."""
-        rep = sampled_scan(p, h, samples, seed)
-        assert rep.pair_count == samples and rep.pp_count == 0
-        assert rep.attribution == attribution and list(rep.attribution) == list(attribution)
-        assert rep.gcd_histogram == {}
+        instance keep each key of the characteristic at zero.  Diagnostics
+        of no instance (the engine kernels on empty arrays) are []."""
         both = {"prima_eq_prima_bis": True, "seconda_eq_seconda_bis": True}
-        assert rep.set_equalities == (both if p > 3 else None)
+        for diagnostics in (False, True):
+            rep = sampled_scan(p, h, samples, seed, diagnostics=diagnostics)
+            assert rep.pair_count == samples and rep.pp_count == 0
+            assert rep.attribution == attribution and list(rep.attribution) == list(attribution)
+            assert rep.gcd_histogram == {}
+            assert rep.set_equalities == (both if p > 3 else None)
+            assert rep.diagnostics == ([] if diagnostics else None)
 
     def test_rows_sorted(self, tower):
         rep = sampled_scan(7, 1, 300, seed=2)
@@ -378,10 +374,11 @@ class TestPairSource:
             pair_grid(n)
 
     @pytest.mark.parametrize("summary_only", [False, True])
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_sweeps_ask_for_one_slice_at_a_time(self, monkeypatch, summary_only, threads):
-        """An exhaustive sweep never holds more than _SLICE_PAIRS pairs of
-        its grid: its windows tile the grid and none is longer."""
+        """An exhaustive sweep asks for its grid one slice at a time: the
+        windows are [k step, min((k+1) step, count)) with
+        step = min(_SLICE_PAIRS, ceil(count / threads))."""
         windows, grid = [], scan.pair_grid
 
         def spy(n, a_values=None, *window):  # window: lo, hi
@@ -391,13 +388,14 @@ class TestPairSource:
             return a, b
 
         monkeypatch.setattr(scan, "pair_grid", spy)
-        monkeypatch.setattr(scan, "_SLICE_PAIRS", 40)
-        rep = exhaustive_scan(7, 1, threads=threads, summary_only=summary_only)
-        assert rep.pair_count == 48 * 48
-        assert max(hi - lo for lo, hi in windows) <= 40
-        starts, ends = zip(*sorted(windows))
-        assert starts[0] == 0 and list(starts[1:]) == list(ends[:-1])
-        assert ends[-1] == (6 if summary_only else 48) * 48
+        count = (6 if summary_only else 48) * 48
+        for slice_pairs in (40, 1 << 15):  # at 2^15, the threads set the step
+            monkeypatch.setattr(scan, "_SLICE_PAIRS", slice_pairs)
+            windows.clear()
+            rep = exhaustive_scan(7, 1, threads=threads, summary_only=summary_only)
+            assert rep.pair_count == 48 * 48
+            step = min(slice_pairs, -(-count // threads))
+            assert sorted(windows) == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 class TestEmission:
@@ -422,6 +420,7 @@ class TestEmission:
         again = report_from_json(text)
         assert to_json_text(again) == text
         assert np.array_equal(again.rows, rep.rows)
+        assert again.gcd_histogram == rep.gcd_histogram  # int keys again
 
     def test_json_round_trip_keeps_empty_rows(self, tower):
         rep = sampled_scan(5, 1, 0, seed=1)
@@ -487,7 +486,7 @@ class TestRowEncoder:
     @pytest.mark.parametrize("name", list(_ENCODED_REPORTS))
     def test_bytes_match_reference(self, tower, monkeypatch, name, block):
         if block is not None:  # 7-row blocks end in the middle of a-rows
-            monkeypatch.setattr(scan, "_ENCODE_ROWS", block)
+            monkeypatch.setattr(scan, "_SLICE_PAIRS", block)
         rep = _ENCODED_REPORTS[name]()
         assert to_csv_text(rep) == _csv_reference(rep)
         assert to_json_text(rep) == json.dumps(rep.to_json(), sort_keys=True, separators=(",", ": "))
@@ -612,7 +611,7 @@ class TestJsonReader:
     )
     def test_numpy_rows_equal_json_rows(self, monkeypatch, name, block):
         if block is not None:  # the reader compares blocks that end in the middle of a-rows
-            monkeypatch.setattr(scan, "_ENCODE_ROWS", block)
+            monkeypatch.setattr(scan, "_SLICE_PAIRS", block)
         text = to_json_text(_ENCODED_REPORTS[name]())
         for form in (text, text + "\n"):  # the file, and what scan --out - prints
             assert not _whole_text_loaded(monkeypatch, form)
@@ -807,8 +806,9 @@ class TestDeterminism:
                 return list(map(fn, items))
 
         monkeypatch.setattr(scan, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # a pool on any host
         wide = exhaustive_scan(7, 1, threads=64)
-        assert sizes and max(sizes) <= os.cpu_count()
+        assert sizes == [3]
         assert to_csv_text(wide) == to_csv_text(exhaustive_scan(7, 1))
 
     def test_threads_below_one_refused_before_field_build(self, monkeypatch):
@@ -833,6 +833,7 @@ class TestClassifyPair:
         assert rec.verdict.is_pp and rec.gcd_deg == 2
         assert rec.conditions.prima_bis is True
         assert rec.points_off_diag is None  # diagnostics off
+        assert list(rec.to_json()) == ["q", "a_idx", "b_idx", "verdict", "conditions", "gcd_deg"]
 
     def test_diagnostics_record(self, tower):
         t = tower(5, 1)
