@@ -7,26 +7,26 @@ the verdict and the closed-form criterion is collected as an equivalence
 violation, never silently dropped.
 
 Every sweep runs one pipeline over slices: it takes a pair count and a
-pair source pairs(lo, hi), which gives the pairs lo ... hi-1 in
-(a_idx, b_idx) order, cuts [0, count) into consecutive slices of
-step = min(_SLICE_PAIRS, ceil(count / threads)) pairs (at least one), and
-maps one function over them; the engine slices its grid kernels itself.  Of
-each slice the sweep keeps, in the CSV row layout, the rows where is_pp,
-main, prima_bis or seconda_bis holds.  Every count of the report but
-pair_count (pp_count, attribution, gcd_histogram, the equivalence
-violations, set_equalities and the instances the diagnostics describe) is
-read off those kept rows after the merge: off them, prima, seconda and
-both bis forms are 0.  A full-row sweep classifies every pair (pair_grid
-by window) and allocates its (pairs, 10) int32 row matrix once; each slice
-writes its rows straight into its own range of it.  A sampled sweep slices
-the seeded pairs that sample_pairs drew.  An exhaustive summary sweep
-classifies one pair per orbit (pair_grid over one a of each coset of
-mu_(q+1)): X -> cX takes f_(a,b) to c f_(a w^-1, b w^2) with w = c^(q-1)
-in mu_(q+1), so the q+1 pairs of an orbit share every column a summary
-reads.  After the merge each kept row is copied to every pair of its
-orbit, in (a_idx, b_idx) order, so the counts read off them are those of
-classifying every pair; pair_count is the count passed in, times q+1.  The
-diagnostics describe every instance in one call of each engine kernel.
+pair source pairs(lo, hi), which gives the pairs lo ... hi-1, cuts [0, count)
+into consecutive slices of step = min(_SLICE_PAIRS, ceil(count / threads))
+pairs (at least one), and maps one function over them; the engine slices
+its grid kernels itself.  Of each slice the sweep keeps, in the CSV row
+layout, the rows where is_pp, main, prima_bis or seconda_bis holds.  Every
+count of the report but pair_count (pp_count, attribution, gcd_histogram,
+the equivalence violations, set_equalities and the instances the
+diagnostics describe) is read off those kept rows after the merge: off
+them, prima, seconda and both bis forms are 0.  A full-row sweep classifies
+every pair in (a_idx, b_idx) order (pair_grid by window) and allocates its
+(pairs, 10) int32 row matrix once; each slice writes its rows into its own
+range of it.  A sampled sweep slices the sorted pairs sample_pairs drew.  An
+exhaustive summary sweep classifies one pair per orbit, the (k, t)
+transversal (g^k, g^(k+t)), 0 <= k < q-1 and 0 <= t < q^2-1, of
+_transversal: X -> cX takes f_(a,b) to c f_(a w^-1, b w^2) with
+w = c^(q-1) in mu_(q+1), so the q+1 pairs of an orbit share every column a
+summary reads.  After the merge each kept row is copied to every pair of
+its orbit, in (a_idx, b_idx) order, so the counts read off them are those
+of classifying every pair; pair_count is the count passed in, times q+1.
+The diagnostics describe every instance in one call of each engine kernel.
 
 Parallelism contract: the slice is the only unit of work.  Where there
 are at least `threads` pairs there are at least `threads` slices, and a cut
@@ -73,7 +73,7 @@ import numpy as np
 from .bipoly import conic_witnesses, count_points_off_diag, build_curves, four_line_witness, gcd_degree
 from .conds import ConditionReport, condition_report
 from .engine import ScanEngine
-from .ff import capped_pow, make_field
+from .ff import FieldCtx, capped_pow, make_field
 from .perm import TrinomialParams, Verdict, is_pp_mu
 
 __all__ = [
@@ -273,22 +273,27 @@ def _effective_budget(max_q: int | None) -> int:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def pair_grid(
-    n: int, a_values: np.ndarray | None = None, lo: int = 0, hi: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs lo ... hi-1 (hi: the last pair, if None) of A x GF(q^2)*
-    (n = q^2), in (a_idx, b_idx) order, as int32 index arrays; A is the
-    sorted a_values, or GF(q^2)* without them.  Pair k is
-    (A[k // (n-1)], k % (n-1) + 1), so a window costs only its own pairs;
-    k counts in int32 from the start of pair lo's a-row."""
-    a = np.arange(1, n, dtype=np.int32) if a_values is None else np.asarray(a_values, dtype=np.int32)
+def pair_grid(n: int, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs lo ... hi-1 (hi: the last pair, if None) of GF(q^2)* x GF(q^2)*
+    (n = q^2), in (a_idx, b_idx) order, as int32 index arrays.  Pair k is
+    (k // (n-1) + 1, k % (n-1) + 1); k counts in int32 from the start of
+    pair lo's a-row, and a window past the last pair raises IndexError."""
+    a = np.arange(1, n, dtype=np.int32)
     first, start = divmod(lo, n - 1)
-    stop = start + (len(a) * (n - 1) if hi is None else hi) - lo
+    stop = start + ((n - 1) ** 2 if hi is None else hi) - lo
     if stop > 1 << 31:
         raise ValueError(f"a pair_grid window of {stop - start} pairs overflows its int32 count")
     row, col = np.divmod(np.arange(start, stop, dtype=np.int32), n - 1)
     col += 1
     return a[first:][row], col
+
+
+def _transversal(ctx: FieldCtx, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs lo ... hi-1 of one pair per mu_(q+1) orbit, as int32 index
+    arrays: pair k N + t (N = q^2 - 1) is (g^k, g^(k+t)), 0 <= k < q-1 and
+    0 <= t < N, with g^k one a of each coset of mu_(q+1) = <g^(q-1)>."""
+    k, t = np.divmod(np.arange(lo, hi, dtype=np.int64), ctx.order - 1)
+    return ctx.np_exp2[k], ctx.np_exp2[k + t]
 
 
 def _orbit_members(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,9 +363,9 @@ def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> l
 
 
 def _sweep(tower, mode, count, pairs, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
-    """Classify the `count` sorted pairs that pairs(lo, hi) gives, slice by
-    slice, and aggregate them into a report; an exhaustive summary's pairs
-    hold one pair per orbit and stand for every pair."""
+    """Classify the `count` pairs that pairs(lo, hi) gives, slice by slice,
+    and aggregate them into a report.  They come sorted, but for an
+    exhaustive summary's: one pair per orbit, which stands for its orbit."""
     engine = ScanEngine(tower)
     rows = None if summary_only else np.empty((count, len(_ROW_FIELDS)), dtype=np.int32)
     step = max(1, min(_SLICE_PAIRS, -(-count // threads)))
@@ -450,9 +455,9 @@ def exhaustive_scan(
 ) -> ScanReport:
     """Classify every pair (a, b) in GF(q^2)* x GF(q^2)*.
 
-    A full-row sweep classifies each pair.  A summary sweep classifies one
-    pair of each mu_(q+1) orbit and counts it q+1 times; its violations and
-    diagnostics still list every pair of an orbit.
+    A full-row sweep classifies each pair.  A summary sweep classifies the
+    (k, t) transversal, one pair (g^k, g^(k+t)) per mu_(q+1) orbit, and
+    counts it q+1 times; its violations and diagnostics list every pair.
 
     Refuses to run when q exceeds the exhaustion budget (argument, else the
     TRINOMIAL_BUDGET_Q environment variable, else 31); use sampled_scan
@@ -468,11 +473,10 @@ def exhaustive_scan(
             "use sampled_scan (or raise the budget)"
         )
     tower = make_field(p, h)
-    # an a of each coset of mu_(q+1) = <g^(q-1)>: g^k for 0 <= k < q-1
     n = tower.fq2.order
-    reps = np.sort(tower.fq2.np_exp2[: tower.q - 1]) if summary_only else None
-    count = (n - 1) * (n - 1 if reps is None else len(reps))
-    return _sweep(tower, "exhaustive", count, partial(pair_grid, n, reps), t0, threads, summary_only, diagnostics)
+    count = (n - 1) * (tower.q - 1 if summary_only else n - 1)
+    pairs = partial(_transversal, tower.fq2) if summary_only else partial(pair_grid, n)
+    return _sweep(tower, "exhaustive", count, pairs, t0, threads, summary_only, diagnostics)
 
 
 def sampled_scan(

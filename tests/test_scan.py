@@ -23,6 +23,7 @@ from permtri import (
 )
 from permtri import bipoly, scan
 from permtri.engine import ScanEngine
+from permtri.ff import mu_set
 from permtri.scan import (
     CSV_COLUMNS,
     ScanReport,
@@ -165,35 +166,57 @@ class TestExhaustive:
         assert len(rep.diagnostics) == rep.pp_count == 63
 
 
-def _transversal(t):
-    """pair_grid over g^k, 0 <= k < q-1, one a of each coset of mu_(q+1)."""
-    return pair_grid(t.fq2.order, np.sort(t.fq2.np_exp2[: t.q - 1]))
+def _whole_transversal(t):
+    """Every pair of scan._transversal: (g^k, g^(k+t)), 0 <= k < q-1, 0 <= t < q^2-1."""
+    return scan._transversal(t.fq2, 0, (t.q - 1) * (t.fq2.order - 1))
+
+
+def _scalar_orbit(ctx, a, b):
+    """{(a w^-1, b w^2) : w in mu_(q+1)}, by scalar arithmetic."""
+    return {(ctx.mul_i(a, ctx.inv_i(w.i)), ctx.mul_i(b, ctx.mul_i(w.i, w.i))) for w in mu_set(ctx)}
+
+
+_ORBIT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 
 class TestOrbits:
-    """Summary sweeps classify _transversal, one pair of each orbit
+    """Summary sweeps classify the (k, t) transversal, one pair of each orbit
     {(a w^-1, b w^2) : w in mu_(q+1)}, and spread each result over its orbit."""
 
-    @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_transversal_meets_each_orbit_once(self, tower, p, h):
         t = tower(p, h)
         ctx, q, n = t.fq2, t.q, t.fq2.order
         mu = [x for x in range(1, n) if ctx.pow_i(x, q + 1) == 1]
         assert mu == list(ctx.mu_indices)
-        orbit = {}  # pair -> its orbit, by scalar arithmetic over every w in mu
-        for a in range(1, n):
-            for b in range(1, n):
-                orbit[a, b] = min((ctx.mul_i(a, ctx.inv_i(w)), ctx.mul_i(b, ctx.mul_i(w, w))) for w in mu)
-        a, b = _transversal(t)
+        orbit = {(a, b): min(_scalar_orbit(ctx, a, b)) for a in range(1, n) for b in range(1, n)}
+        a, b = _whole_transversal(t)
         assert a.dtype == b.dtype == np.int32
         assert len(a) == (q - 1) * (n - 1)
         pairs = list(zip(a.tolist(), b.tolist()))
-        assert pairs == sorted(pairs)
+        g = ctx.generator_idx
+        assert pairs == [(ctx.pow_i(g, k), ctx.pow_i(g, k + s)) for k in range(q - 1) for s in range(n - 1)]
         hit = [orbit[pair] for pair in pairs]
         assert sorted(hit) == sorted(set(orbit.values()))  # every orbit, each once
         assert len(hit) * (q + 1) == (n - 1) ** 2
 
+    @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
+    def test_orbit_members_expand_the_transversal(self, tower, p, h):
+        """_orbit_members of the whole transversal is every pair once, in
+        (a_idx, b_idx) order, and each member lies in the scalar orbit of
+        the transversal pair its source position names."""
+        t = tower(p, h)
+        ctx, n = t.fq2, t.fq2.order
+        a, b = _whole_transversal(t)
+        ea, eb, src = scan._orbit_members(ScanEngine(t), a, b)
+        members = list(zip(ea.tolist(), eb.tolist()))
+        assert members == [(x, y) for x in range(1, n) for y in range(1, n)]
+        orbits = [_scalar_orbit(ctx, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert all(m in orbits[i] for m, i in zip(members, src.tolist()))
+
     def test_summary_classifies_only_the_transversal(self, tower, monkeypatch):
+        """One thread classifies the transversal in (k, t) order; on three,
+        the workers' slices interleave but cover the same pairs once."""
         seen = []
         classify = ScanEngine.classify_bulk
 
@@ -202,9 +225,12 @@ class TestOrbits:
             return classify(self, a, b, summary)
 
         monkeypatch.setattr(ScanEngine, "classify_bulk", spy)
+        pairs = list(zip(*(x.tolist() for x in _whole_transversal(tower(7, 1)))))
+        exhaustive_scan(7, 1, summary_only=True)
+        assert seen == pairs  # in (k, t) order
+        seen.clear()
         rep = exhaustive_scan(7, 1, threads=3, summary_only=True)
-        a, b = _transversal(tower(7, 1))
-        assert sorted(seen) == list(zip(a.tolist(), b.tolist()))  # the workers' slices interleave
+        assert sorted(seen) == sorted(pairs)  # the workers' slices interleave
         assert rep.pair_count == 48 * 48
 
     @pytest.mark.parametrize("p,h", [(5, 1), (2, 3), (3, 2)])
@@ -331,9 +357,9 @@ class TestSampled:
         a, b = pair_grid(16)
         assert a.dtype == b.dtype == np.int32
         assert list(zip(a.tolist(), b.tolist())) == [(x, y) for x in range(1, 16) for y in range(1, 16)]
-        a, b = pair_grid(16, np.array([3, 7]))
+        a, b = pair_grid(16, 29, 32)  # a window by position: pairs 29, 30 and 31
         assert a.dtype == b.dtype == np.int32
-        assert list(zip(a.tolist(), b.tolist())) == [(x, y) for x in (3, 7) for y in range(1, 16)]
+        assert list(zip(a.tolist(), b.tolist())) == [(2, 15), (3, 1), (3, 2)]
 
     def test_large_field_sample_has_no_violations(self, tower):
         rep = sampled_scan(7, 2, 100_000, seed=7, summary_only=True)
@@ -342,32 +368,49 @@ class TestSampled:
 
 
 class TestPairSource:
-    @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_pair_grid_windows(self, tower, p, h):
-        """A window of pair_grid over every a, over the transversal and over
-        two a's is that slice of the whole grid: empty, one pair, across an
-        a-row, to the end and whole."""
+        """A window of pair_grid is that slice of the whole grid: empty, one
+        pair, across an a-row, to the end and whole.  A window past the last
+        pair raises IndexError."""
         t = tower(p, h)
         n, m = t.fq2.order, t.fq2.order - 1
-        for a_values in (None, np.sort(t.fq2.np_exp2[: t.q - 1]), np.array([2, n - 1])):
-            whole = pair_grid(n, a_values)
-            total = len(whole[0])
-            values = range(1, n) if a_values is None else a_values.tolist()
-            assert list(zip(*(w.tolist() for w in whole))) == [(x, y) for x in values for y in range(1, n)]
-            windows = [(0, 0), (m, m), (total, total), (0, 1), (m - 1, m), (m, m + 1), (total - 1, total)]
-            windows += [(m - 1, m + 1), (1, 2 * m + 3), (m + 1, None), (0, total)]
-            for lo, hi in windows:
-                if (lo if hi is None else hi) > total:
-                    continue  # a window past the last pair (a single a-row)
-                a, b = pair_grid(n, a_values, lo, hi)
-                assert a.dtype == b.dtype == np.int32
-                assert np.array_equal(a, whole[0][lo:hi]) and np.array_equal(b, whole[1][lo:hi])
+        whole = pair_grid(n)
+        total = m * m
+        assert list(zip(*(w.tolist() for w in whole))) == [(x, y) for x in range(1, n) for y in range(1, n)]
+        windows = [(0, 0), (m, m), (total, total), (0, 1), (m - 1, m), (m, m + 1), (total - 1, total)]
+        windows += [(m - 1, m + 1), (1, 2 * m + 3), (m + 1, None), (0, total)]
+        for lo, hi in windows:
+            a, b = pair_grid(n, lo, hi)
+            assert a.dtype == b.dtype == np.int32
+            assert np.array_equal(a, whole[0][lo:hi]) and np.array_equal(b, whole[1][lo:hi])
+        for lo in (0, m + 1, total - 1, total):
+            with pytest.raises(IndexError):
+                pair_grid(n, lo, total + 1)
+
+    @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
+    def test_transversal_windows(self, tower, p, h):
+        """A window of _transversal is that slice of the whole transversal,
+        whose pair i is (g^(i // N), g^(i // N + i % N)), N = q^2 - 1: empty,
+        one pair, across a k-row, the last pair and whole."""
+        t = tower(p, h)
+        ctx, N = t.fq2, t.fq2.order - 1
+        total, g = (t.q - 1) * N, ctx.generator_idx
+        want = [(ctx.pow_i(g, i // N), ctx.pow_i(g, i // N + i % N)) for i in range(total)]
+        windows = [(0, 0), (N, N), (total, total), (0, 1), (N - 1, N), (N, N + 1), (total - 1, total)]
+        windows += [(N - 1, N + 1), (1, 2 * N + 3), (0, total)]
+        for lo, hi in windows:
+            if hi > total:
+                continue  # a window past the last pair (q = 2 has one k-row, q = 3 two)
+            a, b = scan._transversal(ctx, lo, hi)
+            assert a.dtype == b.dtype == np.int32
+            assert list(zip(a.tolist(), b.tolist())) == want[lo:hi]
 
     def test_pair_grid_windows_past_int32(self):
         """Past 2^31 pairs a window still counts in int32 from its first
         a-row; a window too long for that is refused before it is built."""
         n = 50_000  # (n-1)^2 > 2^31 pairs
-        a, b = pair_grid(n, None, (n - 1) ** 2 - 3)
+        a, b = pair_grid(n, (n - 1) ** 2 - 3)
         assert a.dtype == b.dtype == np.int32
         assert list(zip(a.tolist(), b.tolist())) == [(n - 1, n - 3), (n - 1, n - 2), (n - 1, n - 1)]
         with pytest.raises(ValueError, match="overflows its int32 count"):
@@ -376,18 +419,19 @@ class TestPairSource:
     @pytest.mark.parametrize("summary_only", [False, True])
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_sweeps_ask_for_one_slice_at_a_time(self, monkeypatch, summary_only, threads):
-        """An exhaustive sweep asks for its grid one slice at a time: the
-        windows are [k step, min((k+1) step, count)) with
+        """An exhaustive sweep asks its pair source (pair_grid, or
+        _transversal in a summary) for one slice at a time: the windows are
+        [k step, min((k+1) step, count)) with
         step = min(_SLICE_PAIRS, ceil(count / threads))."""
-        windows, grid = [], scan.pair_grid
+        windows, name = [], "_transversal" if summary_only else "pair_grid"
+        source = getattr(scan, name)
 
-        def spy(n, a_values=None, *window):  # window: lo, hi
-            a, b = grid(n, a_values, *window)
-            lo = window[0] if window else 0
+        def spy(head, lo, hi):  # head: the ctx or n the source is bound to
+            a, b = source(head, lo, hi)
             windows.append((lo, lo + len(a)))
             return a, b
 
-        monkeypatch.setattr(scan, "pair_grid", spy)
+        monkeypatch.setattr(scan, name, spy)
         count = (6 if summary_only else 48) * 48
         for slice_pairs in (40, 1 << 15):  # at 2^15, the threads set the step
             monkeypatch.setattr(scan, "_SLICE_PAIRS", slice_pairs)
@@ -747,7 +791,7 @@ class TestSetEqualities:
         full = exhaustive_scan(7, 1)
         col = dict(zip(CSV_COLUMNS[1:], full.rows.T))
         quiet = (col["is_pp"] == 0) & (col["main_predicate"] == 0) & (col["prima"] == 0) & (col[kernel] == 0)
-        transversal = set(zip(*(x.tolist() for x in _transversal(tower(7, 1)))))
+        transversal = set(zip(*(x.tolist() for x in _whole_transversal(tower(7, 1)))))
         sampled = set(map(tuple, sampled_scan(7, 1, 500, seed=5).rows[:, :2].tolist()))
         candidates = zip(col["a_idx"][quiet].tolist(), col["b_idx"][quiet].tolist())
         pair = next(pr for pr in candidates if pr in transversal & sampled)
