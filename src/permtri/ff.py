@@ -34,9 +34,13 @@ cycle has length n - 1 is g, the cycle is the exp table and log is its
 inverse.  The search starts at the order B of the layer below: every index
 below B lies in that subfield, so its order divides B - 1 < n - 1.
 Negation and inversion are read off the logs: -x = x g^((n-1)/2) for odd
-p, -x = x for p = 2, 1/x = g^(n-1-log x).  The add table is built
-coordinate-wise through the layer below, and the top layer's Frobenius
-table conjugates coordinates as above.
+p, -x = x for p = 2, 1/x = g^(n-1-log x).  A dense add table is
+(x + y) mod p on GF(p); above it, one digit at a time, the add table A of
+the layer below (order B) broadcast against the table T so far: with
+x = x_low + B^i c, the table one digit up is A[c, c'] * B^i + T[x_low,
+y_low].  The mul table is exp[log x + log y], gathered in place over the
+int32 index, with the zero row and column cleared.  The top layer's
+Frobenius table conjugates coordinates as above.
 
 Scalar ops run on discrete-log, exp and Zech tables held as plain lists;
 the engine's pp_mu reads the same Zech table as the numpy array np_zech.
@@ -323,14 +327,17 @@ class FieldCtx:
         # Dense tables for the vectorised fast path.
         self.np_add = self.np_mul = None
         if n * n <= _DENSE_TABLE_CELLS:
-            idx = np.arange(n, dtype=np.int64)
-            add = np.empty((n, n), dtype=np.int32)
-            block = max(1, _DENSE_TABLE_CELLS // (8 * n))
-            for lo in range(0, n, block):
-                add[lo : lo + block] = self._coord_add(idx[lo : lo + block, None], idx[None, :])
+            if self.base is None:
+                idx = np.arange(n, dtype=np.int32)
+                add = (idx[:, None] + idx[None, :]) % p
+            else:  # one digit at a time (module docstring)
+                A, B = self.base.np_add, self.base.order
+                add = A
+                for i in range(1, self.degree):
+                    add = (A[:, None, :, None] * B**i + add[None, :, None, :]).reshape(B ** (i + 1), -1)
             self.np_add = add
             lg = self.np_log
-            mul = self.np_exp2[lg[:, None] + lg[None, :]]
+            mul = _take_in_place(self.np_exp2, lg[:, None] + lg[None, :])
             mul[0] = mul[:, 0] = 0
             self.np_mul = mul
 

@@ -523,7 +523,7 @@ def _encode_rows(rows: np.ndarray, lead: str, sep: str, end: str, cell) -> Itera
 
     Each column of a block gathers its cells (with the `sep` or `end` that
     follows them) from a small table of NUL-padded byte strings into one
-    field of a fixed-width line record; one boolean mask over the block's
+    field of a fixed-width line record; one bytes.replace over the block's
     bytes then drops the padding.  No output text may contain a NUL.
     """
     tails = [sep] * (rows.shape[1] - 1) + [end]
@@ -532,12 +532,11 @@ def _encode_rows(rows: np.ndarray, lead: str, sep: str, end: str, cell) -> Itera
         pieces = [np.bytes_(lead.encode())]
         for col, tail in zip(block.T, tails):
             values, idx = _cell_index(col)
-            pieces.append(np.array([(cell(v) + tail).encode() for v in values])[idx])
+            pieces.append(np.array([(cell(v) + tail).encode() for v in values]).take(idx))
         line = np.empty(len(block), [("", f.dtype) for f in pieces])
         for name, f in zip(line.dtype.names, pieces):
             line[name] = f
-        flat = line.view(np.uint8)
-        yield flat[flat != 0].tobytes()
+        yield line.tobytes().replace(b"\0", b"")
 
 
 def _csv_blocks(report: ScanReport) -> Iterator[bytes]:

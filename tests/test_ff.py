@@ -346,6 +346,9 @@ def test_capped_pow():
 # Towers whose every layer the table oracles below walk: GF(2) itself, a
 # degree-4 layer, p = 3 on two levels, and a top layer past the dense limit.
 ORACLE_FIELDS = [(2, 1), (2, 4), (3, 2), (5, 2), (7, 1), (59, 1)]
+# Towers whose GF(q) the dense-table test adds: GF(8) and GF(27), three
+# digits over GF(p), and GF(256), eight.
+DIGIT_FIELDS = [(2, 3), (3, 3), (2, 8)]
 
 
 def _layers(t):
@@ -401,6 +404,21 @@ class TestTablesAgainstOracles:
                 x, y = rng.integers(0, n, size=(2, 2000))
             want = [_oracle_mul(ctx, i, j) for i, j in zip(x.tolist(), y.tolist())]
             assert ctx._coord_mul(x, y).tolist() == want
+
+    @pytest.mark.parametrize("p,h", ORACLE_FIELDS + DIGIT_FIELDS)
+    def test_dense_tables_on_every_pair(self, tower, p, h):
+        # the broadcast add and the in-place mul gather against the
+        # coordinate ops, which _coord_mul's test above pins to upoly
+        t = tower(p, h)
+        layers = _layers(t) if (p, h) in ORACLE_FIELDS else [t.fq]
+        dense = [ctx for ctx in layers if ctx.np_add is not None]
+        assert dense and all(ctx.np_mul is not None for ctx in dense)
+        for ctx in dense:
+            n = ctx.order
+            x, y = np.divmod(np.arange(n * n), n)
+            for table, oracle in ((ctx.np_add, ctx._coord_add), (ctx.np_mul, ctx._coord_mul)):
+                assert table.dtype == np.int32 and table.shape == (n, n)
+                assert np.array_equal(table.ravel(), oracle(x, y))
 
     @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
     def test_exp_steps_by_the_generator(self, tower, p, h):
