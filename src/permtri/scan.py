@@ -19,13 +19,18 @@ them, prima, seconda and both bis forms are 0.  A full-row sweep classifies
 every pair in (a_idx, b_idx) order (pair_grid by window) and allocates its
 (pairs, 10) int32 row matrix once; each slice writes its rows into its own
 range of it.  A sampled sweep slices the sorted pairs sample_pairs drew.  An
-exhaustive summary sweep classifies one pair per orbit, the (k, t)
-transversal (g^k, g^(k+t)), 0 <= k < q-1 and 0 <= t < q^2-1, of
-_transversal: X -> cX takes f_(a,b) to c f_(a w^-1, b w^2) with
-w = c^(q-1) in mu_(q+1), so the q+1 pairs of an orbit share every column a
-summary reads.  After the merge each kept row is copied to every pair of
-its orbit, in (a_idx, b_idx) order, so the counts read off them are those
-of classifying every pair; pair_count is the count passed in, times q+1.
+exhaustive summary sweep classifies one pair per class of the group that
+mu_(q+1) and the q-power map generate, the transversal of _transversal.
+X -> cX takes f_(a,b) to c f_(a w^-1, b w^2) with w = c^(q-1) in mu_(q+1),
+so the q+1 pairs of an orbit share every column a summary reads; and
+f_(a^q,b^q)(X^q) = f_(a,b)(X)^q, so (a^q, b^q) permutes exactly when (a, b)
+does, and shares the criteria and the gcd degree.  With N = q^2 - 1, w in
+mu_(q+1) takes the conjugate of (g^k, g^(k+t)) to its twin
+(g^k, g^(k+sigma_k(t))), sigma_k(t) = q t + 3(q-1)k mod N, an involution
+fixing the q-1 values t = -3k mod (q+1).  After the merge each kept row
+whose t sigma_k moves is copied to its twin, and each row then to every
+pair of its orbit, in (a_idx, b_idx) order, so the counts read off them are
+those of classifying every pair; pair_count is (q^2-1)^2.
 The diagnostics describe every instance in one call of each engine kernel.
 
 Parallelism contract: the slice is the only unit of work.  Where there
@@ -288,12 +293,46 @@ def pair_grid(n: int, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, n
     return a[first:][row], col
 
 
-def _transversal(ctx: FieldCtx, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs lo ... hi-1 of one pair per mu_(q+1) orbit, as int32 index
-    arrays: pair k N + t (N = q^2 - 1) is (g^k, g^(k+t)), 0 <= k < q-1 and
-    0 <= t < N, with g^k one a of each coset of mu_(q+1) = <g^(q-1)>."""
-    k, t = np.divmod(np.arange(lo, hi, dtype=np.int64), ctx.order - 1)
-    return ctx.np_exp2[k], ctx.np_exp2[k + t]
+def _class_reps(q: int) -> np.ndarray:
+    """R = {s in [0, N) : s <= q s mod N}, N = q^2 - 1, as int32: the lesser
+    member of each class {s, sigma_0(s)}, M = (N + q - 1) / 2 of them."""
+    s = np.arange(q * q - 1, dtype=np.int64)
+    return s[s <= s * q % (q * q - 1)].astype(np.int32)
+
+
+def _transversal(ctx: FieldCtx, lo: int, hi: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs lo ... hi-1 of one pair per class of mu_(q+1) and the q-power
+    map, as int32 index arrays.  In the coset g^k mu_(q+1) of a the classes
+    are the pairs {t, sigma_k(t)} (module docstring), and
+    sigma_k(t) = sigma_0(t + 3k) - 3k, so R = _class_reps(q) serves every k:
+    pair k M + i is (g^k, g^(k+t)), t = R[i] - 3k mod N, 0 <= k < q-1.  A
+    sweep builds R once and passes it as `reps`.  As in pair_grid, positions
+    count in int32 from pair lo's k-row, and a window past the last pair
+    raises IndexError."""
+    N, q, M = ctx.order - 1, math.isqrt(ctx.order), len(reps)
+    if not 0 <= lo <= hi <= (q - 1) * M:
+        raise IndexError(f"transversal window [{lo}, {hi}) outside its {(q - 1) * M} pairs")
+    first, start = divmod(lo, M)
+    if start + hi - lo > 1 << 31:
+        raise ValueError(f"a transversal window of {hi - lo} pairs overflows its int32 count")
+    k, i = np.divmod(np.arange(start, start + hi - lo, dtype=np.int32), M)
+    k += first
+    e = reps.take(i)  # k + t = R[i] - 2k mod N, and 2k < N: index R[i] - 2k + N of exp2
+    e += N
+    e -= k
+    e -= k
+    return ctx.np_exp2.take(k), ctx.np_exp2.take(e)
+
+
+def _twins(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the transversal pairs (g^k, g^(k+t)) whose t
+    sigma_k moves, and the b = g^(k+sigma_k(t)) of each one's twin:
+    k + sigma_k(t) = q (k + t) + 2(q-1)k mod N."""
+    ctx, q, N = engine.ctx, engine.q, engine.n - 1
+    k, lb = ctx.np_log[a].astype(np.int64), ctx.np_log[b].astype(np.int64)
+    twin = (q * lb + 2 * (q - 1) * k) % N
+    moved = np.flatnonzero(twin != lb)
+    return moved, ctx.np_exp2[twin[moved]]
 
 
 def _orbit_members(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -365,7 +404,9 @@ def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> l
 def _sweep(tower, mode, count, pairs, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
     """Classify the `count` pairs that pairs(lo, hi) gives, slice by slice,
     and aggregate them into a report.  They come sorted, but for an
-    exhaustive summary's: one pair per orbit, which stands for its orbit."""
+    exhaustive summary's: one pair per class of mu_(q+1) and the q-power
+    map, whose kept rows are copied to their twins and then to every pair
+    of their orbits."""
     engine = ScanEngine(tower)
     rows = None if summary_only else np.empty((count, len(_ROW_FIELDS)), dtype=np.int32)
     step = max(1, min(_SLICE_PAIRS, -(-count // threads)))
@@ -395,11 +436,15 @@ def _sweep(tower, mode, count, pairs, t0, threads, summary_only, diagnostics, sa
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(kept_rows, starts))
     kept = np.concatenate([np.empty((0, len(_ROW_FIELDS)), np.int32), *parts])
-    if mode == "exhaustive" and summary_only:  # each kept row stands for its orbit
+    if mode == "exhaustive" and summary_only:  # each kept row stands for its class
+        moved, twin_b = _twins(engine, kept[:, 0], kept[:, 1])
+        twins = kept[moved]
+        twins[:, 1] = twin_b
+        kept = np.concatenate([kept, twins])
         a_idx, b_idx, src = _orbit_members(engine, kept[:, 0], kept[:, 1])
         kept = kept[src]
         kept[:, 0], kept[:, 1] = a_idx, b_idx
-        count *= tower.q + 1
+        count = (engine.n - 1) ** 2
 
     col = dict(zip(_ROW_FIELDS, kept.T))
     pp, main = col["is_pp"] == 1, col["main_predicate"] == 1
@@ -455,9 +500,12 @@ def exhaustive_scan(
 ) -> ScanReport:
     """Classify every pair (a, b) in GF(q^2)* x GF(q^2)*.
 
-    A full-row sweep classifies each pair.  A summary sweep classifies the
-    (k, t) transversal, one pair (g^k, g^(k+t)) per mu_(q+1) orbit, and
-    counts it q+1 times; its violations and diagnostics list every pair.
+    A full-row sweep classifies each pair.  A summary sweep classifies
+    (q-1)^2 (q+2) / 2 pairs, one per class of mu_(q+1) and the q-power map,
+    about half the (q-1)(q^2-1) mu_(q+1) orbits: the conjugate (a^q, b^q)
+    permutes exactly when (a, b) does.  Each kept row is copied to its twin
+    and to their orbits, so its counts, violations and diagnostics cover
+    every pair.
 
     Refuses to run when q exceeds the exhaustion budget (argument, else the
     TRINOMIAL_BUDGET_Q environment variable, else 31); use sampled_scan
@@ -474,8 +522,11 @@ def exhaustive_scan(
         )
     tower = make_field(p, h)
     n = tower.fq2.order
-    count = (n - 1) * (tower.q - 1 if summary_only else n - 1)
-    pairs = partial(_transversal, tower.fq2) if summary_only else partial(pair_grid, n)
+    if summary_only:
+        reps = _class_reps(tower.q)
+        count, pairs = (tower.q - 1) * len(reps), partial(_transversal, tower.fq2, reps=reps)
+    else:
+        count, pairs = (n - 1) ** 2, partial(pair_grid, n)
     return _sweep(tower, "exhaustive", count, pairs, t0, threads, summary_only, diagnostics)
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import fields, replace
 from functools import cache
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -102,8 +103,9 @@ class TestExhaustive:
     )
     def test_summary_aggregates_equal_the_full_rows(self, p, h):
         # every prime power q <= 27: the summary sweep classifies one pair
-        # per mu_(q+1) orbit, runs gcd_deg only on its permutation instances
-        # and skips seconda_tris; the full-row sweep classifies every pair
+        # per class of mu_(q+1) and the q-power map, copied to its twin and
+        # orbit, runs gcd_deg only on its permutation instances and skips
+        # seconda_tris; the full-row sweep classifies every pair
         full, summary = exhaustive_scan(p, h), exhaustive_scan(p, h, summary_only=True)
         assert full.rows is not None and summary.rows is None
         keys = ("pair_count", "pp_count", "attribution", "gcd_histogram", "set_equalities", "equivalence_violations")
@@ -166,9 +168,14 @@ class TestExhaustive:
         assert len(rep.diagnostics) == rep.pp_count == 63
 
 
+def _class_pair_count(q):
+    """(q-1)^2 (q+2) / 2: the classes of mu_(q+1) and the q-power map."""
+    return (q - 1) ** 2 * (q + 2) // 2
+
+
 def _whole_transversal(t):
-    """Every pair of scan._transversal: (g^k, g^(k+t)), 0 <= k < q-1, 0 <= t < q^2-1."""
-    return scan._transversal(t.fq2, 0, (t.q - 1) * (t.fq2.order - 1))
+    """Every pair of scan._transversal, one per class of mu_(q+1) and the q-power map."""
+    return scan._transversal(t.fq2, 0, _class_pair_count(t.q), scan._class_reps(t.q))
 
 
 def _scalar_orbit(ctx, a, b):
@@ -176,47 +183,81 @@ def _scalar_orbit(ctx, a, b):
     return {(ctx.mul_i(a, ctx.inv_i(w.i)), ctx.mul_i(b, ctx.mul_i(w.i, w.i))) for w in mu_set(ctx)}
 
 
+def _scalar_class(ctx, q, a, b):
+    """The orbit of (a, b) joined with the orbit of (a^q, b^q), by scalar
+    arithmetic: the class of the group that mu_(q+1) and the q-power map
+    generate, since x -> x^q is an involution that maps orbits to orbits."""
+    return _scalar_orbit(ctx, a, b) | _scalar_orbit(ctx, ctx.pow_i(a, q), ctx.pow_i(b, q))
+
+
+def _scalar_transversal(ctx, q):
+    """The transversal's pairs by scalar arithmetic: for each k < q-1 and
+    each s in [0, N) with s <= q s mod N, (g^k, g^(k+t)), t = s - 3k mod N."""
+    N, g = ctx.order - 1, ctx.generator_idx
+    reps = [s for s in range(N) if s <= q * s % N]
+    return [(ctx.pow_i(g, k), ctx.pow_i(g, k + (s - 3 * k) % N)) for k in range(q - 1) for s in reps]
+
+
 _ORBIT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 
 class TestOrbits:
-    """Summary sweeps classify the (k, t) transversal, one pair of each orbit
-    {(a w^-1, b w^2) : w in mu_(q+1)}, and spread each result over its orbit."""
+    """Summary sweeps classify one pair of each class of mu_(q+1), acting by
+    (a w^-1, b w^2), and of (a, b) -> (a^q, b^q); they copy each result to
+    its Frobenius twin and then over its orbit."""
 
     @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_transversal_meets_each_orbit_once(self, tower, p, h):
+        """The transversal meets each class once, in the (k, s) layout of
+        _scalar_transversal."""
         t = tower(p, h)
         ctx, q, n = t.fq2, t.q, t.fq2.order
         mu = [x for x in range(1, n) if ctx.pow_i(x, q + 1) == 1]
         assert mu == list(ctx.mu_indices)
-        orbit = {(a, b): min(_scalar_orbit(ctx, a, b)) for a in range(1, n) for b in range(1, n)}
+        cls = {}
+        for a in range(1, n):
+            for b in range(1, n):
+                if (a, b) not in cls:
+                    members = _scalar_class(ctx, q, a, b)
+                    cls.update(dict.fromkeys(members, min(members)))
         a, b = _whole_transversal(t)
         assert a.dtype == b.dtype == np.int32
-        assert len(a) == (q - 1) * (n - 1)
+        assert len(a) == _class_pair_count(q)
         pairs = list(zip(a.tolist(), b.tolist()))
-        g = ctx.generator_idx
-        assert pairs == [(ctx.pow_i(g, k), ctx.pow_i(g, k + s)) for k in range(q - 1) for s in range(n - 1)]
-        hit = [orbit[pair] for pair in pairs]
-        assert sorted(hit) == sorted(set(orbit.values()))  # every orbit, each once
-        assert len(hit) * (q + 1) == (n - 1) ** 2
+        assert pairs == _scalar_transversal(ctx, q)
+        hit = [cls[pair] for pair in pairs]
+        assert sorted(hit) == sorted(set(cls.values()))  # every class, each once
 
     @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_orbit_members_expand_the_transversal(self, tower, p, h):
-        """_orbit_members of the whole transversal is every pair once, in
-        (a_idx, b_idx) order, and each member lies in the scalar orbit of
-        the transversal pair its source position names."""
+        """The transversal with its Frobenius twins, expanded by
+        _orbit_members, is every pair once, in (a_idx, b_idx) order.  Each
+        twin lies in the orbit of its pair's conjugate (a^q, b^q); each
+        member lies in the scalar orbit of the expanded pair its source
+        position names, and so in the class of its transversal pair."""
         t = tower(p, h)
-        ctx, n = t.fq2, t.fq2.order
+        ctx, q, n = t.fq2, t.q, t.fq2.order
+        engine = ScanEngine(t)
         a, b = _whole_transversal(t)
-        ea, eb, src = scan._orbit_members(ScanEngine(t), a, b)
+        moved, twin_b = scan._twins(engine, a, b)
+        assert len(moved) == len(a) - (q - 1) ** 2  # q-1 fixed t per k
+        for i, y in zip(moved.tolist(), twin_b.tolist()):
+            x = int(a[i])
+            assert (x, y) in _scalar_orbit(ctx, ctx.pow_i(x, q), ctx.pow_i(int(b[i]), q))
+            assert (x, y) != (x, int(b[i]))
+        pa, pb = np.concatenate([a, a[moved]]), np.concatenate([b, twin_b])
+        ea, eb, src = scan._orbit_members(engine, pa, pb)
         members = list(zip(ea.tolist(), eb.tolist()))
         assert members == [(x, y) for x in range(1, n) for y in range(1, n)]
-        orbits = [_scalar_orbit(ctx, x, y) for x, y in zip(a.tolist(), b.tolist())]
-        assert all(m in orbits[i] for m, i in zip(members, src.tolist()))
+        assert all(m in _scalar_orbit(ctx, int(pa[j]), int(pb[j])) for m, j in zip(members, src.tolist()))
+        origin = np.concatenate([np.arange(len(a)), moved])[src]
+        classes = [_scalar_class(ctx, q, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert all(m in classes[i] for m, i in zip(members, origin.tolist()))
 
     def test_summary_classifies_only_the_transversal(self, tower, monkeypatch):
-        """One thread classifies the transversal in (k, t) order; on three,
-        the workers' slices interleave but cover the same pairs once."""
+        """One thread classifies the (q-1)^2 (q+2) / 2 transversal pairs in
+        order; on three, the workers' slices interleave but cover the same
+        pairs once."""
         seen = []
         classify = ScanEngine.classify_bulk
 
@@ -227,7 +268,8 @@ class TestOrbits:
         monkeypatch.setattr(ScanEngine, "classify_bulk", spy)
         pairs = list(zip(*(x.tolist() for x in _whole_transversal(tower(7, 1)))))
         exhaustive_scan(7, 1, summary_only=True)
-        assert seen == pairs  # in (k, t) order
+        assert len(seen) == _class_pair_count(7) == 162
+        assert seen == pairs  # in transversal order
         seen.clear()
         rep = exhaustive_scan(7, 1, threads=3, summary_only=True)
         assert sorted(seen) == sorted(pairs)  # the workers' slices interleave
@@ -390,21 +432,28 @@ class TestPairSource:
 
     @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_transversal_windows(self, tower, p, h):
-        """A window of _transversal is that slice of the whole transversal,
-        whose pair i is (g^(i // N), g^(i // N + i % N)), N = q^2 - 1: empty,
-        one pair, across a k-row, the last pair and whole."""
+        """A window of _transversal is that slice of the whole transversal
+        (M = (q^2 + q - 2) / 2 pairs a k-row): empty, one pair, across a
+        k-row, the last pair and whole.  A window past the last pair, or
+        with lo > hi or lo < 0, raises IndexError."""
         t = tower(p, h)
-        ctx, N = t.fq2, t.fq2.order - 1
-        total, g = (t.q - 1) * N, ctx.generator_idx
-        want = [(ctx.pow_i(g, i // N), ctx.pow_i(g, i // N + i % N)) for i in range(total)]
-        windows = [(0, 0), (N, N), (total, total), (0, 1), (N - 1, N), (N, N + 1), (total - 1, total)]
-        windows += [(N - 1, N + 1), (1, 2 * N + 3), (0, total)]
+        ctx, q, reps = t.fq2, t.q, scan._class_reps(t.q)
+        total, M = _class_pair_count(q), (q * q + q - 2) // 2
+        want = _scalar_transversal(ctx, q)
+        assert len(want) == total == (q - 1) * M
+        windows = [(0, 0), (M, M), (total, total), (0, 1), (M - 1, M), (M, M + 1), (total - 1, total)]
+        windows += [(M - 1, M + 1), (1, 2 * M + 3), (0, total)]
         for lo, hi in windows:
-            if hi > total:
-                continue  # a window past the last pair (q = 2 has one k-row, q = 3 two)
-            a, b = scan._transversal(ctx, lo, hi)
+            if hi > total:  # q = 2 has one k-row, q = 3 two
+                with pytest.raises(IndexError):
+                    scan._transversal(ctx, lo, hi, reps)
+                continue
+            a, b = scan._transversal(ctx, lo, hi, reps)
             assert a.dtype == b.dtype == np.int32
             assert list(zip(a.tolist(), b.tolist())) == want[lo:hi]
+        for lo, hi in ((total - 1, total + 3), (total, total + 1), (total + 1, total + 1), (1, 0), (-1, 2)):
+            with pytest.raises(IndexError):
+                scan._transversal(ctx, lo, hi, reps)
 
     def test_pair_grid_windows_past_int32(self):
         """Past 2^31 pairs a window still counts in int32 from its first
@@ -416,28 +465,47 @@ class TestPairSource:
         with pytest.raises(ValueError, match="overflows its int32 count"):
             pair_grid(n)
 
+    def test_transversal_windows_past_int32(self):
+        """Past 2^31 pairs a window still counts in int32 from its first
+        k-row; a window too long for that is refused before it is built.
+        A stand-in field of order 4096^2, with a zero table R of 2^20
+        entries, has 4095 * 2^20 > 2^31 pairs, and its exp table gives back
+        the exponents it is asked for."""
+        q, M = 4096, 1 << 20
+        ctx = SimpleNamespace(order=q * q, np_exp2=SimpleNamespace(take=lambda e: e))
+        total = (q - 1) * M
+        k, e = scan._transversal(ctx, total - 3, total, np.zeros(M, np.int32))
+        assert k.dtype == e.dtype == np.int32
+        assert k.tolist() == [q - 2] * 3 and e.tolist() == [q * q - 1 - 2 * (q - 2)] * 3
+        with pytest.raises(ValueError, match="overflows its int32 count"):
+            scan._transversal(ctx, 0, (1 << 31) + 1, np.zeros(M, np.int32))
+
     @pytest.mark.parametrize("summary_only", [False, True])
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_sweeps_ask_for_one_slice_at_a_time(self, monkeypatch, summary_only, threads):
         """An exhaustive sweep asks its pair source (pair_grid, or
         _transversal in a summary) for one slice at a time: the windows are
         [k step, min((k+1) step, count)) with
-        step = min(_SLICE_PAIRS, ceil(count / threads))."""
-        windows, name = [], "_transversal" if summary_only else "pair_grid"
+        step = min(_SLICE_PAIRS, ceil(count / threads)).  A summary sweep
+        builds its table R once and hands the same one to every window."""
+        windows, tables, name = [], set(), "_transversal" if summary_only else "pair_grid"
         source = getattr(scan, name)
 
-        def spy(head, lo, hi):  # head: the ctx or n the source is bound to
-            a, b = source(head, lo, hi)
+        def spy(head, lo, hi, **kw):  # head: the ctx or n the source is bound to
+            a, b = source(head, lo, hi, **kw)
             windows.append((lo, lo + len(a)))
+            tables.update(id(r) for r in kw.values())
             return a, b
 
         monkeypatch.setattr(scan, name, spy)
-        count = (6 if summary_only else 48) * 48
+        count = _class_pair_count(7) if summary_only else 48 * 48
         for slice_pairs in (40, 1 << 15):  # at 2^15, the threads set the step
             monkeypatch.setattr(scan, "_SLICE_PAIRS", slice_pairs)
             windows.clear()
+            tables.clear()
             rep = exhaustive_scan(7, 1, threads=threads, summary_only=summary_only)
             assert rep.pair_count == 48 * 48
+            assert len(tables) == (1 if summary_only else 0)
             step = min(slice_pairs, -(-count // threads))
             assert sorted(windows) == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
@@ -760,7 +828,8 @@ class TestRowMatrix:
         summary = exhaustive_scan(7, 1, threads=2, summary_only=True)
         assert summary.rows is None
         assert all(len(m) <= 50 for m in matrices)
-        assert sum(len(m) for m in matrices) == summary.pp_count // 8  # the kept rows, one per orbit
+        # the kept rows, one per class: q = 7's 3 instance orbits are each their own twin
+        assert sum(len(m) for m in matrices) == summary.pp_count // 8
 
 
 class TestTally:
@@ -824,7 +893,7 @@ class TestDeterminism:
             lambda t: sampled_scan(7, 1, 500, seed=5, threads=t, diagnostics=True),
             lambda t: exhaustive_scan(3, 2, threads=t, summary_only=True),
             lambda t: exhaustive_scan(5, 2, threads=t, summary_only=True),
-            # 5 threads split the 288 orbit representatives inside an a-row
+            # 5 threads split the 162 class representatives inside a k-row
             lambda t: exhaustive_scan(7, 1, threads=t, summary_only=True, diagnostics=True),
         )
         for sweep in sweeps:
