@@ -11,26 +11,39 @@ pair source pairs(lo, hi), which gives the pairs lo ... hi-1, cuts [0, count)
 into consecutive slices of step = min(_SLICE_PAIRS, ceil(count / threads))
 pairs (at least one), and maps one function over them; the engine slices
 its grid kernels itself.  Of each slice the sweep keeps, in the CSV row
-layout, the rows where is_pp, main, prima_bis or seconda_bis holds.  Every
-count of the report but pair_count (pp_count, attribution, gcd_histogram,
-the equivalence violations, set_equalities and the instances the
-diagnostics describe) is read off those kept rows after the merge: off
-them, prima, seconda and both bis forms are 0.  A full-row sweep classifies
-every pair in (a_idx, b_idx) order (pair_grid by window) and allocates its
-(pairs, 10) int32 row matrix once; each slice writes its rows into its own
-range of it.  A sampled sweep slices the sorted pairs sample_pairs drew.  An
-exhaustive summary sweep classifies one pair per class of the group that
+layout, the rows where is_pp, main, prima_bis or seconda_bis holds (_keep).
+Every count of the report but pair_count (pp_count, attribution,
+gcd_histogram, the equivalence violations, set_equalities and the
+instances the diagnostics describe) is read off those kept rows after the
+merge: off them, prima, seconda and both bis forms are 0.  A sampled sweep
+slices the sorted pairs sample_pairs drew; a full-row one allocates its
+(pairs, 10) int32 row matrix once and each slice writes its own range.
+
+An exhaustive sweep classifies one pair per class of the group that
 mu_(q+1) and the q-power map generate, the transversal of _transversal.
 X -> cX takes f_(a,b) to c f_(a w^-1, b w^2) with w = c^(q-1) in mu_(q+1),
-so the q+1 pairs of an orbit share every column a summary reads; and
+so the q+1 pairs of an orbit share every column but seconda_tris; and
 f_(a^q,b^q)(X^q) = f_(a,b)(X)^q, so (a^q, b^q) permutes exactly when (a, b)
 does, and shares the criteria and the gcd degree.  With N = q^2 - 1, w in
 mu_(q+1) takes the conjugate of (g^k, g^(k+t)) to its twin
 (g^k, g^(k+sigma_k(t))), sigma_k(t) = q t + 3(q-1)k mod N, an involution
-fixing the q-1 values t = -3k mod (q+1).  After the merge each kept row
-whose t sigma_k moves is copied to its twin, and each row then to every
-pair of its orbit, in (a_idx, b_idx) order, so the counts read off them are
-those of classifying every pair; pair_count is (q^2-1)^2.
+fixing the q-1 values t = -3k mod (q+1).  A summary sweep copies, after the
+merge, each kept row whose t sigma_k moves to its twin, and each row then
+to every pair of its orbit, in (a_idx, b_idx) order, so the counts read off
+them are those of classifying every pair; pair_count is (q^2-1)^2.
+
+A full-row exhaustive sweep keeps every row of the transversal, then fills
+its (pairs, 10) int32 matrix, allocated once, one pair_grid window of
+_SLICE_PAIRS pairs at a time.  Two invariants name a pair's class:
+k = log a mod (q-1) and the lesser of s = log(a^2 b) and q s mod N.  For w
+in mu_(q+1), (a w^-1)^2 b w^2 = a^2 b and log w is a multiple of q-1;
+conjugation sends a^2 b to (a^2 b)^q and log a to q log a, which is log a
+mod q-1.  Transversal pair k M + i has log(a^2 b) = R[i], so each pair
+gathers the row at k M + pos_R[min(s, q s mod N)] (_class_positions) and
+writes its own a_idx and b_idx; for p > 3 the engine computes each window's
+seconda_tris, which varies inside orbits.  The kept rows are read off the
+filled windows.  The fill runs in the calling thread: it is gathers and one
+cheap kernel, and in a pool it raised peak RSS by the worker's arena.
 The diagnostics describe every instance in one call of each engine kernel.
 
 Parallelism contract: the slice is the only unit of work.  Where there
@@ -401,24 +414,71 @@ def _instance_diagnostics(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> l
     return [{"a_idx": ai, "b_idx": bi, **w} for ai, bi, w in zip(a.tolist(), b.tolist(), found)]
 
 
-def _sweep(tower, mode, count, pairs, t0, threads, summary_only, diagnostics, samples=None, seed=None) -> ScanReport:
+def _keep(col) -> np.ndarray:
+    """The positions of the rows a sweep keeps: where is_pp, main_predicate,
+    prima_bis or seconda_bis holds in `col`, a mapping from those names to
+    bool columns that may lack the bis forms."""
+    bis = col.get("prima_bis", False) | col.get("seconda_bis", False)
+    return np.flatnonzero(col["is_pp"] | col["main_predicate"] | bis)
+
+
+def _class_positions(ctx: FieldCtx, reps: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The position k M + pos_R[min(s, q s mod N)] in the transversal of
+    `reps` (R = _class_reps(q), M = len(R)) of the class of each pair
+    (a, b): k = log a mod (q-1), s = log(a^2 b) mod N, and pos_R the inverse
+    of R (module docstring).  It counts in int32: q s < q^3 < 2^31 up to
+    q = 1290, past the memory of any full grid."""
+    N, q, M = ctx.order - 1, math.isqrt(ctx.order), len(reps)
+    pos_r = np.zeros(N, dtype=np.int32)
+    pos_r[reps] = np.arange(M, dtype=np.int32)
+    la = ctx.np_log.take(a)
+    s = (2 * la + ctx.np_log.take(b)) % N
+    return pos_r.take(np.minimum(s, q * s % N)) + la % (q - 1) * M
+
+
+def _grid_rows(engine: ScanEngine, classes: np.ndarray, reps: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The (pairs, 10) int32 rows of the whole grid in (a_idx, b_idx) order,
+    and of each window the rows _keep selects.  `classes` holds the rows of
+    the transversal of `reps`.  One pair_grid window of _SLICE_PAIRS pairs
+    at a time, each pair gathers its class's row and writes its own a_idx
+    and b_idx; for p > 3 each window's seconda_tris, which is not
+    mu_(q+1)-invariant, comes from the engine."""
+    n = engine.n
+    total = (n - 1) ** 2
+    rows = np.empty((total, len(_ROW_FIELDS)), dtype=np.int32)
+    tris, kept = _ROW_FIELDS.index("seconda_tris"), []
+    for lo in range(0, total, _SLICE_PAIRS):
+        a, b = pair_grid(n, lo, min(lo + _SLICE_PAIRS, total))
+        out = rows[lo : lo + len(a)]
+        # every position is in range; under mode="raise" take would buffer `out`
+        classes.take(_class_positions(engine.ctx, reps, a, b), axis=0, out=out, mode="clip")
+        out[:, 0], out[:, 1] = a, b
+        if engine.p > 3:
+            out[:, tris] = engine.seconda_tris(a, b)
+        kept.append(out[_keep(dict(zip(_ROW_FIELDS, out.T == 1)))])
+    return rows, kept
+
+
+def _sweep(tower, count, pairs, t0, threads, summary_only, diagnostics, samples=None, seed=None, reps=None) -> ScanReport:
     """Classify the `count` pairs that pairs(lo, hi) gives, slice by slice,
-    and aggregate them into a report.  They come sorted, but for an
-    exhaustive summary's: one pair per class of mu_(q+1) and the q-power
-    map, whose kept rows are copied to their twins and then to every pair
-    of their orbits."""
+    and aggregate them into a report.  A sampled sweep's come sorted; an
+    exhaustive sweep's (given `reps`) are the transversal of `reps`, one
+    pair per class of mu_(q+1) and the q-power map.  A summary copies its kept rows to their
+    twins and then to every pair of their orbits; a full-row sweep gives
+    every pair of the grid its class's row (_grid_rows)."""
+    mode = "sampled" if reps is None else "exhaustive"
     engine = ScanEngine(tower)
     rows = None if summary_only else np.empty((count, len(_ROW_FIELDS)), dtype=np.int32)
     step = max(1, min(_SLICE_PAIRS, -(-count // threads)))
 
     def kept_rows(lo: int) -> np.ndarray:
         """The rows of the slice from pair lo that the keep mask selects; a
-        full-row sweep writes every row of the slice into `rows`."""
+        full-row sweep writes every row of the slice into `rows` (an
+        exhaustive one: the transversal's rows, which _grid_rows spreads)."""
         a, b = pairs(lo, min(lo + step, count))
         cols = engine.classify_bulk(a, b, summary=rows is None)
-        bis = cols.get("prima_bis", False) | cols.get("seconda_bis", False)
-        keep = np.flatnonzero(cols["is_pp"] | cols["main"] | bis)
         named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": cols["main"]}
+        keep = _keep(named)
         if rows is None:  # a summary writes the kept rows only
             named = {f: v[keep] for f, v in named.items()}
             out = np.empty((len(keep), len(_ROW_FIELDS)), dtype=np.int32)
@@ -435,6 +495,8 @@ def _sweep(tower, mode, count, pairs, t0, threads, summary_only, diagnostics, sa
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(kept_rows, starts))
+    if mode == "exhaustive" and rows is not None:  # `rows` holds the classes' rows
+        rows, parts = _grid_rows(engine, rows, reps)
     kept = np.concatenate([np.empty((0, len(_ROW_FIELDS)), np.int32), *parts])
     if mode == "exhaustive" and summary_only:  # each kept row stands for its class
         moved, twin_b = _twins(engine, kept[:, 0], kept[:, 1])
@@ -444,6 +506,7 @@ def _sweep(tower, mode, count, pairs, t0, threads, summary_only, diagnostics, sa
         a_idx, b_idx, src = _orbit_members(engine, kept[:, 0], kept[:, 1])
         kept = kept[src]
         kept[:, 0], kept[:, 1] = a_idx, b_idx
+    if mode == "exhaustive":
         count = (engine.n - 1) ** 2
 
     col = dict(zip(_ROW_FIELDS, kept.T))
@@ -500,12 +563,13 @@ def exhaustive_scan(
 ) -> ScanReport:
     """Classify every pair (a, b) in GF(q^2)* x GF(q^2)*.
 
-    A full-row sweep classifies each pair.  A summary sweep classifies
-    (q-1)^2 (q+2) / 2 pairs, one per class of mu_(q+1) and the q-power map,
-    about half the (q-1)(q^2-1) mu_(q+1) orbits: the conjugate (a^q, b^q)
-    permutes exactly when (a, b) does.  Each kept row is copied to its twin
-    and to their orbits, so its counts, violations and diagnostics cover
-    every pair.
+    Both modes classify (q-1)^2 (q+2) / 2 pairs, one per class of
+    mu_(q+1) and the q-power map, about half the (q-1)(q^2-1) mu_(q+1)
+    orbits: the conjugate (a^q, b^q) permutes exactly when (a, b) does.  A
+    summary sweep copies each kept row to its twin and to their orbits; a
+    full-row sweep gives every pair its class's row, with its own indices
+    and (p > 3) its own seconda_tris.  Either way the counts, violations
+    and diagnostics cover every pair.
 
     Refuses to run when q exceeds the exhaustion budget (argument, else the
     TRINOMIAL_BUDGET_Q environment variable, else 31); use sampled_scan
@@ -521,13 +585,9 @@ def exhaustive_scan(
             "use sampled_scan (or raise the budget)"
         )
     tower = make_field(p, h)
-    n = tower.fq2.order
-    if summary_only:
-        reps = _class_reps(tower.q)
-        count, pairs = (tower.q - 1) * len(reps), partial(_transversal, tower.fq2, reps=reps)
-    else:
-        count, pairs = (n - 1) ** 2, partial(pair_grid, n)
-    return _sweep(tower, "exhaustive", count, pairs, t0, threads, summary_only, diagnostics)
+    reps = _class_reps(tower.q)
+    count, pairs = (tower.q - 1) * len(reps), partial(_transversal, tower.fq2, reps=reps)
+    return _sweep(tower, count, pairs, t0, threads, summary_only, diagnostics, reps=reps)
 
 
 def sampled_scan(
@@ -552,7 +612,7 @@ def sampled_scan(
     tower = make_field(p, h)
     a, b = sample_pairs(tower.fq2.order, samples, seed)
     return _sweep(
-        tower, "sampled", len(a), lambda lo, hi: (a[lo:hi], b[lo:hi]),
+        tower, len(a), lambda lo, hi: (a[lo:hi], b[lo:hi]),
         t0, threads, summary_only, diagnostics, samples, seed,
     )
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from functools import cache
@@ -41,6 +42,45 @@ def _randrange_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
     a then b, sorted."""
     rng = Random(seed)
     return sorted((rng.randrange(1, n), rng.randrange(1, n)) for _ in range(count))
+
+
+def _reference_rows(t):
+    """The full rows of every pair of the tower t, each classified by
+    ScanEngine.classify_bulk on the whole pair_grid: a per-pair oracle for
+    the sweeps, which classify one pair per class."""
+    eng = ScanEngine(t)
+    a, b = pair_grid(eng.n)
+    cols = eng.classify_bulk(a, b)
+    named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": cols["main"]}
+    absent = np.full(len(a), -1)
+    return np.column_stack([named.get(f, absent).astype(np.int32) for f in CSV_COLUMNS[1:]])
+
+
+def _reference_aggregates(rows, p):
+    """The report fields of an exhaustive sweep, read off the full `rows`."""
+    col = dict(zip(CSV_COLUMNS[1:], rows.T))
+    pp, main = col["is_pp"] == 1, col["main_predicate"] == 1
+    if p > 3:
+        pr, se = col["prima"][pp] == 1, col["seconda"][pp] == 1
+        attribution = {"prima_only": int((pr & ~se).sum()), "seconda_only": int((se & ~pr).sum()), "both": int((pr & se).sum())}
+        set_eq = {
+            "prima_eq_prima_bis": bool((col["prima"] == col["prima_bis"]).all()),
+            "seconda_eq_seconda_bis": bool((col["seconda"] == col["seconda_bis"]).all()),
+        }
+    else:
+        attribution, set_eq = {f"char{p}": int(pp.sum())}, None
+    degrees, counts = np.unique(col["gcd_deg"][pp], return_counts=True)
+    bad = pp != main
+    return {
+        "pair_count": len(rows),
+        "pp_count": int(pp.sum()),
+        "attribution": attribution,
+        "gcd_histogram": dict(zip(degrees.tolist(), counts.tolist())),
+        "set_equalities": set_eq,
+        "equivalence_violations": list(
+            zip(col["a_idx"][bad].tolist(), col["b_idx"][bad].tolist(), pp[bad].tolist(), main[bad].tolist())
+        ),
+    }
 
 
 class TestExhaustive:
@@ -101,16 +141,21 @@ class TestExhaustive:
         [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]
         + [(2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)],
     )
-    def test_summary_aggregates_equal_the_full_rows(self, p, h):
-        # every prime power q <= 27: the summary sweep classifies one pair
-        # per class of mu_(q+1) and the q-power map, copied to its twin and
-        # orbit, runs gcd_deg only on its permutation instances and skips
-        # seconda_tris; the full-row sweep classifies every pair
-        full, summary = exhaustive_scan(p, h), exhaustive_scan(p, h, summary_only=True)
-        assert full.rows is not None and summary.rows is None
-        keys = ("pair_count", "pp_count", "attribution", "gcd_histogram", "set_equalities", "equivalence_violations")
-        for key in keys:
-            assert getattr(summary, key) == getattr(full, key), key
+    def test_summary_aggregates_equal_the_full_rows(self, tower, p, h):
+        # every prime power q <= 27: both sweeps classify one pair per class
+        # of mu_(q+1) and the q-power map.  The full-row sweep gives each
+        # pair its class's row (and, for p > 3, its own seconda_tris); the
+        # summary copies its kept rows to their twins and orbits.  Both are
+        # held to the reference, which classifies every pair.
+        reference = _reference_rows(tower(p, h))
+        want = _reference_aggregates(reference, p)
+        for threads in (1, 3):
+            full = exhaustive_scan(p, h, threads=threads)
+            assert full.rows.dtype == np.int32 and np.array_equal(full.rows, reference)
+            assert {key: getattr(full, key) for key in want} == want
+        summary = exhaustive_scan(p, h, summary_only=True)
+        assert summary.rows is None
+        assert {key: getattr(summary, key) for key in want} == want
         assert (summary.set_equalities is None) == (p <= 3)
 
     def test_char2_scan(self, tower):
@@ -296,11 +341,35 @@ class TestOrbits:
             assert summary.equivalence_violations == full.equivalence_violations
 
     @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 3), (3, 2)])
-    def test_diagnostics_cover_every_instance(self, p, h):
-        full = exhaustive_scan(p, h, diagnostics=True)
-        summary = exhaustive_scan(p, h, summary_only=True, diagnostics=True)
-        assert len(summary.diagnostics) == full.pp_count
-        assert summary.diagnostics == full.diagnostics
+    def test_diagnostics_cover_every_instance(self, tower, p, h):
+        """Both sweeps describe every permutation instance of the reference
+        rows, in (a_idx, b_idx) order."""
+        reference = _reference_rows(tower(p, h))
+        a, b, is_pp = reference[:, :3].T
+        want = scan._instance_diagnostics(ScanEngine(tower(p, h)), a[is_pp == 1], b[is_pp == 1])
+        assert len(want) == (is_pp == 1).sum() > 0
+        for summary_only in (False, True):
+            assert exhaustive_scan(p, h, summary_only=summary_only, diagnostics=True).diagnostics == want
+
+    @pytest.mark.parametrize("p,h", _ORBIT_FIELDS + [(11, 1), (13, 1), (2, 4)])
+    def test_class_positions_name_each_pairs_class(self, tower, p, h):
+        """At every prime power q <= 16, the transversal pair that
+        _class_positions names for a grid pair (a, b) is (a w^-1, b w^2) or
+        (a^q w^-1, b^q w^2) for some w in mu_(q+1), checked by scalar
+        arithmetic: k = log a mod (q-1) and log(a^2 b) are fixed by w, and
+        conjugation fixes the first and multiplies the second by q."""
+        t = tower(p, h)
+        ctx, q = t.fq2, t.q
+        transversal = _scalar_transversal(ctx, q)
+        a, b = pair_grid(ctx.order)
+        pos = scan._class_positions(ctx, scan._class_reps(q), a, b)
+        for x, y, i in zip(a.tolist(), b.tolist(), pos.tolist()):
+            tx, ty = transversal[i]
+            images = []
+            for cx, cy in ((x, y), (ctx._frob[x], ctx._frob[y])):
+                w = ctx.mul_i(cx, ctx.inv_i(tx))  # tx = cx w^-1
+                images.append(ctx.pow_i(w, q + 1) == 1 and ty == ctx.mul_i(cy, ctx.pow_i(w, 2)))
+            assert any(images), ((x, y), (tx, ty))
 
 
 class TestSampled:
@@ -483,31 +552,44 @@ class TestPairSource:
     @pytest.mark.parametrize("summary_only", [False, True])
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_sweeps_ask_for_one_slice_at_a_time(self, monkeypatch, summary_only, threads):
-        """An exhaustive sweep asks its pair source (pair_grid, or
-        _transversal in a summary) for one slice at a time: the windows are
-        [k step, min((k+1) step, count)) with
-        step = min(_SLICE_PAIRS, ceil(count / threads)).  A summary sweep
-        builds its table R once and hands the same one to every window."""
-        windows, tables, name = [], set(), "_transversal" if summary_only else "pair_grid"
-        source = getattr(scan, name)
+        """An exhaustive sweep asks _transversal for one slice at a time: the
+        windows are [k step, min((k+1) step, count)) with
+        step = min(_SLICE_PAIRS, ceil(count / threads)).  It builds its
+        table R once and hands the same one to every window.  A full-row
+        sweep then asks pair_grid for the windows
+        [k _SLICE_PAIRS, min((k+1) _SLICE_PAIRS, pairs)) in order, from the
+        calling thread, at any thread count; a summary never asks it."""
+        windows = {"_transversal": [], "pair_grid": []}
+        tables, callers = set(), set()
 
-        def spy(head, lo, hi, **kw):  # head: the ctx or n the source is bound to
-            a, b = source(head, lo, hi, **kw)
-            windows.append((lo, lo + len(a)))
-            tables.update(id(r) for r in kw.values())
-            return a, b
+        def spy(name):
+            source = getattr(scan, name)
 
-        monkeypatch.setattr(scan, name, spy)
-        count = _class_pair_count(7) if summary_only else 48 * 48
+            def window(head, lo, hi, **kw):  # head: the ctx or n the source is bound to
+                a, b = source(head, lo, hi, **kw)
+                windows[name].append((lo, lo + len(a)))
+                tables.update(id(r) for r in kw.values())
+                if name == "pair_grid":
+                    callers.add(threading.get_ident())
+                return a, b
+
+            return window
+
+        for name in windows:
+            monkeypatch.setattr(scan, name, spy(name))
+        count, total = _class_pair_count(7), 48 * 48
         for slice_pairs in (40, 1 << 15):  # at 2^15, the threads set the step
             monkeypatch.setattr(scan, "_SLICE_PAIRS", slice_pairs)
-            windows.clear()
-            tables.clear()
+            for seen in (*windows.values(), tables, callers):
+                seen.clear()
             rep = exhaustive_scan(7, 1, threads=threads, summary_only=summary_only)
-            assert rep.pair_count == 48 * 48
-            assert len(tables) == (1 if summary_only else 0)
+            assert rep.pair_count == total
+            assert len(tables) == 1
             step = min(slice_pairs, -(-count // threads))
-            assert sorted(windows) == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+            assert sorted(windows["_transversal"]) == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+            fill = range(0, 0 if summary_only else total, slice_pairs)
+            assert windows["pair_grid"] == [(lo, min(lo + slice_pairs, total)) for lo in fill]
+            assert callers == (set() if summary_only else {threading.get_ident()})
 
 
 class TestEmission:
@@ -794,23 +876,19 @@ class TestJsonReader:
 class TestRowMatrix:
     @pytest.mark.parametrize("p, h", [(3, 2), (7, 1)], ids=["q9-p3", "q7"])
     def test_thread_slices_fill_one_matrix(self, tower, monkeypatch, p, h):
-        eng = ScanEngine(tower(p, h))
-        a, b = pair_grid(eng.n)
-        cols = eng.classify_bulk(a, b)
-        named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": cols["main"]}
-        absent = np.full(len(a), -1)
-        reference = np.column_stack([named.get(f, absent).astype(np.int32) for f in CSV_COLUMNS[1:]])
-        monkeypatch.setattr(scan, "_SLICE_PAIRS", 5)  # 5-pair slices end mid-a-row
+        reference = _reference_rows(tower(p, h))
+        monkeypatch.setattr(scan, "_SLICE_PAIRS", 5)  # 5-pair slices and windows end mid-row
         for threads in (1, 2, 5, 8):
             rows = exhaustive_scan(p, h, threads=threads).rows
-            assert rows.dtype == np.int32 and rows.flags.c_contiguous and rows.shape == (len(a), 10)
+            assert rows.dtype == np.int32 and rows.flags.c_contiguous and rows.shape == reference.shape
             assert np.array_equal(rows, reference)
         assert (reference[:, 3:8] == -1).all() == (p == 3)
 
     def test_summary_mode_allocates_no_matrix(self, monkeypatch):
         """A full-row sweep allocates one (pairs, 10) matrix, which its
-        slices fill in place; a summary sweep allocates rows only for the
-        pairs it keeps, one slice at a time."""
+        windows fill in place, after the one matrix of its transversal's
+        rows; a summary sweep allocates rows only for the pairs it keeps,
+        one slice at a time."""
         matrices, empty = [], np.empty
 
         def spy(shape, *args, **kwargs):
@@ -822,8 +900,9 @@ class TestRowMatrix:
         monkeypatch.setattr(np, "empty", spy)
         monkeypatch.setattr(scan, "_SLICE_PAIRS", 50)  # 50-pair slices on two threads
         full = exhaustive_scan(7, 1, threads=2)
-        assert [m.shape for m in matrices] == [(2304, 10), (0, 10)]  # the matrix, then the empty merge start
-        assert matrices[0] is full.rows
+        # the (q-1)^2 (q+2) / 2 class rows, the matrix, then the empty merge start
+        assert [m.shape for m in matrices] == [(162, 10), (2304, 10), (0, 10)]
+        assert matrices[1] is full.rows
         matrices.clear()
         summary = exhaustive_scan(7, 1, threads=2, summary_only=True)
         assert summary.rows is None
