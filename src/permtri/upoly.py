@@ -2,15 +2,19 @@
 
 Coefficients are stored lowest power first with no trailing zeros (the zero
 polynomial is the empty tuple).  Division, GCD, Sylvester resultants,
-discriminants and exhaustive root finding; everything is a pure function of
-plain values.
+discriminants, evaluation on an array of indices and exhaustive root
+finding; everything is a pure function of plain values.  Array evaluation
+(`values`, and so `roots`) runs over all candidates at once through the
+layer's vector ops, which the tests pin to the scalar ops.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .ff import Elem, FieldCtx, lift
 
-__all__ = ["Poly", "poly_gcd", "resultant", "discriminant", "roots"]
+__all__ = ["Poly", "poly_gcd", "resultant", "discriminant", "values", "roots"]
 
 
 class Poly:
@@ -216,41 +220,42 @@ def discriminant(f: Poly) -> Elem:
     return -r if (n * (n - 1) // 2) % 2 else r
 
 
+def values(f: Poly, xs) -> np.ndarray:
+    """f at every index of the array xs, by Horner through the vector ops
+    of f's layer (the int32 index of each value)."""
+    ctx = f.ctx
+    acc = np.zeros(np.shape(xs), dtype=np.int32)
+    for c in reversed(f.coeffs):
+        acc = ctx.vadd(ctx.vmul(acc, xs), c.i)
+    return acc
+
+
 def roots(f: Poly, ctx: FieldCtx | None = None) -> list[Elem]:
     """All roots of f in the given layer, with multiplicity, ascending.
 
     `ctx` may be f's own layer, its direct subfield, or its direct
-    quadratic extension; root finding is exhaustive evaluation.
+    quadratic extension.  Root finding is exhaustive evaluation: one
+    `values` call over every index of `ctx` (a lifted subfield element
+    keeps its index), through the vector ops that the tests pin to the
+    scalar ops; each zero's multiplicity is found by division.
     """
     if f.is_zero():
         raise ValueError("every point is a root of the zero polynomial")
     if ctx is None:
         ctx = f.ctx
-    if ctx is f.ctx:
-        work, back = f, None
+    if ctx is f.ctx or f.ctx.base is ctx:
+        work = f  # roots sought in f's layer or its subfield, f stays put
     elif ctx.base is f.ctx:
-        work, back = f.lift_to(ctx), None  # roots sought in the extension
-    elif f.ctx.base is ctx:
-        work, back = f, ctx  # roots sought in the subfield, f stays put
+        work = f.lift_to(ctx)  # roots sought in the extension
     else:
         raise ValueError("layer is not adjacent to the polynomial's layer")
 
     found = []
-    if back is None:
-        candidates = (ctx.elem(i) for i in range(ctx.order))
-    else:
-        candidates = (lift(back.elem(i), f.ctx) for i in range(back.order))
-    for cand in candidates:
-        if work(cand).i == 0:
-            mult = 0
-            g = work
-            lin = Poly.x_minus(cand)
-            while True:
-                quo, rem = divmod(g, lin)
-                if not rem.is_zero():
-                    break
-                mult += 1
-                g = quo
-            out = cand if back is None else back.elem(cand.i)
-            found.extend([out] * mult)
+    for i in np.flatnonzero(values(work, np.arange(ctx.order)) == 0).tolist():
+        g, lin = work, Poly.x_minus(work.ctx.elem(i))
+        while True:
+            g, rem = divmod(g, lin)
+            if not rem.is_zero():
+                break
+            found.append(ctx.elem(i))
     return found

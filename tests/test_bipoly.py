@@ -242,7 +242,33 @@ class TestIsoIdentity:
             assert verify_iso_identity(cp) and _identity_at_points(cp, rng, 50)
 
 
+def points_one_by_one(cp):
+    """Oracle for count_points_off_diag: BivarPoly.__call__ at every
+    off-diagonal point of GF(q)^2, one point at a time."""
+    fq = cp.params.tower.fq
+    pts = fq.order
+    return sum(cp.G(fq.elem(x), fq.elem(y)).i == 0 for x in range(pts) for y in range(pts) if x != y)
+
+
 class TestPointCounting:
+    def test_every_pair_at_q5_matches_per_point_evaluation(self, tower):
+        t = tower(5, 1)
+        counts = {}
+        for a in range(1, t.fq2.order):
+            for b in range(1, t.fq2.order):
+                cp = build_curves(params(t, a, b))
+                counts[a, b] = count_points_off_diag(cp)
+                assert counts[a, b] == points_one_by_one(cp), (a, b)
+        assert counts[1, 1] > 0 and 0 in counts.values()
+
+    @pytest.mark.parametrize("p,h", [(7, 1), (3, 2), (11, 1)])
+    def test_seeded_pairs_match_per_point_evaluation(self, tower, p, h):
+        t = tower(p, h)
+        rng = random.Random(t.q)
+        for _ in range(25):
+            cp = build_curves(params(t, rng.randrange(1, t.fq2.order), rng.randrange(1, t.fq2.order)))
+            assert count_points_off_diag(cp) == points_one_by_one(cp)
+
     def test_permutation_instances_have_no_points(self, tower):
         t = tower(5, 1)
         n = t.fq2.order

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from permtri import (
     resultant,
     roots,
 )
+from permtri.upoly import values
 
 _T7 = make_field(7, 1)
 
@@ -232,7 +234,59 @@ class TestDiscriminant:
             discriminant(Poly(ctx, [ctx.one]))
 
 
+def roots_one_by_one(f, ctx):
+    """Oracle for roots: Poly.__call__ on one candidate at a time, in
+    ascending index order, then the multiplicity of each zero by division."""
+    work = f.lift_to(ctx) if ctx.base is f.ctx else f
+    found = []
+    for i in range(ctx.order):
+        cand = work.ctx.elem(i)
+        if work(cand).i != 0:
+            continue
+        g, lin = work, Poly.x_minus(cand)
+        while (g % lin).is_zero():
+            g = g // lin
+            found.append(ctx.elem(i))
+    return found
+
+
+class TestValues:
+    @pytest.mark.parametrize("p,h,level", [(7, 1, "fq"), (7, 1, "fq2"), (2, 2, "fq2"), (3, 3, "fq")])
+    def test_match_call_at_every_index(self, tower, p, h, level):
+        ctx = getattr(tower(p, h), level)
+        rng = random.Random(ctx.order)
+        polys = [Poly(ctx), Poly(ctx, [ctx.elem(ctx.order - 1)])]
+        polys += [rand_poly(ctx, d, rng) for d in range(6) for _ in range(3)]
+        xs = np.arange(ctx.order)
+        for f in polys:
+            assert values(f, xs).tolist() == [f(ctx.elem(i)).i for i in range(ctx.order)]
+
+
 class TestRoots:
+    @pytest.mark.parametrize("p,h", [(2, 2), (3, 1), (5, 1)])
+    def test_match_the_per_candidate_loop(self, tower, p, h):
+        t = tower(p, h)
+        rng = random.Random(p * 10 + h)
+        # f over GF(q): its own layer and the extension; over GF(q^2): its
+        # own layer and the subfield
+        for layer, targets in [(t.fq, (t.fq, t.fq2)), (t.fq2, (t.fq2, t.fq))]:
+            polys = [rand_poly(layer, d, rng) for d in range(1, 6) for _ in range(4)]
+            for _ in range(4):  # (T - c)^3 (T - d), c in GF(q)
+                c = Poly.x_minus(layer.elem(rng.randrange(t.q)))
+                polys.append(c * c * c * Poly.x_minus(layer.elem(rng.randrange(layer.order))))
+            for f in polys:
+                for ctx in targets:  # Elem equality compares the layer too
+                    assert roots(f, ctx) == roots_one_by_one(f, ctx)
+
+    def test_repeated_roots_in_every_layer_case(self, tower):
+        t = tower(3, 1)
+        c, d = t.fq.elem(2), t.fq.elem(1)
+        f = Poly.x_minus(c) * Poly.x_minus(c) * Poly.x_minus(c) * Poly.x_minus(d)
+        want = [1, 2, 2, 2]
+        assert [r.i for r in roots(f)] == want
+        assert [r.i for r in roots(f, t.fq2)] == want
+        assert [r.i for r in roots(f.lift_to(t.fq2), t.fq)] == want
+
     def test_x_squared_minus_one(self, tower):
         ctx = tower(7, 1).fq
         got = roots(Poly.from_indices(ctx, [6, 0, 1]))
