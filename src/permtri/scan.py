@@ -27,12 +27,14 @@ f_(a^q,b^q)(X^q) = f_(a,b)(X)^q, so (a^q, b^q) permutes exactly when (a, b)
 does, and shares the criteria and the gcd degree.  With N = q^2 - 1, w in
 mu_(q+1) takes the conjugate of (g^k, g^(k+t)) to its twin
 (g^k, g^(k+sigma_k(t))), sigma_k(t) = q t + 3(q-1)k mod N, an involution
-fixing the q-1 values t = -3k mod (q+1).  A summary sweep copies, after the
-merge, each kept row whose t sigma_k moves to its twin, and each row then
-to every pair of its orbit, in (a_idx, b_idx) order, so the counts read off
-them are those of classifying every pair; pair_count is (q^2-1)^2.
+fixing the q-1 values t = -3k mod (q+1).  Every exhaustive sweep counts
+off its class rows: after the merge it copies each kept row whose t sigma_k
+moves to its twin, and each row then to every pair of its orbit, in
+(a_idx, b_idx) order, so the counts read off them are those of classifying
+every pair; pair_count is (q^2-1)^2.  Nothing counted reads seconda_tris,
+the one column that varies inside a class.
 
-A full-row exhaustive sweep keeps every row of the transversal, then fills
+A full-row exhaustive sweep writes every row of the transversal, then fills
 its (pairs, 10) int32 matrix, allocated once, one pair_grid window of
 _SLICE_PAIRS pairs at a time.  Two invariants name a pair's class:
 k = log a mod (q-1) and the lesser of s = log(a^2 b) and q s mod N.  For w
@@ -41,9 +43,10 @@ conjugation sends a^2 b to (a^2 b)^q and log a to q log a, which is log a
 mod q-1.  Transversal pair k M + i has log(a^2 b) = R[i], so each pair
 gathers the row at k M + pos_R[min(s, q s mod N)] (_class_positions) and
 writes its own a_idx and b_idx; for p > 3 the engine computes each window's
-seconda_tris, which varies inside orbits.  The kept rows are read off the
-filled windows.  The fill runs in the calling thread: it is gathers and one
-cheap kernel, and in a pool it raised peak RSS by the worker's arena.
+seconda_tris, which varies inside orbits.  The matrix is output only; the
+report's counts come off the class rows, as a summary's do.  The fill runs
+in the calling thread: it is gathers and one cheap kernel, and in a pool it
+raised peak RSS by the worker's arena.
 The diagnostics describe every instance in one call of each engine kernel.
 
 Parallelism contract: the slice is the only unit of work.  Where there
@@ -436,17 +439,17 @@ def _class_positions(ctx: FieldCtx, reps: np.ndarray, a: np.ndarray, b: np.ndarr
     return pos_r.take(np.minimum(s, q * s % N)) + la % (q - 1) * M
 
 
-def _grid_rows(engine: ScanEngine, classes: np.ndarray, reps: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The (pairs, 10) int32 rows of the whole grid in (a_idx, b_idx) order,
-    and of each window the rows _keep selects.  `classes` holds the rows of
-    the transversal of `reps`.  One pair_grid window of _SLICE_PAIRS pairs
-    at a time, each pair gathers its class's row and writes its own a_idx
-    and b_idx; for p > 3 each window's seconda_tris, which is not
-    mu_(q+1)-invariant, comes from the engine."""
+def _grid_rows(engine: ScanEngine, classes: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """The (pairs, 10) int32 rows of the whole grid in (a_idx, b_idx) order.
+    `classes` holds the rows of the transversal of `reps`.  One pair_grid
+    window of _SLICE_PAIRS pairs at a time, each pair gathers its class's
+    row and writes its own a_idx and b_idx; for p > 3 each window's
+    seconda_tris, which is not mu_(q+1)-invariant, comes from the engine.
+    No count is read off these rows (module docstring)."""
     n = engine.n
     total = (n - 1) ** 2
     rows = np.empty((total, len(_ROW_FIELDS)), dtype=np.int32)
-    tris, kept = _ROW_FIELDS.index("seconda_tris"), []
+    tris = _ROW_FIELDS.index("seconda_tris")
     for lo in range(0, total, _SLICE_PAIRS):
         a, b = pair_grid(n, lo, min(lo + _SLICE_PAIRS, total))
         out = rows[lo : lo + len(a)]
@@ -455,17 +458,17 @@ def _grid_rows(engine: ScanEngine, classes: np.ndarray, reps: np.ndarray) -> tup
         out[:, 0], out[:, 1] = a, b
         if engine.p > 3:
             out[:, tris] = engine.seconda_tris(a, b)
-        kept.append(out[_keep(dict(zip(_ROW_FIELDS, out.T == 1)))])
-    return rows, kept
+    return rows
 
 
 def _sweep(tower, count, pairs, t0, threads, summary_only, diagnostics, samples=None, seed=None, reps=None) -> ScanReport:
     """Classify the `count` pairs that pairs(lo, hi) gives, slice by slice,
     and aggregate them into a report.  A sampled sweep's come sorted; an
     exhaustive sweep's (given `reps`) are the transversal of `reps`, one
-    pair per class of mu_(q+1) and the q-power map.  A summary copies its kept rows to their
-    twins and then to every pair of their orbits; a full-row sweep gives
-    every pair of the grid its class's row (_grid_rows)."""
+    pair per class of mu_(q+1) and the q-power map.  An exhaustive sweep,
+    full-row or summary, copies its kept rows to their twins and then to
+    every pair of their orbits and reads every count off those; a full-row
+    one also gives every pair of the grid its class's row (_grid_rows)."""
     mode = "sampled" if reps is None else "exhaustive"
     engine = ScanEngine(tower)
     rows = None if summary_only else np.empty((count, len(_ROW_FIELDS)), dtype=np.int32)
@@ -496,9 +499,9 @@ def _sweep(tower, count, pairs, t0, threads, summary_only, diagnostics, samples=
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(kept_rows, starts))
     if mode == "exhaustive" and rows is not None:  # `rows` holds the classes' rows
-        rows, parts = _grid_rows(engine, rows, reps)
+        rows = _grid_rows(engine, rows, reps)
     kept = np.concatenate([np.empty((0, len(_ROW_FIELDS)), np.int32), *parts])
-    if mode == "exhaustive" and summary_only:  # each kept row stands for its class
+    if mode == "exhaustive":  # each kept row stands for its class
         moved, twin_b = _twins(engine, kept[:, 0], kept[:, 1])
         twins = kept[moved]
         twins[:, 1] = twin_b
@@ -506,7 +509,6 @@ def _sweep(tower, count, pairs, t0, threads, summary_only, diagnostics, samples=
         a_idx, b_idx, src = _orbit_members(engine, kept[:, 0], kept[:, 1])
         kept = kept[src]
         kept[:, 0], kept[:, 1] = a_idx, b_idx
-    if mode == "exhaustive":
         count = (engine.n - 1) ** 2
 
     col = dict(zip(_ROW_FIELDS, kept.T))
@@ -565,11 +567,11 @@ def exhaustive_scan(
 
     Both modes classify (q-1)^2 (q+2) / 2 pairs, one per class of
     mu_(q+1) and the q-power map, about half the (q-1)(q^2-1) mu_(q+1)
-    orbits: the conjugate (a^q, b^q) permutes exactly when (a, b) does.  A
-    summary sweep copies each kept row to its twin and to their orbits; a
-    full-row sweep gives every pair its class's row, with its own indices
-    and (p > 3) its own seconda_tris.  Either way the counts, violations
-    and diagnostics cover every pair.
+    orbits: the conjugate (a^q, b^q) permutes exactly when (a, b) does.
+    Both copy each kept row to its twin and to their orbits, so the counts,
+    violations and diagnostics cover every pair.  A full-row sweep also
+    gives every pair its class's row, with its own indices and (p > 3) its
+    own seconda_tris.
 
     Refuses to run when q exceeds the exhaustion budget (argument, else the
     TRINOMIAL_BUDGET_Q environment variable, else 31); use sampled_scan

@@ -139,21 +139,30 @@ class TestExhaustive:
     @pytest.mark.parametrize(
         "p,h",
         [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]
-        + [(2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)],
+        + [(2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)]
+        + [pytest.param(p, h, marks=pytest.mark.slow) for p, h in ((29, 1), (31, 1), (2, 5), (37, 1), (41, 1), (43, 1))],
     )
     def test_summary_aggregates_equal_the_full_rows(self, tower, p, h):
-        # every prime power q <= 27: both sweeps classify one pair per class
-        # of mu_(q+1) and the q-power map.  The full-row sweep gives each
-        # pair its class's row (and, for p > 3, its own seconda_tris); the
-        # summary copies its kept rows to their twins and orbits.  Both are
-        # held to the reference, which classifies every pair.
+        # every prime power q <= 27, and under the slow marker q = 29 ... 43:
+        # both sweeps classify one pair per class of mu_(q+1) and the
+        # q-power map and count off the kept class rows, copied to their
+        # twins and orbits.  The full-row sweep also gives each pair its
+        # class's row (and, for p > 3, its own seconda_tris).  Both are held
+        # to the reference, which classifies every pair; at q = 8, 9, 13,
+        # 25, 29 and 32 (p = 2, 3 and > 3) so are their diagnostics.
+        q = p**h
         reference = _reference_rows(tower(p, h))
         want = _reference_aggregates(reference, p)
+        diagnostics = q in (8, 9, 13, 25, 29, 32)
+        if diagnostics:
+            col = dict(zip(CSV_COLUMNS[1:], reference.T))
+            pp = col["is_pp"] == 1
+            want["diagnostics"] = scan._instance_diagnostics(ScanEngine(tower(p, h)), col["a_idx"][pp], col["b_idx"][pp])
         for threads in (1, 3):
-            full = exhaustive_scan(p, h, threads=threads)
+            full = exhaustive_scan(p, h, threads=threads, diagnostics=diagnostics, max_q=q)
             assert full.rows.dtype == np.int32 and np.array_equal(full.rows, reference)
             assert {key: getattr(full, key) for key in want} == want
-        summary = exhaustive_scan(p, h, summary_only=True)
+        summary = exhaustive_scan(p, h, summary_only=True, diagnostics=diagnostics, max_q=q)
         assert summary.rows is None
         assert {key: getattr(summary, key) for key in want} == want
         assert (summary.set_equalities is None) == (p <= 3)
