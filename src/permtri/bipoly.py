@@ -271,12 +271,16 @@ def build_curves(params: TrinomialParams) -> CurvePair:
     coefficient must land in GF(q) and is projected there, anything else
     raises.
     """
-    tower = params.tower
-    if tower.p == 2:
+    if params.tower.p == 2:
         raise ValueError("curve construction requires odd characteristic")
+    return _curves_of(params, _collision_poly(params))
+
+
+def _curves_of(params: TrinomialParams, F: BivarPoly) -> CurvePair:
+    """build_curves given F = _collision_poly(params), in odd characteristic."""
+    tower = params.tower
     ctx = tower.fq2
     e = ctx.e
-    F = _collision_poly(params)
     basis = _psi_clear_basis(e)
     G_top = BivarPoly(ctx)
     for (i, j), c in F.terms.items():
@@ -422,10 +426,14 @@ class FactorWitness:
 def four_line_witness(params: TrinomialParams) -> FactorWitness:
     """Try F = -b (X+A)(X+B)(Y+A)(Y+B) with A, B the roots of the quadratic
     a^q b T^2 + a^(2q) T + a b; validated by exact expansion."""
+    return _four_line_of(params, _collision_poly(params))
+
+
+def _four_line_of(params: TrinomialParams, F: BivarPoly) -> FactorWitness:
+    """four_line_witness given F = _collision_poly(params)."""
     ctx = params.tower.fq2
     a, b = params.a, params.b
     aq = frobenius(a)
-    F = _collision_poly(params)
     tq = Poly(ctx, [a * b, aq * aq, aq * b])
     rts = roots(tq)
     if len(rts) < 2:
@@ -453,9 +461,13 @@ def conic_witnesses(params: TrinomialParams) -> FactorWitness:
     -b(XY+A(X+Y)+C)(XY+B(X+Y)+D) and the square shape
     -b(X^2+AX+BY+C)(Y^2+AY+BX+C) by coefficient matching over GF(q^2).
     """
+    return _conic_of(params, _collision_poly(params))
+
+
+def _conic_of(params: TrinomialParams, F: BivarPoly) -> FactorWitness:
+    """conic_witnesses given F = _collision_poly(params)."""
     ctx = params.tower.fq2
     a, b = params.a, params.b
-    F = _collision_poly(params)
     missing_root = False
 
     if params.tower.p > 3:

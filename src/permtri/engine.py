@@ -36,6 +36,10 @@ and then run the rest, the square test over GF(q) or seconda_tris' other
 two equations, only on the pairs where it holds, as the per-pair conds
 functions return early.  There every square-test operand is a function of
 norms, so it lies in GF(q); _sq_ok still checks each one it receives.
+seconda_tris' equation 3b = 3a^q + 1 names one b for each a, the partner
+b*(a) = a^q + 1/3 (_tris_partner): the kernel compares b with it, and
+seconda_tris_pairs lists, from each a's partner, the at most q^2 - 1 pairs
+where the test holds, which a full-row fill scatters into its column.
 seconda and seconda_bis share one equation, a^q + 3ab = 0: classify_bulk
 evaluates it once and hands it to both.  prima_bis' equation counts only
 where v = b a^2 lies in GF(q)*, about one pair in q+1, so its quadratic in
@@ -348,16 +352,29 @@ class ScanEngine:
 
         return _refine(self._seconda_eq(a, b) if eq is None else eq, sq, a)
 
-    def seconda_tris(self, a, b):
+    def _tris_partner(self, a):
+        """b*(a) = a^q + 1/3, the one b with 3b = 3a^q + 1 (p > 3)."""
+        return self.ctx.vadd(self.FROB[a], self.INV[self._k(3)])
+
+    def _tris_rest(self, a):
+        """The rest of seconda_tris at (a, b*(a)): 3a + 2 != 0 and
+        3 a^(q+1) + a + a^q = 0."""
         ctx = self.ctx
-        c2 = ctx.vmul(self._k(3), b) == ctx.vadd(ctx.vmul(self._k(3), self.FROB[a]), self._k(1))
+        c1 = ctx.vadd(ctx.vmul(self._k(3), a), self._k(2)) != 0
+        c3 = ctx.vadd(ctx.vadd(ctx.vmul(self._k(3), self.NORM[a]), a), self.FROB[a]) == 0
+        return c1 & c3
 
-        def rest(a):
-            c1 = ctx.vadd(ctx.vmul(self._k(3), a), self._k(2)) != 0
-            c3 = ctx.vadd(ctx.vadd(ctx.vmul(self._k(3), self.NORM[a]), a), self.FROB[a]) == 0
-            return c1 & c3
+    def seconda_tris(self, a, b):
+        return _refine(b == self._tris_partner(a), self._tris_rest, a)
 
-        return _refine(c2, rest, a)
+    def seconda_tris_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair of GF(q^2)* x GF(q^2)* where seconda_tris holds, in
+        (a_idx, b_idx) order: the (a, b*(a)) with b*(a) != 0 that pass the
+        rest of the test, at most q^2 - 1 of them."""
+        a = np.arange(1, self.n, dtype=np.int64)
+        b = self._tris_partner(a)
+        hold = _refine(b != 0, self._tris_rest, a)
+        return a[hold], b[hold]
 
     def char2(self, a, b):
         ctx = self.ctx

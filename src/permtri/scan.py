@@ -35,18 +35,24 @@ every pair; pair_count is (q^2-1)^2.  Nothing counted reads seconda_tris,
 the one column that varies inside a class.
 
 A full-row exhaustive sweep writes every row of the transversal, then fills
-its (pairs, 10) int32 matrix, allocated once, one pair_grid window of
-_SLICE_PAIRS pairs at a time.  Two invariants name a pair's class:
-k = log a mod (q-1) and the lesser of s = log(a^2 b) and q s mod N.  For w
-in mu_(q+1), (a w^-1)^2 b w^2 = a^2 b and log w is a multiple of q-1;
-conjugation sends a^2 b to (a^2 b)^q and log a to q log a, which is log a
-mod q-1.  Transversal pair k M + i has log(a^2 b) = R[i], so each pair
-gathers the row at k M + pos_R[min(s, q s mod N)] (_class_positions) and
-writes its own a_idx and b_idx; for p > 3 the engine computes each window's
-seconda_tris, which varies inside orbits.  The matrix is output only; the
-report's counts come off the class rows, as a summary's do.  The fill runs
-in the calling thread: it is gathers and one cheap kernel, and in a pool it
-raised peak RSS by the worker's arena.
+its (pairs, 10) int32 matrix, allocated once, in log coordinates.  Two
+invariants name a pair's class: k = log a mod (q-1) and the lesser of
+s = log(a^2 b) and q s mod N.  For w in mu_(q+1), (a w^-1)^2 b w^2 = a^2 b
+and log w is a multiple of q-1; conjugation sends a^2 b to (a^2 b)^q and
+log a to q log a, which is log a mod q-1.  Transversal pair k M + i has
+log(a^2 b) = R[i], so the sweep builds one table C[s] =
+pos_R[min(s mod N, q s mod N)] on 0 <= s < 3N (_class_table), and the pair
+(a, b) gathers the row at k M + C[2 log a + log b] (_class_positions).  The
+fill runs over windows of max(1, _SLICE_PAIRS // N) whole a-rows: each cell
+is one add of 2 log a to the fixed row of log b, one gather from C and one
+add of k M, and a_idx and b_idx are written by broadcasting.  For p > 3 the
+class rows' seconda_tris, the one column that varies inside an orbit, is
+set to 0 first; its equation 3b = 3a^q + 1 names one partner b for each a
+(ScanEngine.seconda_tris_pairs), so at most N ones are scattered after the
+windows.  The matrix is output only; the report's counts come off the class
+rows, as a summary's do.  The fill runs in the calling thread: it is
+gathers and a scatter, and in a pool it raised peak RSS by the worker's
+arena.
 The diagnostics describe every instance in one call of each engine kernel.
 
 Parallelism contract: the slice is the only unit of work.  Where there
@@ -91,7 +97,8 @@ from random import Random
 
 import numpy as np
 
-from .bipoly import conic_witnesses, count_points_off_diag, build_curves, four_line_witness, gcd_degree
+from . import bipoly
+from .bipoly import count_points_off_diag, gcd_degree
 from .conds import ConditionReport, condition_report
 from .engine import ScanEngine
 from .ff import FieldCtx, capped_pow, make_field
@@ -168,14 +175,16 @@ class PairRecord:
 def classify_pair(params: TrinomialParams, diagnostics: bool = False) -> PairRecord:
     """One classification row; with diagnostics, permutation instances also
     get the curve point count (odd characteristic) and the
-    factorisation-pattern witnesses, all through the per-pair bipoly path."""
+    factorisation-pattern witnesses, all through the per-pair bipoly path,
+    from one collision quartic F."""
     verdict = is_pp_mu(params)
     diag = {}
     if diagnostics and verdict.is_pp:
+        F = bipoly._collision_poly(params)
         if params.tower.p != 2:
-            diag["points_off_diag"] = count_points_off_diag(build_curves(params))
-        diag["four_line"] = four_line_witness(params).to_json()
-        diag["conic"] = conic_witnesses(params).to_json()
+            diag["points_off_diag"] = count_points_off_diag(bipoly._curves_of(params, F))
+        diag["four_line"] = bipoly._four_line_of(params, F).to_json()
+        diag["conic"] = bipoly._conic_of(params, F).to_json()
     return PairRecord(
         q=params.q,
         a_idx=params.a.i,
@@ -294,19 +303,17 @@ def _effective_budget(max_q: int | None) -> int:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def pair_grid(n: int, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs lo ... hi-1 (hi: the last pair, if None) of GF(q^2)* x GF(q^2)*
-    (n = q^2), in (a_idx, b_idx) order, as int32 index arrays.  Pair k is
-    (k // (n-1) + 1, k % (n-1) + 1); k counts in int32 from the start of
-    pair lo's a-row, and a window past the last pair raises IndexError."""
-    a = np.arange(1, n, dtype=np.int32)
-    first, start = divmod(lo, n - 1)
-    stop = start + ((n - 1) ** 2 if hi is None else hi) - lo
-    if stop > 1 << 31:
-        raise ValueError(f"a pair_grid window of {stop - start} pairs overflows its int32 count")
-    row, col = np.divmod(np.arange(start, stop, dtype=np.int32), n - 1)
-    col += 1
-    return a[first:][row], col
+def pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of GF(q^2)* x GF(q^2)* (n = q^2), in (a_idx, b_idx) order,
+    as int32 index arrays.  Pair k is (k // (n-1) + 1, k % (n-1) + 1), and k
+    counts in int32: a grid of more than 2^31 pairs raises ValueError."""
+    total = (n - 1) ** 2
+    if total > 1 << 31:
+        raise ValueError(f"a pair_grid of {total} pairs overflows its int32 count")
+    a, b = np.divmod(np.arange(total, dtype=np.int32), n - 1)
+    a += 1
+    b += 1
+    return a, b
 
 
 def _class_reps(q: int) -> np.ndarray:
@@ -322,9 +329,9 @@ def _transversal(ctx: FieldCtx, lo: int, hi: int, reps: np.ndarray) -> tuple[np.
     are the pairs {t, sigma_k(t)} (module docstring), and
     sigma_k(t) = sigma_0(t + 3k) - 3k, so R = _class_reps(q) serves every k:
     pair k M + i is (g^k, g^(k+t)), t = R[i] - 3k mod N, 0 <= k < q-1.  A
-    sweep builds R once and passes it as `reps`.  As in pair_grid, positions
-    count in int32 from pair lo's k-row, and a window past the last pair
-    raises IndexError."""
+    sweep builds R once and passes it as `reps`.  Positions count in int32
+    from pair lo's k-row, and a window past the last pair raises
+    IndexError."""
     N, q, M = ctx.order - 1, math.isqrt(ctx.order), len(reps)
     if not 0 <= lo <= hi <= (q - 1) * M:
         raise IndexError(f"transversal window [{lo}, {hi}) outside its {(q - 1) * M} pairs")
@@ -425,39 +432,52 @@ def _keep(col) -> np.ndarray:
     return np.flatnonzero(col["is_pp"] | col["main_predicate"] | bis)
 
 
-def _class_positions(ctx: FieldCtx, reps: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The position k M + pos_R[min(s, q s mod N)] in the transversal of
-    `reps` (R = _class_reps(q), M = len(R)) of the class of each pair
-    (a, b): k = log a mod (q-1), s = log(a^2 b) mod N, and pos_R the inverse
-    of R (module docstring).  It counts in int32: q s < q^3 < 2^31 up to
-    q = 1290, past the memory of any full grid."""
-    N, q, M = ctx.order - 1, math.isqrt(ctx.order), len(reps)
+def _class_table(q: int, reps: np.ndarray) -> np.ndarray:
+    """C[s] = pos_R[min(s mod N, q s mod N)] for 0 <= s < 3N, N = q^2 - 1,
+    as int32: the position in R = `reps` (_class_reps(q)) of the class of
+    log(a^2 b) = s mod N, indexed by 2 log a + log b without a reduction."""
+    N, M = q * q - 1, len(reps)
     pos_r = np.zeros(N, dtype=np.int32)
     pos_r[reps] = np.arange(M, dtype=np.int32)
-    la = ctx.np_log.take(a)
-    s = (2 * la + ctx.np_log.take(b)) % N
-    return pos_r.take(np.minimum(s, q * s % N)) + la % (q - 1) * M
+    s = np.arange(N, dtype=np.int64)
+    return np.tile(pos_r.take(np.minimum(s, q * s % N)), 3)
+
+
+def _class_positions(ctx: FieldCtx, table: np.ndarray, M: int, lo: int, hi: int) -> np.ndarray:
+    """[i, j]: the position k M + C[2 log a + log b] in the transversal
+    (M pairs a k-row) of the class of the pair (a, b) = (lo + i + 1, j + 1),
+    for the a-rows lo ... hi-1 of the grid: k = log a mod (q-1) and C =
+    `table` (_class_table; module docstring).  It counts in int32:
+    positions stay below (q-1) M < 2^31 up to q = 1625, past the memory of
+    any full grid."""
+    q, la = math.isqrt(ctx.order), ctx.np_log[lo + 1 : hi + 1]
+    pos = table.take(ctx.np_log[None, 1:] + 2 * la[:, None])
+    pos += (la % (q - 1) * M)[:, None]
+    return pos
 
 
 def _grid_rows(engine: ScanEngine, classes: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """The (pairs, 10) int32 rows of the whole grid in (a_idx, b_idx) order.
-    `classes` holds the rows of the transversal of `reps`.  One pair_grid
-    window of _SLICE_PAIRS pairs at a time, each pair gathers its class's
-    row and writes its own a_idx and b_idx; for p > 3 each window's
-    seconda_tris, which is not mu_(q+1)-invariant, comes from the engine.
-    No count is read off these rows (module docstring)."""
-    n = engine.n
-    total = (n - 1) ** 2
-    rows = np.empty((total, len(_ROW_FIELDS)), dtype=np.int32)
+    """The (pairs, 10) int32 rows of the whole grid in (a_idx, b_idx) order,
+    filled window by window of whole a-rows from `classes`, the rows of the
+    transversal of `reps` (for p > 3 its seconda_tris column is set to 0),
+    as the module docstring describes.  No count is read off these rows."""
+    N, M = engine.n - 1, len(reps)
+    rows = np.empty((N * N, len(_ROW_FIELDS)), dtype=np.int32)
+    grid = rows.reshape(N, N, len(_ROW_FIELDS))
+    table = _class_table(engine.q, reps)
     tris = _ROW_FIELDS.index("seconda_tris")
-    for lo in range(0, total, _SLICE_PAIRS):
-        a, b = pair_grid(n, lo, min(lo + _SLICE_PAIRS, total))
-        out = rows[lo : lo + len(a)]
+    if engine.p > 3:  # the one column that varies inside a class
+        classes[:, tris] = 0
+    step = max(1, _SLICE_PAIRS // N)
+    for lo in range(0, N, step):
+        out = grid[lo : lo + step]
         # every position is in range; under mode="raise" take would buffer `out`
-        classes.take(_class_positions(engine.ctx, reps, a, b), axis=0, out=out, mode="clip")
-        out[:, 0], out[:, 1] = a, b
-        if engine.p > 3:
-            out[:, tris] = engine.seconda_tris(a, b)
+        classes.take(_class_positions(engine.ctx, table, M, lo, lo + len(out)), axis=0, out=out, mode="clip")
+        out[:, :, 0] = np.arange(lo + 1, lo + len(out) + 1, dtype=np.int32)[:, None]
+        out[:, :, 1] = np.arange(1, N + 1, dtype=np.int32)
+    if engine.p > 3:
+        a, b = engine.seconda_tris_pairs()
+        rows[(a - 1) * N + b - 1, tris] = 1
     return rows
 
 

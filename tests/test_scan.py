@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from permtri import (
     BudgetExceededError,
     TrinomialParams,
+    check_seconda_tris,
     classify_pair,
     emit_report,
     exhaustive_scan,
+    frobenius,
     main_predicate,
     sampled_scan,
 )
@@ -167,6 +169,52 @@ class TestExhaustive:
         assert {key: getattr(summary, key) for key in want} == want
         assert (summary.set_equalities is None) == (p <= 3)
 
+    @pytest.mark.parametrize(
+        "p,h,seeded", [(5, 1, None), (7, 1, None), (11, 1, None), (13, 1, None), (19, 1, 10_000), (5, 2, 10_000)]
+    )
+    def test_seconda_tris_column_is_the_per_pair_test(self, tower, p, h, seeded):
+        """The full-row seconda_tris column, which the fill scatters from
+        each a's partner b*(a) = a^q + 1/3, against conds.check_seconda_tris
+        on Elems: on every pair at q = 5, 7, 11 and 13, and at q = 19 and 25
+        on every partner pair (found here by Elem arithmetic) and 10^4
+        seeded pairs.  The column holds exactly as many ones as there are
+        partner pairs where the test holds, so no one stands elsewhere."""
+        t = tower(p, h)
+        ctx, n = t.fq2, t.fq2.order
+        rows = exhaustive_scan(p, h, max_q=t.q).rows
+        col = rows[:, CSV_COLUMNS[1:].index("seconda_tris")]
+        third = (3 * ctx.one).inv()
+        partners = [(a, (frobenius(ctx.elem(a)) + third).i) for a in range(1, n)]
+        partners = [(a, b) for a, b in partners if b]
+        held = [(a, b) for a, b in partners if check_seconda_tris(TrinomialParams.from_indices(t, a, b))]
+        assert col.sum() == len(held) > 0
+        if seeded is None:
+            pairs = [(a, b) for a in range(1, n) for b in range(1, n)]
+        else:
+            pairs = partners + list(zip(*(x.tolist() for x in sample_pairs(n, seeded, seed=t.q))))
+        for a, b in pairs:
+            i = (a - 1) * (n - 1) + b - 1
+            assert rows[i, :2].tolist() == [a, b]
+            assert col[i] == check_seconda_tris(TrinomialParams.from_indices(t, a, b))
+
+    @pytest.mark.slow
+    def test_full_row_memory_at_q43(self):
+        """A full-row sweep holds its (pairs, 10) int32 matrix and one window
+        of a-rows at a time.  At q = 43 its traced peak, field build
+        included (make_field has no cache), stays under rows.nbytes +
+        40 MiB, with 1716 permutation pairs and no violation.  Measured:
+        158.9 MiB, of which 130.3 MiB is the rows and 26 MiB the sweep's
+        own GF(43^2) add and mul tables."""
+        tracemalloc.start()
+        try:
+            rep = exhaustive_scan(43, 1, max_q=43)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.equivalence_violations == []
+        assert rep.pp_count == 1716
+        assert peak < rep.rows.nbytes + 40 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
     def test_char2_scan(self, tower):
         rep = exhaustive_scan(2, 2)
         assert rep.pair_count == 225
@@ -210,12 +258,11 @@ class TestExhaustive:
         class Called(Exception):
             pass
 
-        def per_pair(params):
+        def per_pair(*args):
             raise Called
 
-        for module in (scan, bipoly):
-            for name in ("four_line_witness", "conic_witnesses"):
-                monkeypatch.setattr(module, name, per_pair)
+        for name in ("four_line_witness", "conic_witnesses", "_four_line_of", "_conic_of"):
+            monkeypatch.setattr(bipoly, name, per_pair)
         rep = exhaustive_scan(5, 2, diagnostics=True, summary_only=True)
         assert len(rep.diagnostics) == rep.pp_count == 546
         rep = exhaustive_scan(2, 3, diagnostics=True, summary_only=True)  # p = 2 too
@@ -363,22 +410,30 @@ class TestOrbits:
     @pytest.mark.parametrize("p,h", _ORBIT_FIELDS + [(11, 1), (13, 1), (2, 4)])
     def test_class_positions_name_each_pairs_class(self, tower, p, h):
         """At every prime power q <= 16, the transversal pair that
-        _class_positions names for a grid pair (a, b) is (a w^-1, b w^2) or
-        (a^q w^-1, b^q w^2) for some w in mu_(q+1), checked by scalar
-        arithmetic: k = log a mod (q-1) and log(a^2 b) are fixed by w, and
-        conjugation fixes the first and multiplies the second by q."""
+        _class_positions names for a grid pair (a, b), through the table of
+        _class_table, is (a w^-1, b w^2) or (a^q w^-1, b^q w^2) for some w
+        in mu_(q+1), checked by scalar arithmetic: k = log a mod (q-1) and
+        log(a^2 b) are fixed by w, and conjugation fixes the first and
+        multiplies the second by q.  A window of a-rows gets those rows of
+        the whole grid's positions."""
         t = tower(p, h)
-        ctx, q = t.fq2, t.q
+        ctx, q, N = t.fq2, t.q, t.fq2.order - 1
         transversal = _scalar_transversal(ctx, q)
+        reps = scan._class_reps(q)
+        table = scan._class_table(q, reps)
+        assert table.dtype == np.int32 and table.shape == (3 * N,)
+        pos = scan._class_positions(ctx, table, len(reps), 0, N)
+        assert pos.dtype == np.int32 and pos.shape == (N, N)
         a, b = pair_grid(ctx.order)
-        pos = scan._class_positions(ctx, scan._class_reps(q), a, b)
-        for x, y, i in zip(a.tolist(), b.tolist(), pos.tolist()):
+        for x, y, i in zip(a.tolist(), b.tolist(), pos.ravel().tolist()):
             tx, ty = transversal[i]
             images = []
             for cx, cy in ((x, y), (ctx._frob[x], ctx._frob[y])):
                 w = ctx.mul_i(cx, ctx.inv_i(tx))  # tx = cx w^-1
                 images.append(ctx.pow_i(w, q + 1) == 1 and ty == ctx.mul_i(cy, ctx.pow_i(w, 2)))
             assert any(images), ((x, y), (tx, ty))
+        for lo, hi in ((0, 1), (1, min(3, N)), (N - 1, N), (0, N)):
+            assert np.array_equal(scan._class_positions(ctx, table, len(reps), lo, hi), pos[lo:hi])
 
 
 class TestSampled:
@@ -477,9 +532,6 @@ class TestSampled:
         a, b = pair_grid(16)
         assert a.dtype == b.dtype == np.int32
         assert list(zip(a.tolist(), b.tolist())) == [(x, y) for x in range(1, 16) for y in range(1, 16)]
-        a, b = pair_grid(16, 29, 32)  # a window by position: pairs 29, 30 and 31
-        assert a.dtype == b.dtype == np.int32
-        assert list(zip(a.tolist(), b.tolist())) == [(2, 15), (3, 1), (3, 2)]
 
     def test_large_field_sample_has_no_violations(self, tower):
         rep = sampled_scan(7, 2, 100_000, seed=7, summary_only=True)
@@ -490,23 +542,11 @@ class TestSampled:
 class TestPairSource:
     @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_pair_grid_windows(self, tower, p, h):
-        """A window of pair_grid is that slice of the whole grid: empty, one
-        pair, across an a-row, to the end and whole.  A window past the last
-        pair raises IndexError."""
-        t = tower(p, h)
-        n, m = t.fq2.order, t.fq2.order - 1
-        whole = pair_grid(n)
-        total = m * m
-        assert list(zip(*(w.tolist() for w in whole))) == [(x, y) for x in range(1, n) for y in range(1, n)]
-        windows = [(0, 0), (m, m), (total, total), (0, 1), (m - 1, m), (m, m + 1), (total - 1, total)]
-        windows += [(m - 1, m + 1), (1, 2 * m + 3), (m + 1, None), (0, total)]
-        for lo, hi in windows:
-            a, b = pair_grid(n, lo, hi)
-            assert a.dtype == b.dtype == np.int32
-            assert np.array_equal(a, whole[0][lo:hi]) and np.array_equal(b, whole[1][lo:hi])
-        for lo in (0, m + 1, total - 1, total):
-            with pytest.raises(IndexError):
-                pair_grid(n, lo, total + 1)
+        """pair_grid is the whole grid, in (a_idx, b_idx) order, as int32."""
+        n = tower(p, h).fq2.order
+        a, b = pair_grid(n)
+        assert a.dtype == b.dtype == np.int32
+        assert list(zip(a.tolist(), b.tolist())) == [(x, y) for x in range(1, n) for y in range(1, n)]
 
     @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_transversal_windows(self, tower, p, h):
@@ -534,12 +574,9 @@ class TestPairSource:
                 scan._transversal(ctx, lo, hi, reps)
 
     def test_pair_grid_windows_past_int32(self):
-        """Past 2^31 pairs a window still counts in int32 from its first
-        a-row; a window too long for that is refused before it is built."""
+        """A grid of more than 2^31 pairs, which pair_grid could not count in
+        int32, is refused before it is built."""
         n = 50_000  # (n-1)^2 > 2^31 pairs
-        a, b = pair_grid(n, (n - 1) ** 2 - 3)
-        assert a.dtype == b.dtype == np.int32
-        assert list(zip(a.tolist(), b.tolist())) == [(n - 1, n - 3), (n - 1, n - 2), (n - 1, n - 1)]
         with pytest.raises(ValueError, match="overflows its int32 count"):
             pair_grid(n)
 
@@ -565,39 +602,44 @@ class TestPairSource:
         windows are [k step, min((k+1) step, count)) with
         step = min(_SLICE_PAIRS, ceil(count / threads)).  It builds its
         table R once and hands the same one to every window.  A full-row
-        sweep then asks pair_grid for the windows
-        [k _SLICE_PAIRS, min((k+1) _SLICE_PAIRS, pairs)) in order, from the
-        calling thread, at any thread count; a summary never asks it."""
-        windows = {"_transversal": [], "pair_grid": []}
-        tables, callers = set(), set()
+        sweep then asks _class_positions for the a-row windows
+        [k rows, min((k+1) rows, N)), rows = max(1, _SLICE_PAIRS // N) and
+        N = q^2 - 1, in order, from the calling thread, at any thread count,
+        with one class-position table; a summary never asks it."""
+        windows = {"_transversal": [], "_class_positions": []}
+        tables = {name: set() for name in windows}
+        callers = set()
+        transversal, positions = scan._transversal, scan._class_positions
 
-        def spy(name):
-            source = getattr(scan, name)
+        def transversal_spy(ctx, lo, hi, reps):
+            a, b = transversal(ctx, lo, hi, reps=reps)
+            windows["_transversal"].append((lo, lo + len(a)))
+            tables["_transversal"].add(id(reps))
+            return a, b
 
-            def window(head, lo, hi, **kw):  # head: the ctx or n the source is bound to
-                a, b = source(head, lo, hi, **kw)
-                windows[name].append((lo, lo + len(a)))
-                tables.update(id(r) for r in kw.values())
-                if name == "pair_grid":
-                    callers.add(threading.get_ident())
-                return a, b
+        def positions_spy(ctx, table, M, lo, hi):
+            pos = positions(ctx, table, M, lo, hi)
+            windows["_class_positions"].append((lo, lo + len(pos)))
+            tables["_class_positions"].add(id(table))
+            callers.add(threading.get_ident())
+            return pos
 
-            return window
-
-        for name in windows:
-            monkeypatch.setattr(scan, name, spy(name))
-        count, total = _class_pair_count(7), 48 * 48
-        for slice_pairs in (40, 1 << 15):  # at 2^15, the threads set the step
+        monkeypatch.setattr(scan, "_transversal", transversal_spy)
+        monkeypatch.setattr(scan, "_class_positions", positions_spy)
+        count, N = _class_pair_count(7), 48
+        for slice_pairs in (40, 5 * N, 1 << 15):  # one a-row, five, all; at 2^15 the threads set the step
             monkeypatch.setattr(scan, "_SLICE_PAIRS", slice_pairs)
-            for seen in (*windows.values(), tables, callers):
+            for seen in (*windows.values(), *tables.values(), callers):
                 seen.clear()
             rep = exhaustive_scan(7, 1, threads=threads, summary_only=summary_only)
-            assert rep.pair_count == total
-            assert len(tables) == 1
+            assert rep.pair_count == N * N
+            assert len(tables["_transversal"]) == 1
             step = min(slice_pairs, -(-count // threads))
             assert sorted(windows["_transversal"]) == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
-            fill = range(0, 0 if summary_only else total, slice_pairs)
-            assert windows["pair_grid"] == [(lo, min(lo + slice_pairs, total)) for lo in fill]
+            rows = max(1, slice_pairs // N)
+            fill = range(0, 0 if summary_only else N, rows)
+            assert windows["_class_positions"] == [(lo, min(lo + rows, N)) for lo in fill]
+            assert len(tables["_class_positions"]) == (0 if summary_only else 1)
             assert callers == (set() if summary_only else {threading.get_ident()})
 
 
