@@ -75,9 +75,11 @@ def _mismatches(eng: ScanEngine, kernel, a, b, spot: int, seed: int, reference) 
 
 def crit_closed_form_core(max_q: int):
     """Exhaustive verdict-vs-criterion agreement at q in {5, 7, 11, 13}:
-    a summary exhaustive_scan, which classifies one pair per class of
-    mu_(q+1) and the q-power map (the class's pairs share the verdict and
-    the criterion) and counts violations and instances over every pair."""
+    a summary exhaustive_scan, which classifies one pair per class of the
+    group that mu_(q+1) and x -> x^p generate (the class's pairs share the
+    verdict and the criterion; at these prime q, x^p is the q-power map and
+    (q-1)^2 (q+2) / 2 pairs are classified) and counts violations and
+    instances over every pair."""
 
     def check(p, h):
         rep = exhaustive_scan(p, h, summary_only=True, max_q=max_q)
@@ -89,7 +91,8 @@ def crit_closed_form_core(max_q: int):
 
 def crit_closed_form_extended(max_q: int):
     """Same at q in {17, 19, 23, 25}, plus 29..43 when the bound allows,
-    again one pair per class of mu_(q+1) and the q-power map."""
+    again one pair per class of mu_(q+1) and x -> x^p: 3 896 pairs at
+    q = 25 = 5^2, where the Frobenius halves the q-power map's 7 776."""
 
     def check(p, h):
         rep = exhaustive_scan(p, h, summary_only=True, max_q=max_q)

@@ -20,32 +20,40 @@ slices the sorted pairs sample_pairs drew; a full-row one allocates its
 (pairs, 10) int32 row matrix once and each slice writes its own range.
 
 An exhaustive sweep classifies one pair per class of the group that
-mu_(q+1) and the q-power map generate, the transversal of _transversal.
-X -> cX takes f_(a,b) to c f_(a w^-1, b w^2) with w = c^(q-1) in mu_(q+1),
-so the q+1 pairs of an orbit share every column but seconda_tris; and
-f_(a^q,b^q)(X^q) = f_(a,b)(X)^q, so (a^q, b^q) permutes exactly when (a, b)
-does, and shares the criteria and the gcd degree.  With N = q^2 - 1, w in
-mu_(q+1) takes the conjugate of (g^k, g^(k+t)) to its twin
-(g^k, g^(k+sigma_k(t))), sigma_k(t) = q t + 3(q-1)k mod N, an involution
-fixing the q-1 values t = -3k mod (q+1).  Every exhaustive sweep counts
-off its class rows: after the merge it copies each kept row whose t sigma_k
-moves to its twin, and each row then to every pair of its orbit, in
-(a_idx, b_idx) order, so the counts read off them are those of classifying
-every pair; pair_count is (q^2-1)^2.  Nothing counted reads seconda_tris,
-the one column that varies inside a class.
+mu_(q+1) and the Frobenius x -> x^p generate.  X -> cX takes f_(a,b) to
+c f_(a w^-1, b w^2) with w = c^(q-1) in mu_(q+1), so the q+1 pairs of an
+orbit share every column but seconda_tris; and f_(a^p,b^p)(X^p) =
+f_(a,b)(X)^p, so (a^p, b^p) permutes exactly when (a, b) does, and shares
+the criteria and the gcd degree.  With N = q^2 - 1, two numbers name a
+pair's orbit: k = log a mod (q-1) and s = log(a^2 b) mod N, since
+(a w^-1)^2 b w^2 = a^2 b and log w is a multiple of q-1.  The Frobenius
+sends (k, s) to (p k mod (q-1), p s mod N), so the classes are the orbits of
+<p>, of order 2h (q = p^h), on Z/(q-1) x Z/N, and the pair (g^k, g^(s-2k))
+of least key k N + s stands for its class.  Its k is least in its
+<p>-orbit on Z/(q-1), and its s is least in its orbit under k's stabiliser
+<p^d> (d divides h, as p^h = q fixes every k).  So _classes builds one int32
+list of representatives s per stabiliser, O(N) entries each, and
+_transversal hands out windows of the pairs, k-row by k-row, from those
+lists without listing them.  At h = 1, <p> = {1, q}: the classes are those
+of mu_(q+1) and the q-power map, (q-1)^2 (q+2) / 2 pairs.  Past it the
+sweep classifies about 1/h as many: 83 pairs at q = 8, 178 at 9, 509 at 16,
+3 896 at 25 and 3 274 at 27.  Every exhaustive sweep counts off its class
+rows: after the merge it copies each kept row to its distinct images
+(a^(p^j), b^(p^j)), one per orbit of its class (_frobenius_images), and each
+row then to every pair of its orbit, in (a_idx, b_idx) order, so the counts
+read off them are those of classifying every pair; pair_count is
+(q^2-1)^2.  Nothing counted reads seconda_tris, the one column that varies
+inside a class.
 
 A full-row exhaustive sweep writes every row of the transversal, then fills
-its (pairs, 10) int32 matrix, allocated once, in log coordinates.  Two
-invariants name a pair's class: k = log a mod (q-1) and the lesser of
-s = log(a^2 b) and q s mod N.  For w in mu_(q+1), (a w^-1)^2 b w^2 = a^2 b
-and log w is a multiple of q-1; conjugation sends a^2 b to (a^2 b)^q and
-log a to q log a, which is log a mod q-1.  Transversal pair k M + i has
-log(a^2 b) = R[i], so the sweep builds one table C[s] =
-pos_R[min(s mod N, q s mod N)] on 0 <= s < 3N (_class_table), and the pair
-(a, b) gathers the row at k M + C[2 log a + log b] (_class_positions).  The
-fill runs over windows of max(1, _SLICE_PAIRS // N) whole a-rows: each cell
-is one add of 2 log a to the fixed row of log b, one gather from C and one
-add of k M, and a_idx and b_idx are written by broadcasting.  For p > 3 the
+its (pairs, 10) int32 matrix, allocated once, in log coordinates.  It builds
+one table T of (q-1) 3N int32 class positions (_class_table; 0.9 MiB at
+q = 43): T[k 3N + s] is the position of the class of the pairs with
+log a = k mod (q-1) and log(a^2 b) = s mod N, and the pair (a, b) gathers
+the row at T[(log a mod (q-1)) 3N + 2 log a + log b] (_class_positions).
+The fill runs over windows of max(1, _SLICE_PAIRS // N) whole a-rows: each
+cell is one add of its a-row's offset to the fixed row of log b and one
+gather from T, and a_idx and b_idx are written by broadcasting.  For p > 3 the
 class rows' seconda_tris, the one column that varies inside an orbit, is
 set to 0 first; its equation 3b = 3a^q + 1 names one partner b for each a
 (ScanEngine.seconda_tris_pairs), so at most N ones are scattered after the
@@ -316,46 +324,83 @@ def pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _class_reps(q: int) -> np.ndarray:
-    """R = {s in [0, N) : s <= q s mod N}, N = q^2 - 1, as int32: the lesser
-    member of each class {s, sigma_0(s)}, M = (N + q - 1) / 2 of them."""
-    s = np.arange(q * q - 1, dtype=np.int64)
-    return s[s <= s * q % (q * q - 1)].astype(np.int32)
+@dataclass(frozen=True)
+class _Classes:
+    """One pair per class of the group that mu_(q+1) and x -> x^p generate
+    (module docstring), laid out in k-rows without listing the pairs.
+    k-row r holds the pairs start[r] ... start[r+1]-1: (g^k, g^(s - 2k)) with
+    k = k[r] and s = reps[base[r] + i], the i-th entry of the list of its
+    stabiliser.  `powers` are p^j mod N, 0 <= j < 2h."""
+
+    q: int
+    powers: np.ndarray  # int64
+    k: np.ndarray  # int32, least in its <p>-orbit on Z/(q-1), ascending
+    start: np.ndarray  # int64, len(k) + 1 entries, the last the pair count
+    base: np.ndarray  # int64
+    reps: np.ndarray  # int32, one list per stabiliser <p^d>, concatenated
 
 
-def _transversal(ctx: FieldCtx, lo: int, hi: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs lo ... hi-1 of one pair per class of mu_(q+1) and the q-power
-    map, as int32 index arrays.  In the coset g^k mu_(q+1) of a the classes
-    are the pairs {t, sigma_k(t)} (module docstring), and
-    sigma_k(t) = sigma_0(t + 3k) - 3k, so R = _class_reps(q) serves every k:
-    pair k M + i is (g^k, g^(k+t)), t = R[i] - 3k mod N, 0 <= k < q-1.  A
-    sweep builds R once and passes it as `reps`.  Positions count in int32
-    from pair lo's k-row, and a window past the last pair raises
-    IndexError."""
-    N, q, M = ctx.order - 1, math.isqrt(ctx.order), len(reps)
-    if not 0 <= lo <= hi <= (q - 1) * M:
-        raise IndexError(f"transversal window [{lo}, {hi}) outside its {(q - 1) * M} pairs")
-    first, start = divmod(lo, M)
-    if start + hi - lo > 1 << 31:
+def _classes(tower) -> _Classes:
+    """The classes of the tower's GF(q^2)* x GF(q^2)*: the k-rows are the k
+    least in their <p>-orbit on Z/(q-1), and the list of the stabiliser
+    <p^d> of k holds each s in [0, N) least in its <p^d>-orbit on Z/N."""
+    q, N = tower.q, tower.q * tower.q - 1
+    powers = np.array([pow(tower.p, j, N) for j in range(2 * tower.h)], dtype=np.int64)
+    k = np.arange(q - 1, dtype=np.int64)
+    images = k[:, None] * powers % (q - 1)
+    k = k[images.min(axis=1) == k]
+    d = (images[k, 1:] == k[:, None]).argmax(axis=1) + 1  # p^h = q fixes every k
+    s, lists = np.arange(N, dtype=np.int64), {}
+    for stab in sorted(set(d.tolist())):
+        least = np.ones(N, dtype=bool)
+        for m in powers[stab::stab]:
+            least &= s <= s * m % N
+        lists[stab] = s[least].astype(np.int32)
+    offsets = dict(zip(lists, np.cumsum([0] + [len(x) for x in lists.values()]).tolist()))
+    return _Classes(
+        q=q,
+        powers=powers,
+        k=k.astype(np.int32),
+        start=np.cumsum([0] + [len(lists[x]) for x in d.tolist()], dtype=np.int64),
+        base=np.array([offsets[x] for x in d.tolist()], dtype=np.int64),
+        reps=np.concatenate(list(lists.values())),
+    )
+
+
+def _transversal(ctx: FieldCtx, lo: int, hi: int, classes: _Classes) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs lo ... hi-1 of `classes`, one pair per class of mu_(q+1) and
+    x -> x^p, as int32 index arrays: (g^k, g^(s - 2k)) for each k-row and
+    each s of its list.  A sweep builds `classes` once and hands it to every
+    window.  Positions count in int32 from pair lo's k-row, and a window
+    past the last pair raises IndexError."""
+    N, start = ctx.order - 1, classes.start
+    if not 0 <= lo <= hi <= start[-1]:
+        raise IndexError(f"transversal window [{lo}, {hi}) outside its {start[-1]} pairs")
+    first, last = np.searchsorted(start, lo, "right") - 1, np.searchsorted(start, hi)
+    offset = int(start[first])
+    if hi - offset > 1 << 31:
         raise ValueError(f"a transversal window of {hi - lo} pairs overflows its int32 count")
-    k, i = np.divmod(np.arange(start, start + hi - lo, dtype=np.int32), M)
-    k += first
-    e = reps.take(i)  # k + t = R[i] - 2k mod N, and 2k < N: index R[i] - 2k + N of exp2
+    lengths = np.diff(np.clip(start[first : last + 1], lo, hi))
+    k = np.repeat(classes.k[first:last], lengths)
+    i = np.arange(lo - offset, hi - offset, dtype=np.int32)
+    i -= np.repeat((start[first:last] - offset - classes.base[first:last]).astype(np.int32), lengths)
+    e = classes.reps.take(i)  # s - 2k mod N, and 2k < N: index s - 2k + N of exp2
     e += N
     e -= k
     e -= k
     return ctx.np_exp2.take(k), ctx.np_exp2.take(e)
 
 
-def _twins(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions of the transversal pairs (g^k, g^(k+t)) whose t
-    sigma_k moves, and the b = g^(k+sigma_k(t)) of each one's twin:
-    k + sigma_k(t) = q (k + t) + 2(q-1)k mod N."""
-    ctx, q, N = engine.ctx, engine.q, engine.n - 1
-    k, lb = ctx.np_log[a].astype(np.int64), ctx.np_log[b].astype(np.int64)
-    twin = (q * lb + 2 * (q - 1) * k) % N
-    moved = np.flatnonzero(twin != lb)
-    return moved, ctx.np_exp2[twin[moved]]
+def _frobenius_images(ctx: FieldCtx, powers: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The images (a^m, b^m), m in `powers`, of each pair (a, b), one per
+    mu_(q+1) orbit they meet (the key (log a mod (q-1), log(a^2 b)) names
+    it): the position in (a, b) of each one's pair, and its a and b."""
+    N = ctx.order - 1
+    la = ctx.np_log.take(a).astype(np.int64)[:, None] * powers % N
+    lb = ctx.np_log.take(b).astype(np.int64)[:, None] * powers % N
+    key = la % (math.isqrt(ctx.order) - 1) * N + (2 * la + lb) % N
+    first = np.unique(key, return_index=True)[1]
+    return first // len(powers), ctx.np_exp2.take(la.ravel()[first]), ctx.np_exp2.take(lb.ravel()[first])
 
 
 def _orbit_members(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -432,64 +477,72 @@ def _keep(col) -> np.ndarray:
     return np.flatnonzero(col["is_pp"] | col["main_predicate"] | bis)
 
 
-def _class_table(q: int, reps: np.ndarray) -> np.ndarray:
-    """C[s] = pos_R[min(s mod N, q s mod N)] for 0 <= s < 3N, N = q^2 - 1,
-    as int32: the position in R = `reps` (_class_reps(q)) of the class of
-    log(a^2 b) = s mod N, indexed by 2 log a + log b without a reduction."""
-    N, M = q * q - 1, len(reps)
-    pos_r = np.zeros(N, dtype=np.int32)
-    pos_r[reps] = np.arange(M, dtype=np.int32)
+def _class_table(classes: _Classes) -> np.ndarray:
+    """T[k 3N + s], 0 <= k < q-1 and 0 <= s < 3N, N = q^2 - 1, as int32:
+    the position in `classes` of the class of the pairs with
+    log a = k mod (q-1) and log(a^2 b) = s mod N, indexed by
+    (log a mod (q-1)) 3N + 2 log a + log b without a reduction.  The powers
+    p^j that take k to the least of its orbit take s to its k-row; the least
+    of those images is the s that k-row lists."""
+    q, powers = classes.q, classes.powers
+    N = q * q - 1
     s = np.arange(N, dtype=np.int64)
-    return np.tile(pos_r.take(np.minimum(s, q * s % N)), 3)
+    table, row_pos = np.empty((q - 1, N), dtype=np.int32), {}
+    for k in range(q - 1):
+        images = k * powers % (q - 1)
+        r = np.searchsorted(classes.k, images.min())
+        hit = tuple(np.flatnonzero(images == images.min()).tolist())  # it fixes the stabiliser, so the list
+        if hit not in row_pos:
+            listed = classes.reps[classes.base[r] : classes.base[r] + classes.start[r + 1] - classes.start[r]]
+            row_pos[hit] = np.searchsorted(listed, (s * powers[list(hit), None] % N).min(axis=0))
+        table[k] = row_pos[hit] + classes.start[r]
+    return np.tile(table, 3).ravel()
 
 
-def _class_positions(ctx: FieldCtx, table: np.ndarray, M: int, lo: int, hi: int) -> np.ndarray:
-    """[i, j]: the position k M + C[2 log a + log b] in the transversal
-    (M pairs a k-row) of the class of the pair (a, b) = (lo + i + 1, j + 1),
-    for the a-rows lo ... hi-1 of the grid: k = log a mod (q-1) and C =
-    `table` (_class_table; module docstring).  It counts in int32:
-    positions stay below (q-1) M < 2^31 up to q = 1625, past the memory of
-    any full grid."""
-    q, la = math.isqrt(ctx.order), ctx.np_log[lo + 1 : hi + 1]
-    pos = table.take(ctx.np_log[None, 1:] + 2 * la[:, None])
-    pos += (la % (q - 1) * M)[:, None]
-    return pos
+def _class_positions(ctx: FieldCtx, table: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """[i, j]: the position T[(log a mod (q-1)) 3N + 2 log a + log b] in the
+    transversal of the class of the pair (a, b) = (lo + i + 1, j + 1), for
+    the a-rows lo ... hi-1 of the grid, with T = `table` (_class_table).  It
+    counts in int32: indices stay below (q-1) 3N < 2^31 up to q = 894, past
+    the memory of any full grid."""
+    N, la = ctx.order - 1, ctx.np_log[lo + 1 : hi + 1]
+    return table.take(ctx.np_log[None, 1:] + (la % (math.isqrt(ctx.order) - 1) * 3 * N + 2 * la)[:, None])
 
 
-def _grid_rows(engine: ScanEngine, classes: np.ndarray, reps: np.ndarray) -> np.ndarray:
+def _grid_rows(engine: ScanEngine, rows: np.ndarray, classes: _Classes) -> np.ndarray:
     """The (pairs, 10) int32 rows of the whole grid in (a_idx, b_idx) order,
-    filled window by window of whole a-rows from `classes`, the rows of the
-    transversal of `reps` (for p > 3 its seconda_tris column is set to 0),
-    as the module docstring describes.  No count is read off these rows."""
-    N, M = engine.n - 1, len(reps)
-    rows = np.empty((N * N, len(_ROW_FIELDS)), dtype=np.int32)
-    grid = rows.reshape(N, N, len(_ROW_FIELDS))
-    table = _class_table(engine.q, reps)
+    filled window by window of whole a-rows from `rows`, the rows of the
+    pairs of `classes` (for p > 3 its seconda_tris column is set to 0), as
+    the module docstring describes.  No count is read off these rows."""
+    N = engine.n - 1
+    grid_rows = np.empty((N * N, len(_ROW_FIELDS)), dtype=np.int32)
+    grid = grid_rows.reshape(N, N, len(_ROW_FIELDS))
+    table = _class_table(classes)
     tris = _ROW_FIELDS.index("seconda_tris")
     if engine.p > 3:  # the one column that varies inside a class
-        classes[:, tris] = 0
+        rows[:, tris] = 0
     step = max(1, _SLICE_PAIRS // N)
     for lo in range(0, N, step):
         out = grid[lo : lo + step]
         # every position is in range; under mode="raise" take would buffer `out`
-        classes.take(_class_positions(engine.ctx, table, M, lo, lo + len(out)), axis=0, out=out, mode="clip")
+        rows.take(_class_positions(engine.ctx, table, lo, lo + len(out)), axis=0, out=out, mode="clip")
         out[:, :, 0] = np.arange(lo + 1, lo + len(out) + 1, dtype=np.int32)[:, None]
         out[:, :, 1] = np.arange(1, N + 1, dtype=np.int32)
     if engine.p > 3:
         a, b = engine.seconda_tris_pairs()
-        rows[(a - 1) * N + b - 1, tris] = 1
-    return rows
+        grid_rows[(a - 1) * N + b - 1, tris] = 1
+    return grid_rows
 
 
-def _sweep(tower, count, pairs, t0, threads, summary_only, diagnostics, samples=None, seed=None, reps=None) -> ScanReport:
+def _sweep(tower, count, pairs, t0, threads, summary_only, diagnostics, samples=None, seed=None, classes=None) -> ScanReport:
     """Classify the `count` pairs that pairs(lo, hi) gives, slice by slice,
     and aggregate them into a report.  A sampled sweep's come sorted; an
-    exhaustive sweep's (given `reps`) are the transversal of `reps`, one
-    pair per class of mu_(q+1) and the q-power map.  An exhaustive sweep,
-    full-row or summary, copies its kept rows to their twins and then to
-    every pair of their orbits and reads every count off those; a full-row
-    one also gives every pair of the grid its class's row (_grid_rows)."""
-    mode = "sampled" if reps is None else "exhaustive"
+    exhaustive sweep's (given `classes`) are one pair per class of mu_(q+1)
+    and x -> x^p.  An exhaustive sweep, full-row or summary, copies its kept
+    rows to their distinct Frobenius images and then to every pair of their
+    orbits and reads every count off those; a full-row one also gives every
+    pair of the grid its class's row (_grid_rows)."""
+    mode = "sampled" if classes is None else "exhaustive"
     engine = ScanEngine(tower)
     rows = None if summary_only else np.empty((count, len(_ROW_FIELDS)), dtype=np.int32)
     step = max(1, min(_SLICE_PAIRS, -(-count // threads)))
@@ -519,13 +572,12 @@ def _sweep(tower, count, pairs, t0, threads, summary_only, diagnostics, samples=
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(kept_rows, starts))
     if mode == "exhaustive" and rows is not None:  # `rows` holds the classes' rows
-        rows = _grid_rows(engine, rows, reps)
+        rows = _grid_rows(engine, rows, classes)
     kept = np.concatenate([np.empty((0, len(_ROW_FIELDS)), np.int32), *parts])
     if mode == "exhaustive":  # each kept row stands for its class
-        moved, twin_b = _twins(engine, kept[:, 0], kept[:, 1])
-        twins = kept[moved]
-        twins[:, 1] = twin_b
-        kept = np.concatenate([kept, twins])
+        src, a_idx, b_idx = _frobenius_images(engine.ctx, classes.powers, kept[:, 0], kept[:, 1])
+        kept = kept[src]
+        kept[:, 0], kept[:, 1] = a_idx, b_idx
         a_idx, b_idx, src = _orbit_members(engine, kept[:, 0], kept[:, 1])
         kept = kept[src]
         kept[:, 0], kept[:, 1] = a_idx, b_idx
@@ -585,11 +637,13 @@ def exhaustive_scan(
 ) -> ScanReport:
     """Classify every pair (a, b) in GF(q^2)* x GF(q^2)*.
 
-    Both modes classify (q-1)^2 (q+2) / 2 pairs, one per class of
-    mu_(q+1) and the q-power map, about half the (q-1)(q^2-1) mu_(q+1)
-    orbits: the conjugate (a^q, b^q) permutes exactly when (a, b) does.
-    Both copy each kept row to its twin and to their orbits, so the counts,
-    violations and diagnostics cover every pair.  A full-row sweep also
+    Both modes classify one pair per class of the group that mu_(q+1) and
+    x -> x^p generate, since (a^p, b^p) permutes exactly when (a, b) does:
+    about 1/(2h) of the (q-1)(q^2-1) mu_(q+1) orbits at q = p^h, and
+    (q-1)^2 (q+2) / 2 pairs at h = 1 (3 896 at q = 25, where the q-power
+    map alone leaves 7 776).  Both copy each kept row to its distinct
+    Frobenius images and to their orbits, so the counts, violations and
+    diagnostics cover every pair.  A full-row sweep also
     gives every pair its class's row, with its own indices and (p > 3) its
     own seconda_tris.
 
@@ -607,9 +661,9 @@ def exhaustive_scan(
             "use sampled_scan (or raise the budget)"
         )
     tower = make_field(p, h)
-    reps = _class_reps(tower.q)
-    count, pairs = (tower.q - 1) * len(reps), partial(_transversal, tower.fq2, reps=reps)
-    return _sweep(tower, count, pairs, t0, threads, summary_only, diagnostics, reps=reps)
+    classes = _classes(tower)
+    count, pairs = int(classes.start[-1]), partial(_transversal, tower.fq2, classes=classes)
+    return _sweep(tower, count, pairs, t0, threads, summary_only, diagnostics, classes=classes)
 
 
 def sampled_scan(

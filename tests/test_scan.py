@@ -26,6 +26,7 @@ from permtri import (
     sampled_scan,
 )
 from permtri import bipoly, scan
+from permtri.acceptance import _tower
 from permtri.engine import ScanEngine
 from permtri.ff import mu_set
 from permtri.scan import (
@@ -215,6 +216,24 @@ class TestExhaustive:
         assert rep.pp_count == 1716
         assert peak < rep.rows.nbytes + 40 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
+    @pytest.mark.slow
+    def test_orbit_sweep_memory_at_q199(self):
+        """The orbit sweep holds one slice of its pairs at a time: each
+        window of _transversal comes from O(q^2) lists of class
+        representatives, and no sweep lists the pairs it classifies.  At
+        q = 199 its traced peak, field build included (make_field has no
+        cache), stays under 32 MiB, with 39000 permutation pairs and no
+        violation."""
+        tracemalloc.start()
+        try:
+            rep = exhaustive_scan(199, 1, summary_only=True, max_q=199)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.equivalence_violations == []
+        assert rep.pp_count == 39000
+        assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
     def test_char2_scan(self, tower):
         rep = exhaustive_scan(2, 2)
         assert rep.pair_count == 225
@@ -269,95 +288,113 @@ class TestExhaustive:
         assert len(rep.diagnostics) == rep.pp_count == 63
 
 
-def _class_pair_count(q):
-    """(q-1)^2 (q+2) / 2: the classes of mu_(q+1) and the q-power map."""
-    return (q - 1) ** 2 * (q + 2) // 2
-
-
-def _whole_transversal(t):
-    """Every pair of scan._transversal, one per class of mu_(q+1) and the q-power map."""
-    return scan._transversal(t.fq2, 0, _class_pair_count(t.q), scan._class_reps(t.q))
-
-
 def _scalar_orbit(ctx, a, b):
     """{(a w^-1, b w^2) : w in mu_(q+1)}, by scalar arithmetic."""
     return {(ctx.mul_i(a, ctx.inv_i(w.i)), ctx.mul_i(b, ctx.mul_i(w.i, w.i))) for w in mu_set(ctx)}
 
 
-def _scalar_class(ctx, q, a, b):
-    """The orbit of (a, b) joined with the orbit of (a^q, b^q), by scalar
-    arithmetic: the class of the group that mu_(q+1) and the q-power map
-    generate, since x -> x^q is an involution that maps orbits to orbits."""
-    return _scalar_orbit(ctx, a, b) | _scalar_orbit(ctx, ctx.pow_i(a, q), ctx.pow_i(b, q))
+def _scalar_class(ctx, p, a, b):
+    """The mu_(q+1) orbits of the images (a^(p^j), b^(p^j)), 0 <= j < 2h,
+    by scalar arithmetic: the class of (a, b) under the group that
+    mu_(q+1) and x -> x^p generate, since x -> x^p maps orbits to orbits
+    and has order 2h on GF(q^2)."""
+    members, m = set(), 1
+    while m < ctx.order:
+        members |= _scalar_orbit(ctx, ctx.pow_i(a, m), ctx.pow_i(b, m))
+        m *= p
+    return members
 
 
-def _scalar_transversal(ctx, q):
-    """The transversal's pairs by scalar arithmetic: for each k < q-1 and
-    each s in [0, N) with s <= q s mod N, (g^k, g^(k+t)), t = s - 3k mod N."""
+@cache
+def _scalar_classes(p, h):
+    """{pair: its class's least member} over every pair of GF(q^2)* x GF(q^2)*."""
+    ctx = _tower(p, h).fq2
+    cls = {}
+    for a in range(1, ctx.order):
+        for b in range(1, ctx.order):
+            if (a, b) not in cls:
+                members = _scalar_class(ctx, p, a, b)
+                cls.update(dict.fromkeys(members, min(members)))
+    return cls
+
+
+@cache
+def _scalar_transversal(p, h):
+    """The pair that stands for each class: (g^k, g^(s - 2k)) for the least
+    key (k, s) = (log a mod (q-1), log(a^2 b)) of the class's pairs, in key
+    order, with the logs read off the powers of g."""
+    ctx, q = _tower(p, h).fq2, p**h
     N, g = ctx.order - 1, ctx.generator_idx
-    reps = [s for s in range(N) if s <= q * s % N]
-    return [(ctx.pow_i(g, k), ctx.pow_i(g, k + (s - 3 * k) % N)) for k in range(q - 1) for s in reps]
+    log = {ctx.pow_i(g, e): e for e in range(N)}
+    least = {}
+    for (a, b), c in _scalar_classes(p, h).items():
+        key = (log[a] % (q - 1), (2 * log[a] + log[b]) % N)
+        least[c] = min(least.get(c, key), key)
+    return [(ctx.pow_i(g, k), ctx.pow_i(g, s - 2 * k)) for k, s in sorted(least.values())]
 
 
-_ORBIT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+def _whole_transversal(t):
+    """Every pair of scan._transversal, one per class of mu_(q+1) and x -> x^p."""
+    classes = scan._classes(t)
+    return scan._transversal(t.fq2, 0, int(classes.start[-1]), classes)
+
+
+# q = 2 ... 27: h = 1, 2, 3 and 4
+_ORBIT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (3, 3)]
 
 
 class TestOrbits:
-    """Summary sweeps classify one pair of each class of mu_(q+1), acting by
-    (a w^-1, b w^2), and of (a, b) -> (a^q, b^q); they copy each result to
-    its Frobenius twin and then over its orbit."""
+    """Exhaustive sweeps classify one pair of each class of the group that
+    mu_(q+1), acting by (a w^-1, b w^2), and (a, b) -> (a^p, b^p) generate;
+    they copy each result to its distinct Frobenius images and then over
+    their orbits."""
 
     @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_transversal_meets_each_orbit_once(self, tower, p, h):
-        """The transversal meets each class once, in the (k, s) layout of
-        _scalar_transversal."""
+        """The transversal is the scalar oracle's pair of each class, in key
+        order, so it meets each class once; the classified pairs are the
+        recorded counts at q = 4, 8, 9, 16 and 27 ((q-1)^2 (q+2) / 2 at
+        h = 1)."""
         t = tower(p, h)
         ctx, q, n = t.fq2, t.q, t.fq2.order
         mu = [x for x in range(1, n) if ctx.pow_i(x, q + 1) == 1]
         assert mu == list(ctx.mu_indices)
-        cls = {}
-        for a in range(1, n):
-            for b in range(1, n):
-                if (a, b) not in cls:
-                    members = _scalar_class(ctx, q, a, b)
-                    cls.update(dict.fromkeys(members, min(members)))
+        cls = _scalar_classes(p, h)
         a, b = _whole_transversal(t)
         assert a.dtype == b.dtype == np.int32
-        assert len(a) == _class_pair_count(q)
         pairs = list(zip(a.tolist(), b.tolist()))
-        assert pairs == _scalar_transversal(ctx, q)
+        assert pairs == _scalar_transversal(p, h)
         hit = [cls[pair] for pair in pairs]
         assert sorted(hit) == sorted(set(cls.values()))  # every class, each once
+        assert len(pairs) == {4: 14, 8: 83, 9: 178, 16: 509, 27: 3274}.get(q, (q - 1) ** 2 * (q + 2) // 2)
 
     @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_orbit_members_expand_the_transversal(self, tower, p, h):
-        """The transversal with its Frobenius twins, expanded by
-        _orbit_members, is every pair once, in (a_idx, b_idx) order.  Each
-        twin lies in the orbit of its pair's conjugate (a^q, b^q); each
-        member lies in the scalar orbit of the expanded pair its source
-        position names, and so in the class of its transversal pair."""
+        """The transversal's distinct Frobenius images, expanded by
+        _orbit_members, are every pair once, in (a_idx, b_idx) order.  Each
+        image is (a^(p^j), b^(p^j)) of the transversal pair it names, so in
+        that pair's class, and each member lies in the scalar orbit of the
+        image its source position names."""
         t = tower(p, h)
-        ctx, q, n = t.fq2, t.q, t.fq2.order
-        engine = ScanEngine(t)
+        ctx, n = t.fq2, t.fq2.order
+        classes = scan._classes(t)
+        assert classes.powers.tolist() == [p**j % (n - 1) for j in range(2 * h)]
         a, b = _whole_transversal(t)
-        moved, twin_b = scan._twins(engine, a, b)
-        assert len(moved) == len(a) - (q - 1) ** 2  # q-1 fixed t per k
-        for i, y in zip(moved.tolist(), twin_b.tolist()):
-            x = int(a[i])
-            assert (x, y) in _scalar_orbit(ctx, ctx.pow_i(x, q), ctx.pow_i(int(b[i]), q))
-            assert (x, y) != (x, int(b[i]))
-        pa, pb = np.concatenate([a, a[moved]]), np.concatenate([b, twin_b])
-        ea, eb, src = scan._orbit_members(engine, pa, pb)
+        origin, ia, ib = scan._frobenius_images(ctx, classes.powers, a, b)
+        images = list(zip(ia.tolist(), ib.tolist()))
+        for (x, y), i in zip(images, origin.tolist()):
+            assert any((x, y) == (ctx.pow_i(int(a[i]), m), ctx.pow_i(int(b[i]), m)) for m in classes.powers.tolist())
+        ea, eb, src = scan._orbit_members(ScanEngine(t), ia, ib)
         members = list(zip(ea.tolist(), eb.tolist()))
         assert members == [(x, y) for x in range(1, n) for y in range(1, n)]
-        assert all(m in _scalar_orbit(ctx, int(pa[j]), int(pb[j])) for m, j in zip(members, src.tolist()))
-        origin = np.concatenate([np.arange(len(a)), moved])[src]
-        classes = [_scalar_class(ctx, q, x, y) for x, y in zip(a.tolist(), b.tolist())]
-        assert all(m in classes[i] for m, i in zip(members, origin.tolist()))
+        orbits = [_scalar_orbit(ctx, x, y) for x, y in images]
+        assert all(m in orbits[j] for m, j in zip(members, src.tolist()))
+        cls = _scalar_classes(p, h)
+        assert [cls[m] for m in members] == [cls[(int(a[i]), int(b[i]))] for i in origin[src].tolist()]
 
     def test_summary_classifies_only_the_transversal(self, tower, monkeypatch):
-        """One thread classifies the (q-1)^2 (q+2) / 2 transversal pairs in
-        order; on three, the workers' slices interleave but cover the same
+        """One thread classifies the (q-1)^2 (q+2) / 2 transversal pairs
+        (h = 1) in order; on three, the workers' slices interleave but cover the same
         pairs once."""
         seen = []
         classify = ScanEngine.classify_bulk
@@ -369,7 +406,7 @@ class TestOrbits:
         monkeypatch.setattr(ScanEngine, "classify_bulk", spy)
         pairs = list(zip(*(x.tolist() for x in _whole_transversal(tower(7, 1)))))
         exhaustive_scan(7, 1, summary_only=True)
-        assert len(seen) == _class_pair_count(7) == 162
+        assert len(seen) == len(_scalar_transversal(7, 1)) == 162
         assert seen == pairs  # in transversal order
         seen.clear()
         rep = exhaustive_scan(7, 1, threads=3, summary_only=True)
@@ -407,33 +444,25 @@ class TestOrbits:
         for summary_only in (False, True):
             assert exhaustive_scan(p, h, summary_only=summary_only, diagnostics=True).diagnostics == want
 
-    @pytest.mark.parametrize("p,h", _ORBIT_FIELDS + [(11, 1), (13, 1), (2, 4)])
+    @pytest.mark.parametrize("p,h", _ORBIT_FIELDS + [(11, 1), (13, 1)])
     def test_class_positions_name_each_pairs_class(self, tower, p, h):
-        """At every prime power q <= 16, the transversal pair that
-        _class_positions names for a grid pair (a, b), through the table of
-        _class_table, is (a w^-1, b w^2) or (a^q w^-1, b^q w^2) for some w
-        in mu_(q+1), checked by scalar arithmetic: k = log a mod (q-1) and
-        log(a^2 b) are fixed by w, and conjugation fixes the first and
-        multiplies the second by q.  A window of a-rows gets those rows of
-        the whole grid's positions."""
+        """The transversal pair that _class_positions names for each grid
+        pair (a, b), through the table of _class_table, lies in the scalar
+        oracle's class of (a, b): k = log a mod (q-1) and log(a^2 b) are
+        fixed by mu_(q+1), and x -> x^p multiplies both by p.  A window of
+        a-rows gets those rows of the whole grid's positions."""
         t = tower(p, h)
         ctx, q, N = t.fq2, t.q, t.fq2.order - 1
-        transversal = _scalar_transversal(ctx, q)
-        reps = scan._class_reps(q)
-        table = scan._class_table(q, reps)
-        assert table.dtype == np.int32 and table.shape == (3 * N,)
-        pos = scan._class_positions(ctx, table, len(reps), 0, N)
+        cls, transversal = _scalar_classes(p, h), _scalar_transversal(p, h)
+        table = scan._class_table(scan._classes(t))
+        assert table.dtype == np.int32 and table.shape == ((q - 1) * 3 * N,)
+        pos = scan._class_positions(ctx, table, 0, N)
         assert pos.dtype == np.int32 and pos.shape == (N, N)
         a, b = pair_grid(ctx.order)
         for x, y, i in zip(a.tolist(), b.tolist(), pos.ravel().tolist()):
-            tx, ty = transversal[i]
-            images = []
-            for cx, cy in ((x, y), (ctx._frob[x], ctx._frob[y])):
-                w = ctx.mul_i(cx, ctx.inv_i(tx))  # tx = cx w^-1
-                images.append(ctx.pow_i(w, q + 1) == 1 and ty == ctx.mul_i(cy, ctx.pow_i(w, 2)))
-            assert any(images), ((x, y), (tx, ty))
+            assert cls[(x, y)] == cls[transversal[i]], ((x, y), transversal[i])
         for lo, hi in ((0, 1), (1, min(3, N)), (N - 1, N), (0, N)):
-            assert np.array_equal(scan._class_positions(ctx, table, len(reps), lo, hi), pos[lo:hi])
+            assert np.array_equal(scan._class_positions(ctx, table, lo, hi), pos[lo:hi])
 
 
 class TestSampled:
@@ -550,28 +579,29 @@ class TestPairSource:
 
     @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_transversal_windows(self, tower, p, h):
-        """A window of _transversal is that slice of the whole transversal
-        (M = (q^2 + q - 2) / 2 pairs a k-row): empty, one pair, across a
-        k-row, the last pair and whole.  A window past the last pair, or
-        with lo > hi or lo < 0, raises IndexError."""
+        """A window of _transversal is that slice of the scalar oracle's
+        transversal: empty, one pair, each k-row's first and last pair,
+        across each k-row boundary, the last pair and whole.  A window past
+        the last pair, or with lo > hi or lo < 0, raises IndexError."""
         t = tower(p, h)
-        ctx, q, reps = t.fq2, t.q, scan._class_reps(t.q)
-        total, M = _class_pair_count(q), (q * q + q - 2) // 2
-        want = _scalar_transversal(ctx, q)
-        assert len(want) == total == (q - 1) * M
-        windows = [(0, 0), (M, M), (total, total), (0, 1), (M - 1, M), (M, M + 1), (total - 1, total)]
-        windows += [(M - 1, M + 1), (1, 2 * M + 3), (0, total)]
+        classes = scan._classes(t)
+        want = _scalar_transversal(p, h)
+        total, first = len(want), classes.start.tolist()
+        assert first[0] == 0 and first[-1] == total and (np.diff(first) > 0).all()
+        windows = [(0, 0), (total, total), (0, 1), (total - 1, total), (1, 2 * first[1] + 3), (0, total)]
+        for r in first[1:-1]:
+            windows += [(r, r), (r - 1, r), (r, r + 1), (r - 1, r + 1)]
         for lo, hi in windows:
             if hi > total:  # q = 2 has one k-row, q = 3 two
                 with pytest.raises(IndexError):
-                    scan._transversal(ctx, lo, hi, reps)
+                    scan._transversal(t.fq2, lo, hi, classes)
                 continue
-            a, b = scan._transversal(ctx, lo, hi, reps)
+            a, b = scan._transversal(t.fq2, lo, hi, classes)
             assert a.dtype == b.dtype == np.int32
             assert list(zip(a.tolist(), b.tolist())) == want[lo:hi]
         for lo, hi in ((total - 1, total + 3), (total, total + 1), (total + 1, total + 1), (1, 0), (-1, 2)):
             with pytest.raises(IndexError):
-                scan._transversal(ctx, lo, hi, reps)
+                scan._transversal(t.fq2, lo, hi, classes)
 
     def test_pair_grid_windows_past_int32(self):
         """A grid of more than 2^31 pairs, which pair_grid could not count in
@@ -583,17 +613,27 @@ class TestPairSource:
     def test_transversal_windows_past_int32(self):
         """Past 2^31 pairs a window still counts in int32 from its first
         k-row; a window too long for that is refused before it is built.
-        A stand-in field of order 4096^2, with a zero table R of 2^20
-        entries, has 4095 * 2^20 > 2^31 pairs, and its exp table gives back
-        the exponents it is asked for."""
+        Stand-in classes of order 4096^2, with 4095 k-rows that each list
+        the zero list of 2^20 entries, have 4095 * 2^20 > 2^31 pairs, and
+        the stand-in exp table gives back the exponents it is asked for."""
         q, M = 4096, 1 << 20
         ctx = SimpleNamespace(order=q * q, np_exp2=SimpleNamespace(take=lambda e: e))
+        classes = scan._Classes(
+            q=q,
+            powers=np.array([1, q], dtype=np.int64),
+            k=np.arange(q - 1, dtype=np.int32),
+            start=np.arange(q, dtype=np.int64) * M,
+            base=np.zeros(q - 1, dtype=np.int64),
+            reps=np.zeros(M, np.int32),
+        )
         total = (q - 1) * M
-        k, e = scan._transversal(ctx, total - 3, total, np.zeros(M, np.int32))
+        k, e = scan._transversal(ctx, total - 3, total, classes)
         assert k.dtype == e.dtype == np.int32
         assert k.tolist() == [q - 2] * 3 and e.tolist() == [q * q - 1 - 2 * (q - 2)] * 3
+        k, e = scan._transversal(ctx, M - 1, M + 1, classes)  # across a k-row
+        assert k.tolist() == [0, 1] and e.tolist() == [q * q - 1, q * q - 3]
         with pytest.raises(ValueError, match="overflows its int32 count"):
-            scan._transversal(ctx, 0, (1 << 31) + 1, np.zeros(M, np.int32))
+            scan._transversal(ctx, 0, (1 << 31) + 1, classes)
 
     @pytest.mark.parametrize("summary_only", [False, True])
     @pytest.mark.parametrize("threads", [1, 2, 5])
@@ -601,24 +641,25 @@ class TestPairSource:
         """An exhaustive sweep asks _transversal for one slice at a time: the
         windows are [k step, min((k+1) step, count)) with
         step = min(_SLICE_PAIRS, ceil(count / threads)).  It builds its
-        table R once and hands the same one to every window.  A full-row
+        classes once and hands the same ones to every window.  A full-row
         sweep then asks _class_positions for the a-row windows
         [k rows, min((k+1) rows, N)), rows = max(1, _SLICE_PAIRS // N) and
         N = q^2 - 1, in order, from the calling thread, at any thread count,
-        with one class-position table; a summary never asks it."""
+        with one class-position table; a summary never asks it.  At q = 7
+        (h = 1) and q = 9 (h = 2)."""
         windows = {"_transversal": [], "_class_positions": []}
         tables = {name: set() for name in windows}
         callers = set()
         transversal, positions = scan._transversal, scan._class_positions
 
-        def transversal_spy(ctx, lo, hi, reps):
-            a, b = transversal(ctx, lo, hi, reps=reps)
+        def transversal_spy(ctx, lo, hi, classes):
+            a, b = transversal(ctx, lo, hi, classes=classes)
             windows["_transversal"].append((lo, lo + len(a)))
-            tables["_transversal"].add(id(reps))
+            tables["_transversal"].add(id(classes))
             return a, b
 
-        def positions_spy(ctx, table, M, lo, hi):
-            pos = positions(ctx, table, M, lo, hi)
+        def positions_spy(ctx, table, lo, hi):
+            pos = positions(ctx, table, lo, hi)
             windows["_class_positions"].append((lo, lo + len(pos)))
             tables["_class_positions"].add(id(table))
             callers.add(threading.get_ident())
@@ -626,21 +667,21 @@ class TestPairSource:
 
         monkeypatch.setattr(scan, "_transversal", transversal_spy)
         monkeypatch.setattr(scan, "_class_positions", positions_spy)
-        count, N = _class_pair_count(7), 48
-        for slice_pairs in (40, 5 * N, 1 << 15):  # one a-row, five, all; at 2^15 the threads set the step
-            monkeypatch.setattr(scan, "_SLICE_PAIRS", slice_pairs)
-            for seen in (*windows.values(), *tables.values(), callers):
-                seen.clear()
-            rep = exhaustive_scan(7, 1, threads=threads, summary_only=summary_only)
-            assert rep.pair_count == N * N
-            assert len(tables["_transversal"]) == 1
-            step = min(slice_pairs, -(-count // threads))
-            assert sorted(windows["_transversal"]) == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
-            rows = max(1, slice_pairs // N)
-            fill = range(0, 0 if summary_only else N, rows)
-            assert windows["_class_positions"] == [(lo, min(lo + rows, N)) for lo in fill]
-            assert len(tables["_class_positions"]) == (0 if summary_only else 1)
-            assert callers == (set() if summary_only else {threading.get_ident()})
+        for p, h, count, N in ((7, 1, 162, 48), (3, 2, 178, 80)):
+            for slice_pairs in (40, 5 * N, 1 << 15):  # one a-row, five, all; at 2^15 the threads set the step
+                monkeypatch.setattr(scan, "_SLICE_PAIRS", slice_pairs)
+                for seen in (*windows.values(), *tables.values(), callers):
+                    seen.clear()
+                rep = exhaustive_scan(p, h, threads=threads, summary_only=summary_only)
+                assert rep.pair_count == N * N
+                assert len(tables["_transversal"]) == 1
+                step = min(slice_pairs, -(-count // threads))
+                assert sorted(windows["_transversal"]) == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+                rows = max(1, slice_pairs // N)
+                fill = range(0, 0 if summary_only else N, rows)
+                assert windows["_class_positions"] == [(lo, min(lo + rows, N)) for lo in fill]
+                assert len(tables["_class_positions"]) == (0 if summary_only else 1)
+                assert callers == (set() if summary_only else {threading.get_ident()})
 
 
 class TestEmission:
@@ -958,7 +999,7 @@ class TestRowMatrix:
         summary = exhaustive_scan(7, 1, threads=2, summary_only=True)
         assert summary.rows is None
         assert all(len(m) <= 50 for m in matrices)
-        # the kept rows, one per class: q = 7's 3 instance orbits are each their own twin
+        # the kept rows, one per class: q = 7's 3 instance orbits are each their own q-power image
         assert sum(len(m) for m in matrices) == summary.pp_count // 8
 
 

@@ -12,10 +12,12 @@ The checks rely on neither implementation being right.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from permtri import TrinomialParams, condition_report, gcd_degree, is_pp_direct, is_pp_mu
 from permtri.acceptance import _engine, _tower
+from permtri.scan import pair_grid
 
 FIELDS = ((2, 2), (3, 1), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (5, 2))
 CONDITIONS = ("prima", "seconda", "prima_bis", "seconda_bis", "seconda_tris", "char2", "char3", "main")
@@ -84,3 +86,34 @@ def test_per_pair_path_invariant(case, w_pick, frobenius):
     if not frobenius:
         del before["seconda_tris"], after["seconda_tris"]
     assert before == after
+
+
+@pytest.mark.parametrize(
+    "p,h",
+    [(2, 3), (3, 2), (2, 4), (5, 2), (3, 3)] + [pytest.param(p, h, marks=pytest.mark.slow) for p, h in ((2, 5), (7, 2))],
+)
+def test_grid_columns_constant_on_each_class(p, h):
+    """Every classify_bulk column but seconda_tris is constant on each class
+    of the group that mu_(q+1) and x -> x^p generate, over the whole
+    pair_grid at q = 8, 9, 16, 25 and 27, and at 32 and 49 under the slow
+    marker.  Each column must be invariant under the two maps that generate
+    the group: (a, b) -> (a w^-1, b w^2) for the generator w = g^(q-1) of
+    mu_(q+1), and (a, b) -> (a^p, b^p), both tabulated by scalar
+    arithmetic."""
+    eng = _engine(p, h)
+    ctx, q, N = eng.ctx, eng.q, eng.n - 1
+    w = ctx.pow_i(ctx.generator_idx, q - 1)
+    assert sorted(ctx.pow_i(w, j) for j in range(q + 1)) == list(ctx.mu_indices)
+    x = range(eng.n)
+    maps = {
+        "mu": ([ctx.mul_i(v, ctx.inv_i(w)) for v in x], [ctx.mul_i(v, ctx.mul_i(w, w)) for v in x]),
+        "frobenius": ([ctx.pow_i(v, p) for v in x], [ctx.pow_i(v, p) for v in x]),
+    }
+    a, b = pair_grid(eng.n)
+    cols = eng.classify_bulk(a, b)
+    cols.pop("seconda_tris", None)  # p > 3 only
+    for name, (ma, mb) in maps.items():
+        image = (np.array(ma, dtype=np.int64)[a] - 1) * N + np.array(mb, dtype=np.int64)[b] - 1
+        assert not (image == np.arange(N * N)).all(), name
+        for col, values in cols.items():
+            assert np.array_equal(values[image], values), (name, col)
