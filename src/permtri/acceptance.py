@@ -34,9 +34,7 @@ __all__ = ["run_all", "CRITERIA", "DEFAULT_MAX_Q"]
 DEFAULT_MAX_Q = 27
 
 
-@functools.lru_cache(maxsize=None)
-def _tower(p: int, h: int):
-    return make_field(p, h)
+_tower = make_field  # the memo itself, under the name its callers clear
 
 
 @functools.lru_cache(maxsize=None)

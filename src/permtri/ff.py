@@ -38,26 +38,43 @@ p, -x = x for p = 2, 1/x = g^(n-1-log x).  A dense add table is
 (x + y) mod p on GF(p); above it, one digit at a time, the add table A of
 the layer below (order B) broadcast against the table T so far: with
 x = x_low + B^i c, the table one digit up is A[c, c'] * B^i + T[x_low,
-y_low].  The mul table is exp[log x + log y], gathered in place over the
-int32 index, with the zero row and column cleared.  The top layer's
-Frobenius table conjugates coordinates as above.
+y_low].  The mul table is exp[log x + log y], gathered from an int16 copy
+of exp into the table a block of rows (at most _GATHER_BLOCK cells) at a
+time, so no full-size index is ever held, with the zero row and column
+cleared.  Both dense tables are int16: an order within the dense limit is
+at most 2828 < 2**15.  The top layer's Frobenius table conjugates
+coordinates as above.
 
 Scalar ops run on discrete-log, exp and Zech tables held as plain lists;
 the engine's pp_mu reads the same Zech table as the numpy array np_zech.
 The vectorised ops (the v* methods) take numpy index arrays.  On a layer
 with at most _DENSE_TABLE_CELLS cells in its order x order tables, vadd and
 vmul are one gather each, on the raveled table with an int32 flat index
-x * order + y.  Past that limit (only the top layer GF(q^2) gets there with
-the default size bound, and its GF(q) is always dense) vadd adds the
+x * order + y, into an int32 result, so no kernel computes in int16.  Past
+that limit (only the top layer GF(q^2) gets there with the default size
+bound, and its GF(q) is always dense) vadd adds the
 coordinates over the layer below, x = u + q v, through that layer's flat
 gather, and vmul goes through the log/exp tables with a zero mask.  Every
 vector operand is checked to lie in [0, order): a flat index would
 otherwise read another cell without an error.  Contexts are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads: every numpy table is made
+read-only once its layer is built.
+
+make_field memoises the 4 most recently used towers (functools.lru_cache,
+maxsize 4, keyed by (p, h)), so a process that checks one field many times
+builds it once; a call that raises caches nothing, and
+make_field.cache_clear() empties the memo.  The memo keeps at most 3 towers
+alive beyond the caller's own.  A tower retains (tracemalloc) 1.6 MiB at
+q = 25, 13.5 MiB at q = 43, 30.8 MiB at q = 53, the largest q with a dense
+GF(q^2), then 4.3, 10.7, 27.2 and 276 MiB at q = 127, 199, 317 and 1009,
+about 280 B per element of GF(q^2) in its per-element lists and arrays.
+Three retained towers thus hold at most about 92 MiB on fields with a dense
+top layer (q <= 53) and 82 MiB at q = 317.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -85,14 +102,16 @@ __all__ = [
 # Largest permitted cardinality of the top layer GF(q^2).
 DEFAULT_MAX_ORDER = 6_250_000
 
-# A layer gets dense order x order add and mul tables (int32, 4 B a cell)
+# A layer gets dense order x order add and mul tables (int16, 2 B a cell)
 # when they have at most this many cells, i.e. order <= 2828; vadd and vmul
 # are then one flat gather each.  Past it, vadd goes through the layer below
-# and vmul through log/exp.  int32 flat indices need n * n < 2**31.
+# and vmul through log/exp.  int32 flat indices need n * n < 2**31, and
+# int16 cells need n < 2**15.
 _DENSE_TABLE_CELLS = 8_000_000
 
-# Cells gathered per step by _take_in_place: the block's index and values
-# stay in L2, and no second full-size array is held.  Each block is one
+# Cells gathered per step by _take_in_place and, in whole rows, by the dense
+# mul table's build: the block's index and values stay in L2, and no second
+# full-size array is held.  Each block is one
 # np.take (mode "raise", so a bad index still raises): 2.3-4.1 ns a cell
 # against 3.9-5.3 for fancy indexing, on 64 K-cell blocks from tables of
 # n = 625 and 3481 (2-vCPU Xeon, numpy 2.4.6).  Its intp copy of the index
@@ -284,6 +303,9 @@ class FieldCtx:
             ctx.modulus = ctx._canonical_modulus()
         ctx.q = ctx.e = None
         ctx._finish_tables()
+        for table in vars(ctx).values():  # a memoised tower is shared
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
         return ctx
 
     def _canonical_modulus(self) -> tuple[int, ...]:
@@ -328,7 +350,7 @@ class FieldCtx:
         self.np_add = self.np_mul = None
         if n * n <= _DENSE_TABLE_CELLS:
             if self.base is None:
-                idx = np.arange(n, dtype=np.int32)
+                idx = np.arange(n, dtype=np.int16)
                 add = (idx[:, None] + idx[None, :]) % p
             else:  # one digit at a time (module docstring)
                 A, B = self.base.np_add, self.base.order
@@ -336,8 +358,12 @@ class FieldCtx:
                 for i in range(1, self.degree):
                     add = (A[:, None, :, None] * B**i + add[None, :, None, :]).reshape(B ** (i + 1), -1)
             self.np_add = add
-            lg = self.np_log
-            mul = _take_in_place(self.np_exp2, lg[:, None] + lg[None, :])
+            # exp[log x + log y] a block of rows at a time (module docstring)
+            lg, exp16 = self.np_log, self.np_exp2.astype(np.int16)
+            mul = np.empty((n, n), dtype=np.int16)
+            rows = max(1, _GATHER_BLOCK // n)
+            for lo in range(0, n, rows):
+                mul[lo : lo + rows] = exp16.take(lg[lo : lo + rows, None] + lg[None, :])
             mul[0] = mul[:, 0] = 0
             self.np_mul = mul
 
@@ -593,11 +619,14 @@ class FieldTower:
         return f"FieldTower(p={self.p}, q={self.q}, q2={self.fq2.order})"
 
 
+@functools.lru_cache(maxsize=4)
 def make_field(p: int, h: int) -> FieldTower:
-    """Build the tower GF(p) -> GF(p^h) -> GF(p^(2h)).
+    """The tower GF(p) -> GF(p^h) -> GF(p^(2h)), built once per (p, h)
+    while it stays among the 4 most recently used (module docstring).
 
     Raises ValueError for h < 1, p^(2h) > DEFAULT_MAX_ORDER or non-prime p,
     in that order: the size bound is checked before any primality work.
+    A call that raises caches nothing.
     """
     if h < 1:
         raise ValueError("extension degree must be >= 1")

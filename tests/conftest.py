@@ -1,9 +1,9 @@
 import pytest
 
-from permtri.acceptance import _tower
+from permtri.ff import make_field
 
 
 @pytest.fixture(scope="session")
 def tower():
-    """Session-cached tower factory: tower(p, h) -> FieldTower."""
-    return _tower
+    """The memoised tower factory: tower(p, h) -> FieldTower."""
+    return make_field

@@ -58,6 +58,49 @@ class TestMakeField:
         with pytest.raises(ValueError, match=r"^field size 3\^20000000 exceeds"):
             make_field(3, 10**7)
 
+    def test_same_field_gives_the_identical_tower(self):
+        assert make_field(5, 2) is make_field(5, 2)
+        assert make_field(5, 2) is not make_field(5, 1)
+
+    def test_memo_is_bounded_at_four_towers(self):
+        assert make_field.cache_info().maxsize == 4
+        make_field.cache_clear()
+        first = make_field(3, 2)
+        for p, h in ((2, 1), (2, 2), (3, 1), (5, 1)):
+            make_field(p, h)
+        assert make_field.cache_info().currsize == 4
+        again = make_field(3, 2)
+        assert again is not first
+        for old, new in zip(_layers(first), _layers(again)):
+            for name in ("np_exp2", "np_log", "np_neg", "np_inv", "np_add", "np_mul", "np_zech"):
+                assert np.array_equal(getattr(old, name), getattr(new, name))
+        assert np.array_equal(first.fq2.np_frob, again.fq2.np_frob)
+
+    def test_acceptance_shares_the_memo(self):
+        from permtri import acceptance
+
+        assert acceptance._tower is make_field
+
+    def test_rejected_arguments_are_not_cached(self):
+        make_field.cache_clear()
+        for bad in ((4, 1), (5, 0), (2503, 1)):
+            with pytest.raises(ValueError):
+                make_field(*bad)
+        assert make_field.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("p,h", [(5, 2), (59, 1)])
+    def test_shared_tables_are_read_only(self, p, h):
+        # one caller's write would reach every later user of the tower
+        for ctx in _layers(make_field(p, h)):
+            names = ["np_exp2", "np_log", "np_neg", "np_inv", "np_zech"]
+            if ctx.np_add is not None:
+                names += ["np_add", "np_mul"]
+            if ctx.level == "Fq2":
+                names += ["np_frob", "np_norm", "np_mu"]
+            for name in names:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(ctx, name)[0] = 1
+
     def test_f25_canonical_modulus(self, tower):
         # enumeration oracle: first monic quadratic over GF(5) with no root
         t = tower(5, 1)
@@ -417,7 +460,7 @@ class TestTablesAgainstOracles:
             n = ctx.order
             x, y = np.divmod(np.arange(n * n), n)
             for table, oracle in ((ctx.np_add, ctx._coord_add), (ctx.np_mul, ctx._coord_mul)):
-                assert table.dtype == np.int32 and table.shape == (n, n)
+                assert table.dtype == np.int16 and table.shape == (n, n)
                 assert np.array_equal(table.ravel(), oracle(x, y))
 
     @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
@@ -581,6 +624,17 @@ class TestTakeInPlace:
         got = ff._take_in_place(table, idx)
         assert got.dtype == np.int32
         assert (got == table[np.arange(size) % len(table)]).all()
+
+    @pytest.mark.parametrize("size", [BLOCK - 1, BLOCK + 1])
+    def test_dense_int16_tables_give_int32(self, size):
+        # GF(625)'s int16 add and mul tables, through one take and in blocks
+        ctx = make_field(5, 2).fq2
+        assert ctx.np_add.dtype == ctx.np_mul.dtype == np.int16
+        x, y = np.divmod(np.arange(size) % ctx.order**2, ctx.order)
+        for op, table in ((ctx.vadd, ctx.np_add), (ctx.vmul, ctx.np_mul)):
+            got = op(x, y)
+            assert got.dtype == np.int32
+            assert (got == table[x, y]).all()
 
     @pytest.mark.parametrize("size", [BLOCK, 3 * BLOCK + 5])
     def test_out_of_range_index_raises(self, size):
