@@ -37,7 +37,13 @@ DEFAULT_MAX_Q = 27
 _tower = make_field  # the memo itself, under the name its callers clear
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded like the tower memo, since an engine holds its tower: a process
+# that ran the criteria keeps at most two engines' towers besides the memo's
+# (each within the criteria's max_q).  A criterion takes its tower from its
+# engine (eng.tower) and never from a second _tower(p, h) call: after an
+# eviction the two can be distinct towers of one field, and Elem compares
+# contexts by identity.
+@functools.lru_cache(maxsize=make_field.cache_parameters()["maxsize"])
 def _engine(p: int, h: int) -> ScanEngine:
     return ScanEngine(_tower(p, h))
 

@@ -60,16 +60,18 @@ otherwise read another cell without an error.  Contexts are immutable after
 construction and safe to share across threads: every numpy table is made
 read-only once its layer is built.
 
-make_field memoises the 4 most recently used towers (functools.lru_cache,
-maxsize 4, keyed by (p, h)), so a process that checks one field many times
-builds it once; a call that raises caches nothing, and
-make_field.cache_clear() empties the memo.  The memo keeps at most 3 towers
-alive beyond the caller's own.  A tower retains (tracemalloc) 1.6 MiB at
-q = 25, 13.5 MiB at q = 43, 30.8 MiB at q = 53, the largest q with a dense
-GF(q^2), then 4.3, 10.7, 27.2 and 276 MiB at q = 127, 199, 317 and 1009,
-about 280 B per element of GF(q^2) in its per-element lists and arrays.
-Three retained towers thus hold at most about 92 MiB on fields with a dense
-top layer (q <= 53) and 82 MiB at q = 317.
+make_field memoises the 2 most recently used towers (functools.lru_cache,
+maxsize 2, keyed by (p, h)), so a process that checks one field many times
+builds it once, also while it alternates with a second field (a summary
+sweep and a sampled one, a sweep and its per-pair checks); a call that
+raises caches nothing, and make_field.cache_clear() empties the memo.  The
+memo keeps at most one tower alive beyond the caller's own.  A tower
+retains (tracemalloc) 1.6 MiB at q = 25, 13.5 MiB at q = 43, 30.8 MiB at
+q = 53, the largest q with a dense GF(q^2), then 4.3, 10.7, 27.2 and
+276 MiB at q = 127, 199, 317 and 1009: 284 B per element of GF(q^2) in its
+per-element lists and arrays.  At that rate the largest field within
+DEFAULT_MAX_ORDER (q = 2477, 6.1 M elements) retains about 1.6 GiB, which
+is thus the most the memo can hold beyond the caller's own tower.
 """
 
 from __future__ import annotations
@@ -117,6 +119,13 @@ _DENSE_TABLE_CELLS = 8_000_000
 # n = 625 and 3481 (2-vCPU Xeon, numpy 2.4.6).  Its intp copy of the index
 # is one block.
 _GATHER_BLOCK = 1 << 16
+
+# Every numpy table a layer may hold, made read-only once it is built.  Named
+# here rather than found through vars(ctx): reading an instance's __dict__
+# turns off CPython's inline attribute values, and every scalar op of that
+# context then took about 1.5 times as long (mul_i 85 -> 130 ns, add_i
+# 140 -> 235 ns on GF(49), Python 3.11).
+_NP_TABLES = ("np_exp2", "np_log", "np_neg", "np_inv", "np_add", "np_mul", "np_zech", "np_frob", "np_norm", "np_mu")
 
 # Unsigned dtype of each integer width: in an unsigned view a negative index
 # is huge, so one max() tests both ends of [0, order).
@@ -303,8 +312,9 @@ class FieldCtx:
             ctx.modulus = ctx._canonical_modulus()
         ctx.q = ctx.e = None
         ctx._finish_tables()
-        for table in vars(ctx).values():  # a memoised tower is shared
-            if isinstance(table, np.ndarray):
+        for name in _NP_TABLES:  # a memoised tower is shared
+            table = getattr(ctx, name, None)
+            if table is not None:
                 table.flags.writeable = False
         return ctx
 
@@ -619,10 +629,10 @@ class FieldTower:
         return f"FieldTower(p={self.p}, q={self.q}, q2={self.fq2.order})"
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def make_field(p: int, h: int) -> FieldTower:
     """The tower GF(p) -> GF(p^h) -> GF(p^(2h)), built once per (p, h)
-    while it stays among the 4 most recently used (module docstring).
+    while it stays among the 2 most recently used (module docstring).
 
     Raises ValueError for h < 1, p^(2h) > DEFAULT_MAX_ORDER or non-prime p,
     in that order: the size bound is checked before any primality work.

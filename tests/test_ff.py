@@ -62,13 +62,15 @@ class TestMakeField:
         assert make_field(5, 2) is make_field(5, 2)
         assert make_field(5, 2) is not make_field(5, 1)
 
-    def test_memo_is_bounded_at_four_towers(self):
-        assert make_field.cache_info().maxsize == 4
+    def test_memo_is_bounded_at_two_towers(self):
+        assert make_field.cache_info().maxsize == 2
         make_field.cache_clear()
         first = make_field(3, 2)
-        for p, h in ((2, 1), (2, 2), (3, 1), (5, 1)):
+        assert make_field(2, 2) is make_field(2, 2)  # one other field keeps it
+        assert make_field(3, 2) is first
+        for p, h in ((2, 1), (3, 1)):
             make_field(p, h)
-        assert make_field.cache_info().currsize == 4
+        assert make_field.cache_info().currsize == 2
         again = make_field(3, 2)
         assert again is not first
         for old, new in zip(_layers(first), _layers(again)):
@@ -80,6 +82,8 @@ class TestMakeField:
         from permtri import acceptance
 
         assert acceptance._tower is make_field
+        # an engine holds its tower, so the engines are bounded alike
+        assert acceptance._engine.cache_info().maxsize == make_field.cache_info().maxsize
 
     def test_rejected_arguments_are_not_cached(self):
         make_field.cache_clear()
@@ -100,6 +104,12 @@ class TestMakeField:
             for name in names:
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(ctx, name)[0] = 1
+
+    def test_every_numpy_table_is_frozen(self):
+        # an unmemoised tower: vars() would slow the memoised one's scalar ops
+        for ctx in _layers(make_field.__wrapped__(5, 2)):
+            tables = {name for name, value in vars(ctx).items() if isinstance(value, np.ndarray)}
+            assert tables <= set(ff._NP_TABLES)
 
     def test_f25_canonical_modulus(self, tower):
         # enumeration oracle: first monic quadratic over GF(5) with no root
