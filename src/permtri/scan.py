@@ -38,9 +38,9 @@ lists without listing them.  At h = 1, <p> = {1, q}: the classes are those
 of mu_(q+1) and the q-power map, (q-1)^2 (q+2) / 2 pairs.  Past it the
 sweep classifies about 1/h as many: 83 pairs at q = 8, 178 at 9, 509 at 16,
 3 896 at 25 and 3 274 at 27.  Every exhaustive sweep counts off its class
-rows: after the merge it copies each kept row to its distinct images
-(a^(p^j), b^(p^j)), one per orbit of its class (_frobenius_images), and each
-row then to every pair of its orbit, in (a_idx, b_idx) order, so the counts
+rows: after the merge it copies each kept row to every pair of its class,
+in (a_idx, b_idx) order (_class_members: the distinct images (p^j k, p^j s)
+of its (k, s), each spread over its orbit), so the counts
 read off them are those of classifying every pair; pair_count is
 (q^2-1)^2.  Nothing counted reads seconda_tris, the one column that varies
 inside a class.
@@ -391,27 +391,21 @@ def _transversal(ctx: FieldCtx, lo: int, hi: int, classes: _Classes) -> tuple[np
     return ctx.np_exp2.take(k), ctx.np_exp2.take(e)
 
 
-def _frobenius_images(ctx: FieldCtx, powers: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The images (a^m, b^m), m in `powers`, of each pair (a, b), one per
-    mu_(q+1) orbit they meet (the key (log a mod (q-1), log(a^2 b)) names
-    it): the position in (a, b) of each one's pair, and its a and b."""
+def _class_members(ctx: FieldCtx, powers: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of the class of each pair (a, b), in (a_idx, b_idx) order,
+    and the position in (a, b) of the pair whose class each one is.  In the
+    coordinates (k, s) = (log a mod (q-1), log(a^2 b)) the images of a class
+    are (m k mod (q-1), m s mod N), m in `powers`, and the orbit of an image
+    is (g^(k + (q-1) i), g^(s - 2k - 2 (q-1) i)), 0 <= i <= q."""
     N = ctx.order - 1
-    la = ctx.np_log.take(a).astype(np.int64)[:, None] * powers % N
-    lb = ctx.np_log.take(b).astype(np.int64)[:, None] * powers % N
-    key = la % (math.isqrt(ctx.order) - 1) * N + (2 * la + lb) % N
-    first = np.unique(key, return_index=True)[1]
-    return first // len(powers), ctx.np_exp2.take(la.ravel()[first]), ctx.np_exp2.take(lb.ravel()[first])
-
-
-def _orbit_members(engine: ScanEngine, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The q+1 members (a w^-1, b w^2), w in MU, of the orbit of each pair
-    (a, b), in (a_idx, b_idx) order, and the position in (a, b) of the pair
-    whose orbit each member is."""
-    ctx, mu = engine.ctx, engine.MU
-    ea = ctx.vmul(a[:, None], engine.INV[mu][None, :]).ravel()
-    eb = ctx.vmul(b[:, None], ctx.vmul(mu, mu)[None, :]).ravel()
-    order = np.argsort(ea.astype(np.int64) * engine.n + eb)  # the keys a n + b are distinct
-    return ea[order], eb[order], order // len(mu)
+    q, la = math.isqrt(ctx.order), ctx.np_log.take(a).astype(np.int64)
+    k, s = la % (q - 1), (2 * la + ctx.np_log.take(b)) % N
+    key, first = np.unique(k[:, None] * powers % (q - 1) * N + s[:, None] * powers % N, return_index=True)
+    k, s = np.divmod(key, N)
+    la = k[:, None] + (q - 1) * np.arange(q + 1)
+    ea, eb = ctx.np_exp2.take(la).ravel(), ctx.np_exp2.take((s[:, None] - 2 * la) % N).ravel()
+    order = np.argsort(ea.astype(np.int64) * ctx.order + eb)  # the keys a n + b are distinct
+    return first[order // (q + 1)] // len(powers), ea[order], eb[order]
 
 
 def _word_batch(need: int, width: int) -> int:
@@ -575,10 +569,7 @@ def _sweep(tower, count, pairs, t0, threads, summary_only, diagnostics, samples=
         rows = _grid_rows(engine, rows, classes)
     kept = np.concatenate([np.empty((0, len(_ROW_FIELDS)), np.int32), *parts])
     if mode == "exhaustive":  # each kept row stands for its class
-        src, a_idx, b_idx = _frobenius_images(engine.ctx, classes.powers, kept[:, 0], kept[:, 1])
-        kept = kept[src]
-        kept[:, 0], kept[:, 1] = a_idx, b_idx
-        a_idx, b_idx, src = _orbit_members(engine, kept[:, 0], kept[:, 1])
+        src, a_idx, b_idx = _class_members(engine.ctx, classes.powers, kept[:, 0], kept[:, 1])
         kept = kept[src]
         kept[:, 0], kept[:, 1] = a_idx, b_idx
         count = (engine.n - 1) ** 2

@@ -72,28 +72,37 @@ class TestScanCommand:
         stdout = capsys.readouterr().out.encode()
         assert stdout == out.read_bytes() + (b"\n" if fmt == "json" else b"")
 
-    def test_stdout_json_reads_like_the_file(self, tmp_path, capsys, monkeypatch):
-        """The JSON on stdout ends in a newline; report_from_json still reads
-        its rows through numpy, and gives the file's report."""
-        rep = exhaustive_scan(5, 1)
+    @pytest.mark.parametrize("p", [5, pytest.param(31, marks=pytest.mark.slow)], ids=["q5", "q31"])
+    def test_stdout_json_reads_like_the_file(self, tmp_path, capsys, monkeypatch, p):
+        """The JSON on stdout ends in a newline; report_from_json reads the
+        rows of both through numpy (at q = 31 the block boundaries fall
+        inside a-rows) and gives the scan's report, bytes and all."""
+        rep = exhaustive_scan(p, 1)
         monkeypatch.setattr(cli, "exhaustive_scan", lambda *args, **kwargs: rep)
         out = tmp_path / "r.json"
-        argv = ["scan", "--p", "5", "--h", "1", "--format", "json", "--out"]
+        argv = ["scan", "--p", str(p), "--h", "1", "--format", "json", "--out"]
         assert main(argv + [str(out)]) == 0 and main(argv + ["-"]) == 0
         stdout, text = capsys.readouterr().out, out.read_text()
         assert stdout == text + "\n"
         loaded, real_loads = [], json.loads
         monkeypatch.setattr(json, "loads", lambda s, **kw: loaded.append(s) or real_loads(s, **kw))
-        got = report_from_json(stdout)
-        assert stdout not in loaded  # the rows went through numpy
-        assert got.rows.dtype == np.int32 and np.array_equal(got.rows, report_from_json(text).rows)
-        assert to_json_text(got) == text
+        for read in (stdout, text):
+            got = report_from_json(read)
+            assert read not in loaded  # the rows went through numpy
+            assert got.rows.dtype == np.int32 and np.array_equal(got.rows, rep.rows)
+            assert to_json_text(got) == text
 
-    def test_threads_flag(self, tmp_path):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["scan", "--p", "7", "--h", "1", "--out", str(out1)]) == 0
-        assert main(["scan", "--p", "7", "--h", "1", "--threads", "4", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    # at q = 31 one, two and five threads cut the 14 850 class pairs into as many
+    # slices; the 921 600 rows are written in 29 blocks
+    @pytest.mark.parametrize(
+        "p,threads", [(7, ["4"]), pytest.param(31, ["1", "2", "5"], marks=pytest.mark.slow)], ids=["q7", "q31"]
+    )
+    def test_threads_flag(self, tmp_path, p, threads):
+        argv = ["scan", "--p", str(p), "--h", "1", "--out"]
+        assert main(argv + [str(tmp_path / "default.csv")]) == 0
+        for t in threads:
+            assert main(argv + [str(tmp_path / f"t{t}.csv"), "--threads", t]) == 0
+            assert (tmp_path / f"t{t}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "argv, budget_env, message",

@@ -78,12 +78,29 @@ def test_sampled_agreement_larger_fields(tower, p, h, count):
             assert bool(cols[name][i]) == getattr(rep, name), name
 
 
-def test_direct_and_mu_grids_agree(tower):
-    for p, h in ((5, 1), (7, 1), (2, 3), (3, 2)):
-        t = tower(p, h)
-        eng = ScanEngine(t)
-        a, b = pair_grid(t.fq2.order)
-        assert (eng.pp_direct(a, b) == eng.pp_mu(a, b)).all()
+# Past q = 27 pp_direct runs on the rows a = g^0, g^1, g^2 only, every b
+_A_ROW_FIELDS = [(7, 2), (59, 1), (2, 6), (3, 4)]
+
+
+@pytest.mark.parametrize(
+    "p,h",
+    [(5, 1), (7, 1), (2, 3), (3, 2)]
+    + [pytest.param(p, h, marks=pytest.mark.slow) for p, h in [(2, 4), (5, 2), (3, 3), *_A_ROW_FIELDS]],
+)
+def test_direct_and_mu_grids_agree(tower, p, h):
+    """pp_mu (the power form on the roots of unity) against pp_direct (f on
+    all of GF(q^2)) on the whole pair_grid up to q = 27, and at q = 49, 59,
+    64 and 81 on every pair with a in {g^0, g^1, g^2}.  Some pair must
+    permute, or the grid checks no acceptance.  Each kernel is handed the
+    whole grid and slices it itself."""
+    eng = ScanEngine(tower(p, h))
+    if (p, h) in _A_ROW_FIELDS:
+        a, b = np.repeat(eng.ctx.np_exp2[:3], eng.n - 1), np.tile(np.arange(1, eng.n, dtype=np.int32), 3)
+    else:
+        a, b = pair_grid(eng.n)
+    pp = eng.pp_mu(a, b)
+    assert (eng.pp_direct(a, b) == pp).all()
+    assert pp.any()
 
 
 def test_broadcasting_shapes(tower):

@@ -399,9 +399,16 @@ def test_capped_pow():
 # Towers whose every layer the table oracles below walk: GF(2) itself, a
 # degree-4 layer, p = 3 on two levels, and a top layer past the dense limit.
 ORACLE_FIELDS = [(2, 1), (2, 4), (3, 2), (5, 2), (7, 1), (59, 1)]
-# Towers whose GF(q) the dense-table test adds: GF(8) and GF(27), three
+# Towers the dense-table and generator tests add: GF(8) and GF(27), three
 # digits over GF(p), and GF(256), eight.
 DIGIT_FIELDS = [(2, 3), (3, 3), (2, 8)]
+# Under the slow marker, every tower of the orbit selftest's range
+# 47 <= q <= 127 and q = 251, 256 and 317 but those listed above (q = 59, 256).
+SLOW_TOWERS = [
+    pytest.param(*ff.is_prime_power(q), marks=pytest.mark.slow)
+    for q in [*range(47, 128), 251, 256, 317]
+    if ff.is_prime_power(q) and ff.is_prime_power(q) not in ORACLE_FIELDS + DIGIT_FIELDS
+]
 
 
 def _layers(t):
@@ -458,13 +465,12 @@ class TestTablesAgainstOracles:
             want = [_oracle_mul(ctx, i, j) for i, j in zip(x.tolist(), y.tolist())]
             assert ctx._coord_mul(x, y).tolist() == want
 
-    @pytest.mark.parametrize("p,h", ORACLE_FIELDS + DIGIT_FIELDS)
+    @pytest.mark.parametrize("p,h", ORACLE_FIELDS + DIGIT_FIELDS + SLOW_TOWERS)
     def test_dense_tables_on_every_pair(self, tower, p, h):
         # the broadcast add and the in-place mul gather against the
-        # coordinate ops, which _coord_mul's test above pins to upoly
-        t = tower(p, h)
-        layers = _layers(t) if (p, h) in ORACLE_FIELDS else [t.fq]
-        dense = [ctx for ctx in layers if ctx.np_add is not None]
+        # coordinate ops, which _coord_mul's test above pins to upoly, on
+        # every dense layer
+        dense = [ctx for ctx in _layers(tower(p, h)) if ctx.np_add is not None]
         assert dense and all(ctx.np_mul is not None for ctx in dense)
         for ctx in dense:
             n = ctx.order
@@ -494,13 +500,16 @@ class TestTablesAgainstOracles:
             assert (ctx.np_zech == -1).sum() == 1
             assert ctx._zech.index(-1) == (0 if p == 2 else n1 // 2)
 
-    @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
+    @pytest.mark.parametrize("p,h", ORACLE_FIELDS + DIGIT_FIELDS + SLOW_TOWERS)
     def test_generator_is_the_least_index_of_full_order(self, tower, p, h):
         # The exp table is pinned to the powers of g above, so g has order
-        # n - 1 iff they are distinct, and x = g^k has order (n-1)/gcd(k, n-1)
+        # n - 1 iff they are distinct, and x = g^k has order (n-1)/gcd(k, n-1);
+        # the log table inverts it, and g lies outside the layer below
         for ctx in _layers(tower(p, h)):
             n1, g = ctx.order - 1, ctx.generator_idx
             assert len(set(ctx._exp[:n1])) == n1
+            assert np.array_equal(ctx.np_log[ctx.np_exp2[:n1]], np.arange(n1))
+            assert ctx.base is None or g >= ctx.base.order
             assert all(math.gcd(ctx._log[x], n1) > 1 for x in range(1, g))
         # on GF(p), against the primitive roots found by listing powers
         roots = [x for x in range(1, p) if len({pow(x, k, p) for k in range(p - 1)}) == p - 1]

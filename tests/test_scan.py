@@ -28,7 +28,7 @@ from permtri import (
 from permtri import bipoly, scan
 from permtri.acceptance import _tower
 from permtri.engine import ScanEngine
-from permtri.ff import make_field, mu_set
+from permtri.ff import is_prime_power, make_field, mu_set
 from permtri.scan import (
     CSV_COLUMNS,
     ScanReport,
@@ -84,6 +84,16 @@ def _reference_aggregates(rows, p):
             zip(col["a_idx"][bad].tolist(), col["b_idx"][bad].tolist(), pp[bad].tolist(), main[bad].tolist())
         ),
     }
+
+
+# The pp_count of the summary sweep at every prime power 47 <= q <= 127, past
+# the exhaustive criteria: data recorded from the orbit sweep and from the
+# earlier one-pair-per-orbit code, not a formula.
+_ORBIT_PP_COUNTS = {
+    47: 2160, 49: 2250, 53: 2754, 59: 3420, 61: 3534, 64: 3965, 67: 4284, 71: 4968,
+    73: 5106, 79: 6000, 81: 3198, 83: 6804, 89: 7830, 97: 9114, 101: 10098, 103: 10296,
+    107: 11340, 109: 11550, 113: 12654, 121: 14274, 125: 15498, 127: 15744,
+}
 
 
 class TestExhaustive:
@@ -237,6 +247,19 @@ class TestExhaustive:
         assert rep.pp_count == 39000
         assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("q", list(_ORBIT_PP_COUNTS))
+    def test_orbit_sweep_past_the_criteria(self, q):
+        """The orbit sweep past the Hasse-Weil split of criterion 6: no
+        equivalence violation, the recorded permutation pairs, split over
+        the attribution and over the gcd degrees 0 and 2 alike."""
+        assert sorted(_ORBIT_PP_COUNTS) == [x for x in range(47, 128) if is_prime_power(x)]
+        rep = exhaustive_scan(*is_prime_power(q), summary_only=True, max_q=127)
+        assert rep.equivalence_violations == []
+        assert rep.pp_count == _ORBIT_PP_COUNTS[q]
+        assert sum(rep.attribution.values()) == sum(rep.gcd_histogram.values()) == rep.pp_count
+        assert set(rep.gcd_histogram) <= {0, 2}
+
     def test_char2_scan(self, tower):
         rep = exhaustive_scan(2, 2)
         assert rep.pair_count == 225
@@ -349,8 +372,7 @@ _ORBIT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4),
 class TestOrbits:
     """Exhaustive sweeps classify one pair of each class of the group that
     mu_(q+1), acting by (a w^-1, b w^2), and (a, b) -> (a^p, b^p) generate;
-    they copy each result to its distinct Frobenius images and then over
-    their orbits."""
+    they copy each result to every pair of its class."""
 
     @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_transversal_meets_each_orbit_once(self, tower, p, h):
@@ -373,27 +395,21 @@ class TestOrbits:
 
     @pytest.mark.parametrize("p,h", _ORBIT_FIELDS)
     def test_orbit_members_expand_the_transversal(self, tower, p, h):
-        """The transversal's distinct Frobenius images, expanded by
-        _orbit_members, are every pair once, in (a_idx, b_idx) order.  Each
-        image is (a^(p^j), b^(p^j)) of the transversal pair it names, so in
-        that pair's class, and each member lies in the scalar orbit of the
-        image its source position names."""
+        """_class_members expands the transversal, or every third pair of
+        it, to every pair of the classes it meets, each once and in
+        (a_idx, b_idx) order; each pair's source position names a pair of
+        the pair's own class (the scalar oracle)."""
         t = tower(p, h)
-        ctx, n = t.fq2, t.fq2.order
+        n = t.fq2.order
         classes = scan._classes(t)
         assert classes.powers.tolist() == [p**j % (n - 1) for j in range(2 * h)]
-        a, b = _whole_transversal(t)
-        origin, ia, ib = scan._frobenius_images(ctx, classes.powers, a, b)
-        images = list(zip(ia.tolist(), ib.tolist()))
-        for (x, y), i in zip(images, origin.tolist()):
-            assert any((x, y) == (ctx.pow_i(int(a[i]), m), ctx.pow_i(int(b[i]), m)) for m in classes.powers.tolist())
-        ea, eb, src = scan._orbit_members(ScanEngine(t), ia, ib)
-        members = list(zip(ea.tolist(), eb.tolist()))
-        assert members == [(x, y) for x in range(1, n) for y in range(1, n)]
-        orbits = [_scalar_orbit(ctx, x, y) for x, y in images]
-        assert all(m in orbits[j] for m, j in zip(members, src.tolist()))
-        cls = _scalar_classes(p, h)
-        assert [cls[m] for m in members] == [cls[(int(a[i]), int(b[i]))] for i in origin[src].tolist()]
+        cls, whole = _scalar_classes(p, h), _whole_transversal(t)
+        for a, b in (whole, [x[::3] for x in whole]):
+            src, ea, eb = scan._class_members(t.fq2, classes.powers, a, b)
+            met = {cls[pair] for pair in zip(a.tolist(), b.tolist())}
+            members = list(zip(ea.tolist(), eb.tolist()))
+            assert members == sorted(pair for pair, c in cls.items() if c in met)
+            assert [cls[m] for m in members] == [cls[(int(a[i]), int(b[i]))] for i in src.tolist()]
 
     def test_summary_classifies_only_the_transversal(self, tower, monkeypatch):
         """One thread classifies the (q-1)^2 (q+2) / 2 transversal pairs
@@ -526,11 +542,14 @@ class TestSampled:
             (6_250_000, 20_000, 6),  # the largest field make_field builds
             (3481, 2000, -5),
             (3481, 2000, 2**40 + 3),
-        ],
+        ]
+        + [pytest.param(q * q, 2000, q, marks=pytest.mark.slow) for q in range(2, 318) if is_prime_power(q)],
     )
     def test_sample_pairs_sort_the_seeded_draws(self, n, count, seed):
         """The same Random(seed) draws, a then b per pair, sorted as tuples
-        (n = 9: 64 distinct pairs, so duplicates are heavy)."""
+        (n = 9: 64 distinct pairs, so duplicates are heavy).  The slow cases
+        pin the draws at every field size the orbit selftest serves, every
+        prime power q <= 317."""
         a, b = sample_pairs(n, count, seed)
         assert a.dtype == b.dtype == np.int32
         assert list(zip(a.tolist(), b.tolist())) == _randrange_pairs(n, count, seed)
