@@ -2,6 +2,10 @@
 
 Exit codes: 0 ok, 1 verification violation / failed selftest, 2 usage or
 I/O error.
+
+`main` may be called again and again in one process: every call parses
+with the one parser that `_build_parser` makes when this module is
+imported, and keeps nothing from the calls before it.
 """
 
 from __future__ import annotations
@@ -100,8 +104,11 @@ def _cmd_selftest(args) -> int:
     return 0 if run_all(max_q=max_q) else 1
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.cmd == "scan":
             return _cmd_scan(args)

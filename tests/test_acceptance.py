@@ -111,3 +111,14 @@ def test_criterion_10_ties_in_bipoly_on_25_pairs_per_job(monkeypatch):
     monkeypatch.setattr(acceptance, "resultant_vs_closed_form", counted)
     assert crit_resultant_relation(7)[0]
     assert len(calls) == 75
+
+
+def test_memo_names_the_benchmark_clears():
+    # perfbench's selftest_q7 clears both memos by these names before each
+    # run, outside the try that counts a failed op: without either name
+    # every verify run stops
+    for memo in (acceptance._tower, acceptance._engine):
+        memo(5, 1)
+        assert memo.cache_info().currsize > 0
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -179,6 +180,55 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--nope"])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    """`main` parses every call with the one parser built at import."""
+
+    CHECK = ["check", "--p", "5", "--h", "1", "--a", "2", "--b", "3"]
+    SCAN = ["scan", "--p", "5", "--h", "1", "--out"]
+
+    def test_no_parser_per_call(self, monkeypatch, capsys, tmp_path):
+        built, real_init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(self.CHECK) == 0
+        assert main(self.SCAN + [str(tmp_path / "r.csv"), "--summary-only"]) == 0
+        assert main(["selftest", "--max-q", "2"]) == 2
+        assert built == []
+
+    def test_diagnostics_do_not_leak_into_the_next_check(self, capsys):
+        assert main(self.CHECK + ["--diagnostics"]) == 0
+        assert "conic" in json.loads(capsys.readouterr().out)
+        assert main(self.CHECK) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert not {"four_line", "conic", "points_off_diag"} & record.keys()
+
+    def test_summary_only_does_not_leak_into_the_next_scan(self, tmp_path):
+        assert main(self.SCAN + [str(tmp_path / "summary.csv"), "--summary-only"]) == 0
+        assert main(self.SCAN + [str(tmp_path / "rows.csv")]) == 0
+        text = (tmp_path / "rows.csv").read_text()
+        assert text == to_csv_text(exhaustive_scan(5, 1))
+        assert len(text.splitlines()) == 1 + 24 * 24  # header and every pair
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["scan", "--nope"], ["scan", "--p", "5", "--h", "1", "--diagnostics"]],
+        ids=["argparse-exit", "value-error"],
+    )
+    def test_usage_error_leaves_the_parser_usable(self, bad, tmp_path, capsys):
+        try:
+            code = main(bad)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        out = tmp_path / "q5.csv"
+        assert main(self.SCAN + [str(out)]) == 0
+        assert out.read_text() == to_csv_text(exhaustive_scan(5, 1))
 
 
 class TestSelftest:

@@ -469,15 +469,18 @@ class TestTablesAgainstOracles:
     def test_dense_tables_on_every_pair(self, tower, p, h):
         # the broadcast add and the in-place mul gather against the
         # coordinate ops, which _coord_mul's test above pins to upoly, on
-        # every dense layer
+        # every pair of every dense layer, a window of about 2^18 pairs
+        # (whole x-rows) at a time
         dense = [ctx for ctx in _layers(tower(p, h)) if ctx.np_add is not None]
         assert dense and all(ctx.np_mul is not None for ctx in dense)
         for ctx in dense:
             n = ctx.order
-            x, y = np.divmod(np.arange(n * n), n)
+            rows = max(1, (1 << 18) // n)
             for table, oracle in ((ctx.np_add, ctx._coord_add), (ctx.np_mul, ctx._coord_mul)):
                 assert table.dtype == np.int16 and table.shape == (n, n)
-                assert np.array_equal(table.ravel(), oracle(x, y))
+                for lo in range(0, n, rows):
+                    x, y = np.divmod(np.arange(lo * n, min(lo + rows, n) * n), n)
+                    assert np.array_equal(table[lo : lo + rows].ravel(), oracle(x, y))
 
     @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
     def test_exp_steps_by_the_generator(self, tower, p, h):

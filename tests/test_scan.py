@@ -49,14 +49,18 @@ def _randrange_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
 
 def _reference_rows(t):
     """The full rows of every pair of the tower t, each classified by
-    ScanEngine.classify_bulk on the whole pair_grid: a per-pair oracle for
-    the sweeps, which classify one pair per class."""
+    ScanEngine.classify_bulk on the pair_grid, 2^18 pairs at a time: a
+    per-pair oracle for the sweeps, which classify one pair per class."""
     eng = ScanEngine(t)
     a, b = pair_grid(eng.n)
-    cols = eng.classify_bulk(a, b)
-    named = {**cols, "a_idx": a, "b_idx": b, "main_predicate": cols["main"]}
-    absent = np.full(len(a), -1)
-    return np.column_stack([named.get(f, absent).astype(np.int32) for f in CSV_COLUMNS[1:]])
+    rows = np.empty((len(a), len(CSV_COLUMNS) - 1), dtype=np.int32)
+    step = 1 << 18
+    for lo in range(0, len(a), step):
+        wa, wb = a[lo : lo + step], b[lo : lo + step]
+        cols = eng.classify_bulk(wa, wb)
+        named = {**cols, "a_idx": wa, "b_idx": wb, "main_predicate": cols["main"]}
+        rows[lo : lo + len(wa)] = np.column_stack([named.get(f, np.full(len(wa), -1)) for f in CSV_COLUMNS[1:]])
+    return rows
 
 
 def _reference_aggregates(rows, p):
@@ -175,6 +179,7 @@ class TestExhaustive:
             full = exhaustive_scan(p, h, threads=threads, diagnostics=diagnostics, max_q=q)
             assert full.rows.dtype == np.int32 and np.array_equal(full.rows, reference)
             assert {key: getattr(full, key) for key in want} == want
+            del full  # one report's rows at a time: 136 MiB at q = 43
         summary = exhaustive_scan(p, h, summary_only=True, diagnostics=diagnostics, max_q=q)
         assert summary.rows is None
         assert {key: getattr(summary, key) for key in want} == want

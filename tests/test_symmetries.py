@@ -96,10 +96,10 @@ def test_grid_columns_constant_on_each_class(p, h):
     """Every classify_bulk column but seconda_tris is constant on each class
     of the group that mu_(q+1) and x -> x^p generate, over the whole
     pair_grid at q = 8, 9, 16, 25 and 27, and at 32 and 49 under the slow
-    marker.  Each column must be invariant under the two maps that generate
-    the group: (a, b) -> (a w^-1, b w^2) for the generator w = g^(q-1) of
-    mu_(q+1), and (a, b) -> (a^p, b^p), both tabulated by scalar
-    arithmetic."""
+    marker, classified 2^18 pairs at a time.  Each column must be invariant
+    under the two maps that generate the group: (a, b) -> (a w^-1, b w^2)
+    for the generator w = g^(q-1) of mu_(q+1), and (a, b) -> (a^p, b^p),
+    both tabulated by scalar arithmetic."""
     eng = _engine(p, h)
     ctx, q, N = eng.ctx, eng.q, eng.n - 1
     w = ctx.pow_i(ctx.generator_idx, q - 1)
@@ -110,7 +110,9 @@ def test_grid_columns_constant_on_each_class(p, h):
         "frobenius": ([ctx.pow_i(v, p) for v in x], [ctx.pow_i(v, p) for v in x]),
     }
     a, b = pair_grid(eng.n)
-    cols = eng.classify_bulk(a, b)
+    step = 1 << 18
+    parts = [eng.classify_bulk(a[lo : lo + step], b[lo : lo + step]) for lo in range(0, len(a), step)]
+    cols = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     cols.pop("seconda_tris", None)  # p > 3 only
     for name, (ma, mb) in maps.items():
         image = (np.array(ma, dtype=np.int64)[a] - 1) * N + np.array(mb, dtype=np.int64)[b] - 1
