@@ -45,8 +45,8 @@ cleared.  Both dense tables are int16: an order within the dense limit is
 at most 2828 < 2**15.  The top layer's Frobenius table conjugates
 coordinates as above.
 
-Scalar ops run on discrete-log, exp and Zech tables held as plain lists;
-the engine's pp_mu reads the same Zech table as the numpy array np_zech.
+Scalar ops index read-only memoryviews of the numpy tables, which give ints,
+so each table is held once; the engine's pp_mu reads np_zech itself.
 The vectorised ops (the v* methods) take numpy index arrays.  On a layer
 with at most _DENSE_TABLE_CELLS cells in its order x order tables, vadd and
 vmul are one gather each, on the raveled table with an int32 flat index
@@ -57,8 +57,8 @@ coordinates over the layer below, x = u + q v, through that layer's flat
 gather, and vmul goes through the log/exp tables with a zero mask.  Every
 vector operand is checked to lie in [0, order): a flat index would
 otherwise read another cell without an error.  Contexts are immutable after
-construction and safe to share across threads: every numpy table is made
-read-only once its layer is built.
+construction and safe to share across threads: every numpy table, and so
+every view of one, is made read-only once its layer is built.
 
 make_field memoises the 2 most recently used towers (functools.lru_cache,
 maxsize 2, keyed by (p, h)), so a process that checks one field many times
@@ -66,12 +66,12 @@ builds it once, also while it alternates with a second field (a summary
 sweep and a sampled one, a sweep and its per-pair checks); a call that
 raises caches nothing, and make_field.cache_clear() empties the memo.  The
 memo keeps at most one tower alive beyond the caller's own.  A tower
-retains (tracemalloc) 1.6 MiB at q = 25, 13.5 MiB at q = 43, 30.8 MiB at
-q = 53, the largest q with a dense GF(q^2), then 4.3, 10.7, 27.2 and
-276 MiB at q = 127, 199, 317 and 1009: 284 B per element of GF(q^2) in its
-per-element lists and arrays.  At that rate the largest field within
-DEFAULT_MAX_ORDER (q = 2477, 6.1 M elements) retains about 1.6 GiB, which
-is thus the most the memo can hold beyond the caller's own tower.
+retains (tracemalloc) 1.5 MiB at q = 25, 13.1 MiB at q = 43, 30.2 MiB at
+q = 53, the largest q with a dense GF(q^2), then 0.6, 1.4, 3.5 and
+35.0 MiB at q = 127, 199, 317 and 1009: 34 B per element of GF(q^2) in its
+arrays.  At that rate the largest field within DEFAULT_MAX_ORDER
+(q = 2477, 6.1 M elements) would retain about 0.2 GiB (extrapolated, not
+built), the most the memo can hold beyond the caller's own tower.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ _GATHER_BLOCK = 1 << 16
 # 140 -> 235 ns on GF(49), Python 3.11).
 _NP_TABLES = ("np_exp2", "np_log", "np_neg", "np_inv", "np_add", "np_mul", "np_zech", "np_frob", "np_norm", "np_mu")
 
-# Unsigned dtype of each integer width: in an unsigned view a negative index
-# is huge, so one max() tests both ends of [0, order).
+# Unsigned dtype of each integer width: in an unsigned view of 4 or 8 bytes a
+# negative index is huge, so one max() tests both ends of [0, order).
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
@@ -316,6 +316,11 @@ class FieldCtx:
             table = getattr(ctx, name, None)
             if table is not None:
                 table.flags.writeable = False
+        # the scalar ops index read-only views of those tables, which give ints
+        tables = (ctx.np_exp2, ctx.np_log, ctx.np_neg, ctx.np_inv, ctx.np_zech)
+        ctx._exp, ctx._log, ctx._neg, ctx._inv, ctx._zech = map(memoryview, tables)
+        if level == "Fq2":
+            ctx._frob, ctx.mu_indices = memoryview(ctx.np_frob), memoryview(ctx.np_mu)
         return ctx
 
     def _canonical_modulus(self) -> tuple[int, ...]:
@@ -342,11 +347,9 @@ class FieldCtx:
         else:  # pragma: no cover
             raise RuntimeError("no element of order n - 1")
         self.generator_idx = g
-        exp += exp
-        self._exp, self.np_exp2 = exp, np.array(exp, dtype=np.int32)
+        self.np_exp2 = np.array(exp + exp, dtype=np.int32)
         self.np_log = np.zeros(n, dtype=np.int32)
         self.np_log[self.np_exp2[: n - 1]] = np.arange(n - 1)
-        self._log = self.np_log.tolist()
 
         # -x = x g^((n-1)/2) (x itself when p = 2) and 1/x = g^(n-1-log x);
         # 0 maps to 0 in both (the scalar path raises on inverting it)
@@ -354,7 +357,6 @@ class FieldCtx:
         self.np_neg = self.np_exp2[self.np_log + half]
         self.np_inv = self.np_exp2[(n - 1) - self.np_log]
         self.np_neg[0] = self.np_inv[0] = 0
-        self._neg, self._inv = self.np_neg.tolist(), self.np_inv.tolist()
 
         # Dense tables for the vectorised fast path.
         self.np_add = self.np_mul = None
@@ -380,7 +382,6 @@ class FieldCtx:
         # Zech table: np_zech[k] = log(1 + g^k), -1 when the sum is zero.
         ones = self.vadd(np.ones(n - 1, dtype=np.int64), self.np_exp2[: n - 1])
         self.np_zech = np.where(ones == 0, -1, self.np_log[ones]).astype(np.int32)
-        self._zech = self.np_zech.tolist()
 
         if self.level == "Fq2":
             self._finish_top_tables()
@@ -397,19 +398,16 @@ class FieldCtx:
         else:
             frob = self.base.vadd(u, v) + B * v
         self.np_frob = frob.astype(np.int32)
-        self._frob = self.np_frob.tolist()
         self.np_norm = self.vmul(idx, self.np_frob).astype(np.int32)
         if not (self.np_norm < B).all():  # pragma: no cover
             raise RuntimeError("norm left the subfield")
 
         # (q+1)-st roots of unity, ascending by index
-        mu = sorted(int(self.np_exp2[k * (B - 1)]) for k in range(B + 1))
-        self.mu_indices = tuple(mu)
-        self.np_mu = np.array(mu, dtype=np.int32)
+        self.np_mu = np.sort(self.np_exp2[: B * (B - 1) + 1 : B - 1])
 
         if self.p != 2:
             self.e = Elem(self, B)  # the adjoined root t
-            if self._frob[B] != self._neg[B]:  # pragma: no cover
+            if self.np_frob[B] != self.np_neg[B]:  # pragma: no cover
                 raise RuntimeError("e^q != -e")
 
     # ------------------------------------------------------- scalar indices
@@ -453,6 +451,8 @@ class FieldCtx:
     def _in_range(self, a) -> np.ndarray:
         """a as an array, after checking that every entry lies in [0, order)."""
         a = np.asarray(a)
+        if a.dtype.kind == "i" and a.itemsize < 4:  # int8 -1 views as 255 < order
+            a = a.astype(np.int32)
         if a.size and a.view(_UNSIGNED[a.itemsize]).max() >= self.order:
             raise IndexError(f"index out of range for GF({self.order})")
         return a

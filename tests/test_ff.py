@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,12 +105,35 @@ class TestMakeField:
             for name in names:
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(ctx, name)[0] = 1
+            for name in _scalar_tables(ctx):
+                with pytest.raises(TypeError, match="read-only"):
+                    getattr(ctx, name)[0] = 1
 
     def test_every_numpy_table_is_frozen(self):
         # an unmemoised tower: vars() would slow the memoised one's scalar ops
         for ctx in _layers(make_field.__wrapped__(5, 2)):
             tables = {name for name, value in vars(ctx).items() if isinstance(value, np.ndarray)}
             assert tables <= set(ff._NP_TABLES)
+            # each scalar table is a read-only view of a numpy table, no copy
+            views = {name: value for name, value in vars(ctx).items() if isinstance(value, memoryview)}
+            assert set(views) == set(_scalar_tables(ctx))
+            for view in views.values():
+                assert view.readonly and any(view.obj is vars(ctx)[name] for name in tables)
+
+    @pytest.mark.slow
+    def test_tower_heap_at_q317(self):
+        """A tower holds each table once, as a numpy array: its retained
+        heap (tracemalloc) at q = 317 stays under 8 MiB.  Measured: 3.5 MiB;
+        a Python list of one 100 489-entry table would add about 3.5 MiB."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            t = make_field.__wrapped__(317, 1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert t.fq2.order == 317**2
+        assert held < 8 * 2**20, f"retained heap {held / 2**20:.1f} MiB"
 
     def test_f25_canonical_modulus(self, tower):
         # enumeration oracle: first monic quadratic over GF(5) with no root
@@ -415,6 +439,11 @@ def _layers(t):
     return list(dict.fromkeys((t.fp, t.fq, t.fq2)))
 
 
+def _scalar_tables(ctx):
+    """The tables the scalar ops index, by attribute name."""
+    return ["_exp", "_log", "_neg", "_inv", "_zech"] + (["_frob", "mu_indices"] if ctx.level == "Fq2" else [])
+
+
 def _oracle_mul(ctx, x: int, y: int) -> int:
     """x * y on `ctx` without its tables: integers mod p on GF(p), else the
     product of the coefficient polynomials over the layer below (upoly.Poly)
@@ -448,7 +477,7 @@ class TestTablesAgainstOracles:
             x = np.arange(ctx.order)
             assert not ctx._coord_add(x, ctx.np_neg[x]).any()
             assert not ctx.vadd(x, ctx.np_neg[x]).any()
-            assert ctx._neg == ctx.np_neg.tolist()
+            assert ctx._neg.tolist() == ctx.np_neg.tolist()
 
     @pytest.mark.parametrize("p,h", ORACLE_FIELDS)
     def test_coord_mul_is_the_polynomial_product(self, tower, p, h):
@@ -486,7 +515,7 @@ class TestTablesAgainstOracles:
     def test_exp_steps_by_the_generator(self, tower, p, h):
         for ctx in _layers(tower(p, h)):
             n1, g = ctx.order - 1, ctx.generator_idx
-            exp = ctx._exp
+            exp = ctx._exp.tolist()
             assert exp == ctx.np_exp2.tolist() and exp[0] == 1 and exp[:n1] == exp[n1:]
             assert exp[1:n1] + [1] == [_oracle_mul(ctx, e, g) for e in exp[:n1]]
             assert [ctx._log[e] for e in exp[:n1]] == list(range(n1))
@@ -499,9 +528,9 @@ class TestTablesAgainstOracles:
             n1 = ctx.order - 1
             ones = ctx._coord_add(np.ones(n1, dtype=np.int64), ctx.np_exp2[:n1])
             want = np.where(ones == 0, -1, ctx.np_log[ones])
-            assert ctx.np_zech.tolist() == ctx._zech == want.tolist()
+            assert ctx.np_zech.tolist() == ctx._zech.tolist() == want.tolist()
             assert (ctx.np_zech == -1).sum() == 1
-            assert ctx._zech.index(-1) == (0 if p == 2 else n1 // 2)
+            assert ctx._zech.tolist().index(-1) == (0 if p == 2 else n1 // 2)
 
     @pytest.mark.parametrize("p,h", ORACLE_FIELDS + DIGIT_FIELDS + SLOW_TOWERS)
     def test_generator_is_the_least_index_of_full_order(self, tower, p, h):
@@ -510,7 +539,7 @@ class TestTablesAgainstOracles:
         # the log table inverts it, and g lies outside the layer below
         for ctx in _layers(tower(p, h)):
             n1, g = ctx.order - 1, ctx.generator_idx
-            assert len(set(ctx._exp[:n1])) == n1
+            assert len(set(ctx._exp.tolist()[:n1])) == n1
             assert np.array_equal(ctx.np_log[ctx.np_exp2[:n1]], np.arange(n1))
             assert ctx.base is None or g >= ctx.base.order
             assert all(math.gcd(ctx._log[x], n1) > 1 for x in range(1, g))
@@ -603,6 +632,24 @@ class TestVectorOps:
                 for x, y in operands:
                     with pytest.raises(IndexError):
                         f(x, y)
+
+    @pytest.mark.parametrize("p,h", [(5, 2), (257, 1)])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    def test_narrow_negative_operand_raises(self, tower, p, h, dtype):
+        # viewed unsigned, int8 -1 is 255 and int16 -1 is 65535, both below
+        # the order 66049 of GF(257^2); widened first, -1 raises as in int64
+        ctx = tower(p, h).fq2
+        good = np.array([0, 1, 100], dtype=dtype)
+        bad = good.copy()
+        bad[1] = -1
+        for op in (*VECTOR_OPS, "vpow"):
+            f = getattr(ctx, op)
+            operands = ((bad, 2),) if op == "vpow" else ((bad, good), (good, bad))
+            for x, y in operands:
+                with pytest.raises(IndexError):
+                    f(x, y)
+            y = 2 if op == "vpow" else good
+            assert f(good, y).tolist() == f(good.astype(np.int64), y).tolist()
 
     def test_table_names_the_benchmark_reads(self):
         # perfbench names its ff.v*.dense / .logexp spans from np_add and

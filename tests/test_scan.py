@@ -240,7 +240,7 @@ class TestExhaustive:
         representatives, and no sweep lists the pairs it classifies.  At
         q = 199 its traced peak, field build included (the tower memo is
         emptied first), stays under 32 MiB, with 39000 permutation pairs
-        and no violation.  Measured: 16.1 MiB."""
+        and no violation.  Measured: 6.8 MiB."""
         make_field.cache_clear()
         tracemalloc.start()
         try:
